@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .fock import coherent_overlap
 from .experiment import (
     ExperimentParams,
     TruncationError,
@@ -30,11 +29,14 @@ from .experiment import (
     fock_brute_force_visibility,
     fringe_scan,
     sweep,
+    _SWEEP_KEYS,
 )
 from .heisenberg import contrast_report
 from .phase_space import (
     CoverageWarning,
     QGrid,
+    _edge_ratio,
+    _plane_profile,
     beam_split_term,
     initial_cat_terms,
     q_marginal,
@@ -46,20 +48,6 @@ __all__ = ["RunConfig", "main"]
 ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
-
-_SWEEP_HEADER = (
-    "R",
-    "abs_alpha0",
-    "phi",
-    "nu_analytic",
-    "nu_oracle",
-    "nu_brute",
-    "nu_fringe",
-    "T",
-    "mean_ratio",
-    "var_out",
-    "error",
-)
 
 _DEFAULT_SWEEP_R = (0.05, 0.1, 0.2, 0.3, 0.5)
 _DEFAULT_SWEEP_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
@@ -230,28 +218,66 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # deterministic formatting
+#
+# Floats print to 12 significant digits: a CSV cell as ``f"{x:.12g}"``, a JSON
+# value as the repr of the float that text parses to, which is what
+# ``json.dumps`` writes after rounding.  A cell costs one lookup on its exact
+# type; Q grids format each plane point once and, per row, only ``q``.
 
 
-def _fmt_float(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
+def _plain(v):
+    """NumPy scalars and other int/float subclasses as their built-in value."""
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return int(v)
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
-    if isinstance(v, tuple):
-        return ",".join(_fmt_cell(x) for x in v)
-    return str(v)
+        return float(v)
+    return v
+
+
+def _cell_text(table, v) -> str:
+    """Text of one cell through ``table``, keyed by exact type; types not in
+    it go through :func:`_plain`, then fall back to ``table[object]``."""
+    fmt = table.get(type(v))
+    if fmt is None:
+        v = _plain(v)
+        fmt = table.get(type(v), table[object])
+    return fmt(v)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x) -> str:
+    text = f"{x:.12g}"
+    return _JSON_NONFINITE.get(text) or repr(float(text))
+
+
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+_CSV_CELL = {
+    float: "{:.12g}".format,
+    int: str,
+    str: str,
+    bool: _BOOL_TEXT,
+    type(None): lambda v: "",
+    tuple: lambda v: ",".join([_cell_text(_CSV_CELL, x) for x in v]),
+    object: str,
+}
+
+# row cells are scalars: json.dumps encodes str subclasses and raises
+# TypeError on what JSON cannot hold, as it did on whole payloads
+_JSON_CELL = {
+    float: _json_float,
+    int: int.__repr__,
+    str: json.dumps,
+    bool: _BOOL_TEXT,
+    type(None): lambda v: "null",
+    object: json.dumps,
+}
 
 
 def _echo_value(v) -> str:
-    return "auto" if v is None else _fmt_cell(v)
+    return "auto" if v is None else _cell_text(_CSV_CELL, v)
 
 
 def _round_floats(obj):
@@ -267,7 +293,42 @@ def _round_floats(obj):
     return obj
 
 
-def _to_csv(cfg, echo, header, rows, head_comments=(), foot_comments=()):
+def _grid_blocks(planes, values, num):
+    """Rows of a Q table on the Cartesian product of ``planes`` (one or two
+    2-D arrays of complex sample points, row-major, the first plane
+    outermost), one block per row of ``values`` at a time.
+
+    Yields ``(head, tails, qs)``: ``head`` holds the ``num``-encoded
+    ``(re, im)`` of the outer plane's point (empty for one plane), ``tails``
+    those of the block's inner points and ``qs`` its Q values as floats.
+    """
+    cells = [
+        list(zip(map(num, z.real.ravel().tolist()), map(num, z.imag.ravel().tolist())))
+        for z in planes
+    ]
+    if len(cells) == 1:
+        n = planes[0].shape[1]
+        for i, qs in enumerate(values):
+            yield (), cells[0][i * n:(i + 1) * n], qs.tolist()
+    else:
+        outer, inner = cells
+        for head, qs in zip(outer, values.reshape(len(outer), len(inner))):
+            yield head, inner, qs.tolist()
+
+
+def _json_row_template(header) -> str:
+    """``str.format`` template of one row object, keys sorted and indented
+    as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out in "rows";
+    field ``i`` takes the encoded cell of ``header[i]``."""
+    fields = ",\n".join(
+        "      " + json.dumps(header[i]).replace("{", "{{").replace("}", "}}")
+        + f": {{{i}}}"
+        for i in sorted(range(len(header)), key=header.__getitem__)
+    )
+    return "    {{\n" + fields + "\n    }}"
+
+
+def _to_csv(cfg, echo, header, rows, grid, head_comments, foot_comments):
     buf = io.StringIO()
     buf.write(f"# catvis {__version__}\n")
     buf.write(f"# command: {cfg.subcommand}\n")
@@ -277,26 +338,53 @@ def _to_csv(cfg, echo, header, rows, head_comments=(), foot_comments=()):
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    if grid is None:
+        writer.writerows([[_cell_text(_CSV_CELL, v) for v in row] for row in rows])
+    else:
+        # numbers need no quoting, so the lines bypass the csv writer
+        for head, tails, qs in _grid_blocks(*grid, "{:.12g}".format):
+            prefix = "{},{},".format(*head) if head else ""
+            buf.write("".join([f"{prefix}{x},{y},{q:.12g}\n"
+                               for (x, y), q in zip(tails, qs)]))
     for line in foot_comments:
         buf.write(f"# {line}\n")
     return buf.getvalue()
 
 
-def _to_json(cfg, echo, header, rows, diagnostics):
-    payload = {
-        "params": dict(echo, command=cfg.subcommand),
-        "rows": [dict(zip(header, row)) for row in rows],
+def _to_json(cfg, echo, header, rows, grid, diagnostics):
+    # json.dumps lays out the small dicts; "rows" sorts after both keys
+    meta = {
         "diagnostics": dict(diagnostics, version=__version__),
+        "params": dict(echo, command=cfg.subcommand),
     }
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_round_floats(meta), sort_keys=True, indent=2)
+    buf = io.StringIO()
+    buf.write(text[:-2] + ',\n  "rows": [')
+    row = _json_row_template(header).format
+    if grid is None:
+        blocks = [[row(*[_cell_text(_JSON_CELL, v) for v in cells]) for cells in rows]]
+    else:
+        blocks = (
+            [row(*head, *tail, _json_float(q)) for tail, q in zip(tails, qs)]
+            for head, tails, qs in _grid_blocks(*grid, _json_float)
+        )
+    sep = "\n"
+    for block in blocks:
+        if block:
+            buf.write(sep + ",\n".join(block))
+            sep = ",\n"
+    buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    return buf.getvalue()
 
 
-def _emit(cfg, echo, header, rows, head_comments=(), foot_comments=(), diagnostics=None):
+def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
+          foot_comments=(), diagnostics=None):
+    """Render a table as CSV or JSON text.  ``rows`` holds tuples of cells in
+    ``header`` order; a Q table passes ``grid=(planes, values)`` instead (see
+    :func:`_grid_blocks`), whose columns are each plane's re, im, then q."""
     if cfg.format == "json":
-        return _to_json(cfg, echo, header, rows, diagnostics or {})
-    return _to_csv(cfg, echo, header, rows, head_comments, foot_comments)
+        return _to_json(cfg, echo, header, rows, grid, diagnostics or {})
+    return _to_csv(cfg, echo, header, rows, grid, head_comments, foot_comments)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +423,6 @@ def _cmd_visibility(cfg: RunConfig) -> str:
     return _emit(cfg, echo, header, [row])
 
 
-def _edge_ratio(vals: np.ndarray) -> float:
-    mags = np.abs(vals)
-    peak = float(mags.max())
-    if peak <= 0.0:
-        return 0.0
-    edge = max(
-        float(mags[0, :].max()),
-        float(mags[-1, :].max()),
-        float(mags[:, 0].max()),
-        float(mags[:, -1].max()),
-    )
-    return edge / peak
-
-
 def _cmd_qfunction(cfg: RunConfig) -> str:
     params = cfg.to_params()
     full = cfg.qmode == "full"
@@ -381,15 +455,11 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
             )
 
     if full:
-        za, zb = grid.plane("a"), grid.plane("b")
+        planes = (pts_a, pts_b)
         total = np.zeros((n, n, n, n), dtype=complex)
         for t in terms:
-            ga = coherent_overlap(za, t.ket_a) * np.conjugate(
-                coherent_overlap(za, t.bra_a)
-            )
-            gb = coherent_overlap(zb, t.ket_b) * np.conjugate(
-                coherent_overlap(zb, t.bra_b)
-            )
+            ga = _plane_profile(planes[0], t.ket_a, t.bra_a)
+            gb = _plane_profile(planes[1], t.ket_b, t.bra_b)
             total += (t.weight / np.pi**2) * np.einsum("ij,kl->ijkl", ga, gb)
         if float(np.max(np.abs(total.imag))) > 1e-10 * max(
             float(np.max(np.abs(total))), 1e-30
@@ -398,22 +468,13 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
         values = total.real
         normalization = float(values.sum()) * grid.cell * grid.cell
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
-        rows = (
-            (za[i, j].real, za[i, j].imag, zb[k, l].real, zb[k, l].imag,
-             values[i, j, k, l])
-            for i in range(n) for j in range(n)
-            for k in range(n) for l in range(n)
-        )
     else:
         plane = "a" if cfg.qmode == "marginal-a" else "b"
         pts, values = (pts_a, marg_a) if plane == "a" else (pts_b, marg_b)
+        planes = (pts,)
         normalization = float(values.sum()) * grid.cell
         name = "alpha" if plane == "a" else "beta"
         header = (f"re_{name}", f"im_{name}", "q")
-        rows = (
-            (pts[i, j].real, pts[i, j].imag, values[i, j])
-            for i in range(n) for j in range(n)
-        )
     if float(values.min()) < -1e-12:
         raise ValueError(
             f"Q reached {float(values.min()):.3e}; term set does not "
@@ -432,7 +493,8 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
     }
     head = [f"normalization: {normalization:.12g}"]
     diag = {"normalization": normalization, "points_per_axis": n}
-    return _emit(cfg, echo, header, rows, head_comments=head, diagnostics=diag)
+    return _emit(cfg, echo, header, grid=(planes, values), head_comments=head,
+                 diagnostics=diag)
 
 
 def _cmd_fringe(cfg: RunConfig) -> str:
@@ -451,7 +513,7 @@ def _cmd_fringe(cfg: RunConfig) -> str:
         "period": fit.period,
     }
     foot = [
-        "fit: " + " ".join(f"{k}={_fmt_float(v)}" for k, v in fit_fields.items())
+        "fit: " + " ".join(f"{k}={float(v):.12g}" for k, v in fit_fields.items())
     ]
     echo = {
         "alpha0": cfg.alpha0,
@@ -473,7 +535,7 @@ def _cmd_sweep(cfg: RunConfig) -> str:
         include_fringe=cfg.include_fringe,
         n_theta=cfg.n_theta,
     )
-    rows = [tuple(rec[k] for k in _SWEEP_HEADER) for rec in table]
+    rows = [tuple(rec[k] for k in _SWEEP_KEYS) for rec in table]
     echo = {
         "R_values": cfg.r_values,
         "alpha0_values": cfg.alpha0_values,
@@ -482,7 +544,7 @@ def _cmd_sweep(cfg: RunConfig) -> str:
         "fringe": cfg.include_fringe,
         "n_theta": cfg.n_theta,
     }
-    return _emit(cfg, echo, _SWEEP_HEADER, rows,
+    return _emit(cfg, echo, _SWEEP_KEYS, rows,
                  diagnostics={"n_rows": len(rows)})
 
 

@@ -357,20 +357,27 @@ def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
     return coherent_overlap(z, ket) * np.conjugate(coherent_overlap(z, bra))
 
 
-def _check_boundary(vals: np.ndarray, which: str, tol: float) -> None:
+def _edge_ratio(vals: np.ndarray) -> float:
+    """Largest magnitude on the border of a 2-D sample array over its peak
+    (0 when the array is all zero)."""
     mags = np.abs(vals)
     peak = float(mags.max())
     if peak <= 0.0:
-        return
+        return 0.0
     edge = max(
         float(mags[0, :].max()),
         float(mags[-1, :].max()),
         float(mags[:, 0].max()),
         float(mags[:, -1].max()),
     )
-    if edge > tol * peak:
+    return edge / peak
+
+
+def _check_boundary(vals: np.ndarray, which: str, tol: float) -> None:
+    ratio = _edge_ratio(vals)
+    if ratio > tol:
         warnings.warn(
-            f"plane {which} boundary holds {edge / peak:.2e} of the peak "
+            f"plane {which} boundary holds {ratio:.2e} of the peak "
             "integrand; widen the grid extent",
             CoverageWarning,
             stacklevel=3,

@@ -5,6 +5,9 @@ than the library uses (direct series with log-factorials, dense matrix
 exponentials), so agreement is evidence rather than restatement.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -84,3 +87,92 @@ def random_mode(rng, cutoff: int, support: int):
     amps[:support] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
     amps /= np.linalg.norm(amps)
     return ModeState(amps)
+
+
+# ---------------------------------------------------------------------------
+# reference emitters: the CLI's original per-cell CSV and dict-row JSON
+# writers, kept as oracles for the byte identity of the streamed ones
+
+
+def fmt_float(x) -> str:
+    return f"{float(x):.12g}"
+
+
+def fmt_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    if isinstance(v, tuple):
+        return ",".join(fmt_cell(x) for x in v)
+    return str(v)
+
+
+def echo_value(v) -> str:
+    return "auto" if v is None else fmt_cell(v)
+
+
+def round_floats(obj):
+    """Clamp every float to 12 significant digits for stable JSON."""
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, np.integer)):
+        return obj if obj is None or isinstance(obj, bool) else int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}")
+    return obj
+
+
+def to_csv(cfg, echo, header, rows, head_comments=(), foot_comments=()):
+    from catvis import __version__
+
+    buf = io.StringIO()
+    buf.write(f"# catvis {__version__}\n")
+    buf.write(f"# command: {cfg.subcommand}\n")
+    pairs = " ".join(f"{k}={echo_value(echo[k])}" for k in sorted(echo))
+    buf.write(f"# params: {pairs}\n")
+    for line in head_comments:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_cell(v) for v in row])
+    for line in foot_comments:
+        buf.write(f"# {line}\n")
+    return buf.getvalue()
+
+
+def to_json(cfg, echo, header, rows, diagnostics):
+    from catvis import __version__
+
+    payload = {
+        "params": dict(echo, command=cfg.subcommand),
+        "rows": [dict(zip(header, row)) for row in rows],
+        "diagnostics": dict(diagnostics, version=__version__),
+    }
+    return json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
+
+
+def q_grid_rows(planes, values):
+    """Rows of a Q table as the CLI first built them, one tuple per point."""
+    if len(planes) == 1:
+        (pts,) = planes
+        n = pts.shape[0]
+        return [
+            (pts[i, j].real, pts[i, j].imag, values[i, j])
+            for i in range(n) for j in range(n)
+        ]
+    za, zb = planes
+    n = za.shape[0]
+    return [
+        (za[i, j].real, za[i, j].imag, zb[k, l].real, zb[k, l].imag,
+         values[i, j, k, l])
+        for i in range(n) for j in range(n)
+        for k in range(n) for l in range(n)
+    ]
