@@ -645,9 +645,18 @@ def _write_output(text: str, path) -> None:
         fh.write(text)
 
 
+def _render_warning(message, category, filename, lineno, line=None) -> str:
+    return f"catvis: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    # Warnings that reach Python's stock writer print as one catvis line;
+    # only the formatter is swapped, so callers recording warnings with
+    # ``warnings.catch_warnings(record=True)`` still record every one.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _render_warning
     try:
         cfg = resolve_config(ns)
         if cfg.verbose:
@@ -662,6 +671,8 @@ def main(argv=None) -> int:
     except (ValueError, TruncationError) as exc:
         print(f"catvis: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
     return 0
 
 

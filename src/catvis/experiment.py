@@ -202,8 +202,8 @@ def q_integral_visibility(params: ExperimentParams) -> float:
 
     The fringe in theta has max/min rates ``(sum of diagonal integrals)/4
     times (1 +/- nu)``, so nu is twice the off-diagonal integral's magnitude
-    over the diagonal total.  Numerical content: four factorized 2-D
-    midpoint quadratures.
+    over the diagonal total.  Numerical content: four factorized midpoint
+    quadratures, each a product of 1-D sums over the same grid.
     """
     _warn_if_components_overlap(params)
     vals = _term_integrals(params)
@@ -272,13 +272,9 @@ def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8 to resolve the fringe")
     _warn_if_components_overlap(params)
-    base = replace(params, theta=0.0)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     total = np.zeros(n_theta, dtype=complex)
-    for term in post_selected_terms(base):
-        grid = params.grid if params.grid is not None else QGrid.for_term(term)
-        val = integrate_q_term(term, grid, params)
-        sk, sb = term.phase_tag
+    for (sk, sb), val in _term_integrals(params).items():
         winding = (1 if sk == "-" else 0) - (1 if sb == "-" else 0)
         total += val * np.exp(1j * winding * thetas)
     scale = float(np.max(np.abs(total)))

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -176,3 +177,41 @@ def q_grid_rows(planes, values):
         for i in range(n) for j in range(n)
         for k in range(n) for l in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# reference plane quadrature: integrate_q_term as it was before each plane
+# sum was factored into 1-D sums, evaluating the profile at every point of
+# both planes; kept as an oracle for the factored sums and their coverage check
+
+
+def check_boundary_2d(vals, which, tol):
+    from catvis.phase_space import CoverageWarning, _edge_ratio
+
+    ratio = _edge_ratio(vals)
+    if ratio > tol:
+        warnings.warn(
+            f"plane {which} boundary holds {ratio:.2e} of the peak "
+            "integrand; widen the grid extent",
+            CoverageWarning,
+            stacklevel=3,
+        )
+
+
+def integrate_q_term_2d(term, grid=None, params=None):
+    from catvis.phase_space import QGrid, _plane_profile
+
+    if grid is None:
+        grid = QGrid.for_term(term)
+    boundary_tol = 1e-10
+    if params is not None and getattr(params, "tolerances", None) is not None:
+        boundary_tol = params.tolerances.boundary_ratio
+    ga = _plane_profile(grid.plane("a"), term.ket_a, term.bra_a)
+    gb = _plane_profile(grid.plane("b"), term.ket_b, term.bra_b)
+    check_boundary_2d(ga, "A", boundary_tol)
+    check_boundary_2d(gb, "B", boundary_tol)
+    return complex(
+        (term.weight / np.pi**2)
+        * (ga.sum() * grid.cell)
+        * (gb.sum() * grid.cell)
+    )

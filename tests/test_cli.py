@@ -8,11 +8,12 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from catvis import OverlapWarning, __version__
+from catvis import CoverageWarning, OverlapWarning, __version__
 from catvis.cli import main
 
 PI_HALF = "1.5707963267948966"
@@ -220,6 +221,54 @@ class TestSweep:
                 if cell == "":
                     continue
                 assert f"{float(cell):.12g}" == cell
+
+
+def _stock_showwarning(message, category, filename, lineno, file=None, line=None):
+    # what Python's own warning writer does: format, then write to stderr
+    # (pytest's warning capture stands in for it while a test runs)
+    text = warnings.formatwarning(message, category, filename, lineno, line)
+    (sys.stderr if file is None else file).write(text)
+
+
+class TestWarningRendering:
+    ARGV = ["qfunction", "--alpha0", "2", "--extent", "1.8", "--spacing", "0.3"]
+    LINES = [
+        f"catvis: warning: plane {p} grid edge holds more than 1e-06 of the "
+        "peak; widen --extent"
+        for p in ("A", "B")
+    ]
+
+    def test_coverage_warning_is_one_catvis_line(self, capsys):
+        with pytest.warns(CoverageWarning):
+            _, recorded_out, _ = run_cli(self.ARGV, capsys)
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _stock_showwarning
+            code, out, err = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert err.splitlines() == self.LINES
+        assert out == recorded_out
+        assert warnings.formatwarning is formatwarning  # restored on return
+
+    def test_recording_callers_see_every_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert err == ""
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (CoverageWarning, line.removeprefix("catvis: warning: "))
+            for line in self.LINES
+        ]
+
+    def test_interpreter_writes_the_same_lines(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "catvis", *self.ARGV],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == self.LINES
 
 
 class TestResolutionOrder:

@@ -122,6 +122,22 @@ class TestQIntegralRoute:
             q_integral_visibility(params)
 
 
+class TestDomainCorner:
+    # |alpha0| = 20 at phi = pi/2 puts the B-plane labels of the interference
+    # term 2 R |alpha0| apart, the widest split the advertised domain allows;
+    # overflow or NaN anywhere in the quadrature routes must raise here.
+    # Underflow in the Gaussian tails is expected and left alone.
+    @pytest.mark.parametrize("r", [0.1, 0.99])
+    def test_quadrature_routes_neither_overflow_nor_go_invalid(self, r):
+        params = ExperimentParams(alpha0=20.0, phi=np.pi / 2, r=r)
+        want = visibility_analytic(params)
+        with np.errstate(over="raise", invalid="raise"):
+            fit = fit_fringe(fringe_scan(params))
+            nu_q = q_integral_visibility(params)
+        assert abs(fit.visibility - want) <= 2e-4
+        assert abs(nu_q - want) <= 2e-4
+
+
 class TestFringeScan:
     def test_uniform_theta_coverage(self):
         params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3)

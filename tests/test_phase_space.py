@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from catvis import (
     visibility_analytic,
     visibility_closed_form,
 )
+from catvis.phase_space import _edge_ratio, _plane_profile, _plane_sum
+
+from helpers import integrate_q_term_2d
 
 INV_PI_SQ = 0.10132118364233778  # 1/pi^2
 
@@ -215,6 +219,85 @@ def test_integrate_q_term_warns_on_poor_coverage():
     grid = QGrid()  # centered at the origin, extent 6
     with pytest.warns(CoverageWarning):
         integrate_q_term(term, grid)
+
+
+def _random_term(rng, diagonal):
+    ket_a, ket_b, bra_a, bra_b = (
+        complex(*(1.5 * rng.standard_normal(2))) for _ in range(4)
+    )
+    weight = complex(*rng.standard_normal(2))
+    if diagonal:
+        return BranchTerm(abs(weight), ket_a, ket_b, ket_a, ket_b)
+    return BranchTerm(weight, ket_a, ket_b, bra_a, bra_b)
+
+
+def _shifted_grid(term, rng):
+    grid = QGrid.for_term(term)
+    return replace(
+        grid,
+        center_a=grid.center_a + complex(*rng.standard_normal(2)),
+        center_b=grid.center_b + complex(*rng.standard_normal(2)),
+    )
+
+
+# name -> grid for a term; None lets integrate_q_term center its own
+PLANE_GRIDS = {
+    "default": lambda term, rng: None,
+    "shifted-even": _shifted_grid,
+    "shifted-odd": lambda term, rng: replace(
+        _shifted_grid(term, rng), extent=6.05
+    ),
+    "custom-odd": lambda term, rng: QGrid(extent=6.05, spacing=0.1),
+    "custom-even": lambda term, rng: QGrid(
+        extent=4.0, spacing=0.25, center_a=0.5 - 0.25j, center_b=-0.3j
+    ),
+    "tight-odd": lambda term, rng: QGrid(
+        extent=2.1, spacing=0.2, center_a=term.ket_a, center_b=term.bra_b
+    ),
+    "tight-even": lambda term, rng: QGrid(extent=1.5, spacing=0.25),
+}
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "diagonal", [True, False], ids=["diagonal", "off-diagonal"]
+)
+@pytest.mark.parametrize("kind", list(PLANE_GRIDS))
+def test_factored_plane_sums_match_the_2d_sums(kind, diagonal):
+    rng = np.random.default_rng(list(PLANE_GRIDS).index(kind) * 2 + diagonal)
+    warned = 0
+    for _ in range(12):
+        term = _random_term(rng, diagonal)
+        grid = PLANE_GRIDS[kind](term, rng)
+        got, got_warnings = _recorded(integrate_q_term, term, grid)
+        want, want_warnings = _recorded(integrate_q_term_2d, term, grid)
+        assert abs(got - want) <= 1e-13 * abs(term.weight)
+        assert got_warnings == want_warnings
+        warned += bool(want_warnings)
+    if kind.startswith("tight"):
+        assert warned  # the comparison covered the warning text too
+
+
+@pytest.mark.parametrize("kind", list(PLANE_GRIDS))
+def test_factored_edge_ratio_matches_the_2d_profile(kind):
+    rng = np.random.default_rng(40 + list(PLANE_GRIDS).index(kind))
+    for _ in range(12):
+        term = _random_term(rng, diagonal=False)
+        grid = PLANE_GRIDS[kind](term, rng) or QGrid.for_term(term)
+        assert grid.points_per_axis % 2 == (1 if "odd" in kind else 0)
+        for which, ket, bra, center in (
+            ("a", term.ket_a, term.bra_a, grid.center_a),
+            ("b", term.ket_b, term.bra_b, grid.center_b),
+        ):
+            _, ratio = _plane_sum(center, grid._offsets(), ket, bra)
+            want = _edge_ratio(_plane_profile(grid.plane(which), ket, bra))
+            assert ratio == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_integrate_q_full_unit_trace():
