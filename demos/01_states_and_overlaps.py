@@ -9,7 +9,6 @@ advertised constant.  This demo makes those claims concrete.
 import numpy as np
 
 from catvis import (
-    CatSpec,
     cat_fock,
     cat_norm_constant,
     coherent_fock,
@@ -31,13 +30,12 @@ def main() -> None:
     print(f"  <alpha|beta> Fock   {trunc:.12f}")
     print(f"  difference          {abs(exact - trunc):.3e}")
 
-    spec = CatSpec(alpha0=2.0, phi=np.pi / 4)
-    cat = cat_fock(spec)
+    cat = cat_fock(2.0, np.pi / 4)
     print(f"cat with |alpha0| = 2, phi = pi/4, {cat.cutoff} levels")
     print(f"  normalization const {cat_norm_constant(2.0, np.pi / 4):.12f}")
     print(f"  squared norm        {cat.squared_norm:.12f}")
 
-    even = cat_fock(CatSpec(alpha0=2.0, phi=np.pi / 2))
+    even = cat_fock(2.0, np.pi / 2)
     odd_mass = float(np.sum(np.abs(even.amplitudes[1::2]) ** 2))
     print("cat with phi = pi/2 occupies even levels only:")
     print(f"  odd-level mass      {odd_mass:.3e}")

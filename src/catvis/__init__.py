@@ -16,146 +16,17 @@ so the contrast between the two descriptions is a number, not a slogan.
 
 __version__ = "0.1.0"
 
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    CatSpec,
-    ModeState,
-    TruncationWarning,
-    cat_fock,
-    cat_norm_constant,
-    coherent_fock,
-    coherent_overlap,
-    default_cutoff,
-    vacuum_fock,
-)
-from .operators import (
-    BeamSplitter,
-    TwoModeState,
-    apply_V,
-    bs_coherent_map,
-    bs_fock_apply,
-    bs_label_pair_map,
-    dm_quadrature_moments,
-    dm_quadrature_raw_moments,
-    interference_reduced_a,
-    partial_trace_b,
-    phase_shift_fock,
-    phase_shift_fock_a,
-    phase_shift_label,
-    position_operator,
-    quadrature_moments,
-    quadrature_raw_moments,
-)
-from .phase_space import (
-    BranchTerm,
-    CoverageWarning,
-    QGrid,
-    beam_split_term,
-    coherent_product_term,
-    f_minus,
-    f_plus,
-    initial_cat_terms,
-    integrate_q_full,
-    integrate_q_term,
-    post_selected_terms,
-    postselect_term,
-    q_branch,
-    q_full,
-    q_marginal,
-    q_term,
-    visibility_analytic,
-    visibility_closed_form,
-)
-from .heisenberg import (
-    ContrastReport,
-    QuadratureStats,
-    cat_quadrature_stats,
-    contrast_report,
-    output_quadrature_stats,
-)
-from .experiment import (
-    ExperimentParams,
-    FringeFit,
-    FringeScan,
-    OverlapWarning,
-    Tolerances,
-    TruncationError,
-    environment_overlap_oracle,
-    extract_visibility,
-    fit_fringe,
-    fock_brute_force_visibility,
-    fringe_scan,
-    q_integral_visibility,
-    sweep,
-)
+from . import experiment, fock, heisenberg, operators, phase_space
+from .fock import *
+from .operators import *
+from .phase_space import *
+from .heisenberg import *
+from .experiment import *
 
 __all__ = [
-    "__version__",
-    # fock
-    "DEFAULT_TAIL_TOL",
-    "CatSpec",
-    "ModeState",
-    "TruncationWarning",
-    "cat_fock",
-    "cat_norm_constant",
-    "coherent_fock",
-    "coherent_overlap",
-    "default_cutoff",
-    "vacuum_fock",
-    # operators
-    "BeamSplitter",
-    "TwoModeState",
-    "apply_V",
-    "bs_coherent_map",
-    "bs_fock_apply",
-    "bs_label_pair_map",
-    "dm_quadrature_moments",
-    "dm_quadrature_raw_moments",
-    "interference_reduced_a",
-    "partial_trace_b",
-    "phase_shift_fock",
-    "phase_shift_fock_a",
-    "phase_shift_label",
-    "position_operator",
-    "quadrature_moments",
-    "quadrature_raw_moments",
-    # phase space
-    "BranchTerm",
-    "CoverageWarning",
-    "QGrid",
-    "beam_split_term",
-    "coherent_product_term",
-    "f_minus",
-    "f_plus",
-    "initial_cat_terms",
-    "integrate_q_full",
-    "integrate_q_term",
-    "post_selected_terms",
-    "postselect_term",
-    "q_branch",
-    "q_full",
-    "q_marginal",
-    "q_term",
-    "visibility_analytic",
-    "visibility_closed_form",
-    # heisenberg
-    "ContrastReport",
-    "QuadratureStats",
-    "cat_quadrature_stats",
-    "contrast_report",
-    "output_quadrature_stats",
-    # experiment
-    "ExperimentParams",
-    "FringeFit",
-    "FringeScan",
-    "OverlapWarning",
-    "Tolerances",
-    "TruncationError",
-    "environment_overlap_oracle",
-    "extract_visibility",
-    "fit_fringe",
-    "fock_brute_force_visibility",
-    "fringe_scan",
-    "q_integral_visibility",
-    "sweep",
+    *fock.__all__,
+    *operators.__all__,
+    *phase_space.__all__,
+    *heisenberg.__all__,
+    *experiment.__all__,
 ]

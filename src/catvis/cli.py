@@ -36,9 +36,9 @@ from .phase_space import (
     CoverageWarning,
     QGrid,
     _edge_ratio,
-    _plane_profile,
     beam_split_term,
     initial_cat_terms,
+    q_full,
     q_marginal,
     visibility_analytic,
 )
@@ -455,31 +455,23 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
             )
 
     if full:
+        # q_full rejects complex or negative values itself
         planes = (pts_a, pts_b)
-        total = np.zeros((n, n, n, n), dtype=complex)
-        for t in terms:
-            ga = _plane_profile(planes[0], t.ket_a, t.bra_a)
-            gb = _plane_profile(planes[1], t.ket_b, t.bra_b)
-            total += (t.weight / np.pi**2) * np.einsum("ij,kl->ijkl", ga, gb)
-        if float(np.max(np.abs(total.imag))) > 1e-10 * max(
-            float(np.max(np.abs(total))), 1e-30
-        ):
-            raise ValueError("Q came out complex; term set is inconsistent")
-        values = total.real
+        values = q_full(terms, pts_a[:, :, None, None], pts_b[None, None])
         normalization = float(values.sum()) * grid.cell * grid.cell
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
         plane = "a" if cfg.qmode == "marginal-a" else "b"
         pts, values = (pts_a, marg_a) if plane == "a" else (pts_b, marg_b)
+        if float(values.min()) < -1e-12:
+            raise ValueError(
+                f"Q reached {float(values.min()):.3e}; term set does not "
+                "describe a state"
+            )
         planes = (pts,)
         normalization = float(values.sum()) * grid.cell
         name = "alpha" if plane == "a" else "beta"
         header = (f"re_{name}", f"im_{name}", "q")
-    if float(values.min()) < -1e-12:
-        raise ValueError(
-            f"Q reached {float(values.min()):.3e}; term set does not "
-            "describe a state"
-        )
 
     echo = {
         "alpha0": cfg.alpha0,

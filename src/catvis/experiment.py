@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    DEFAULT_TAIL_TOL,
+    _cat_components,
     cat_norm_constant,
     coherent_fock,
     coherent_overlap,
@@ -76,7 +76,7 @@ class Tolerances:
     boundary_ratio: admissible edge-to-peak ratio of a quadrature grid.
     """
 
-    tail: float = DEFAULT_TAIL_TOL
+    tail: float = 1e-12
     leakage: float = 1e-8
     component_overlap: float = 1e-3
     boundary_ratio: float = 1e-10
@@ -141,11 +141,11 @@ class ExperimentParams:
 
     @property
     def component_plus(self) -> complex:
-        return complex(np.exp(1j * self.phi) * self.alpha0)
+        return _cat_components(self.alpha0, self.phi)[0]
 
     @property
     def component_minus(self) -> complex:
-        return complex(np.exp(-1j * self.phi) * self.alpha0)
+        return _cat_components(self.alpha0, self.phi)[1]
 
     @property
     def resolved_cutoff_a(self) -> int:

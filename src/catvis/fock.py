@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TAIL_TOL",
-    "CoherentLabel",
     "TruncationWarning",
     "ModeState",
-    "CatSpec",
     "default_cutoff",
     "vacuum_fock",
     "coherent_fock",
@@ -36,9 +33,6 @@ __all__ = [
 
 # A coherent state enters the analytic track purely through its complex label.
 CoherentLabel = complex
-
-#: Largest photon-number tail mass tolerated by the physical-state builders.
-DEFAULT_TAIL_TOL = 1e-12
 
 _NORM_SLACK = 1e-12
 
@@ -178,65 +172,41 @@ def coherent_overlap(alpha, beta):
     return out
 
 
+def _cat_components(alpha0: CoherentLabel, phi: float) -> tuple[complex, complex]:
+    """The cat's two coherent labels ``(e^{i phi} alpha0, e^{-i phi} alpha0)``."""
+    alpha0 = complex(alpha0)
+    return cmath.exp(1j * phi) * alpha0, cmath.exp(-1j * phi) * alpha0
+
+
 def cat_norm_constant(alpha0: CoherentLabel, phi: float) -> float:
     """Normalization of ``c (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``.
 
     ``c = [2 + 2 Re <e^{i phi} alpha0|e^{-i phi} alpha0>]^(-1/2)``; tends to
     1/2 for indistinguishable components and to 1/sqrt(2) for orthogonal ones.
     """
-    alpha0 = complex(alpha0)
-    plus = cmath.exp(1j * phi) * alpha0
-    minus = cmath.exp(-1j * phi) * alpha0
+    plus, minus = _cat_components(alpha0, phi)
     bracket = 2.0 + 2.0 * complex(coherent_overlap(plus, minus)).real
     return bracket ** -0.5
 
 
-@dataclass(frozen=True)
-class CatSpec:
-    """Two-component cat: ``norm_const (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``.
-
-    ``norm_const`` is computed on construction unless supplied explicitly.
-    """
-
-    alpha0: complex
-    phi: float
-    norm_const: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha0", complex(self.alpha0))
-        object.__setattr__(self, "phi", float(self.phi))
-        if self.norm_const is None:
-            object.__setattr__(
-                self, "norm_const", cat_norm_constant(self.alpha0, self.phi)
-            )
-        else:
-            object.__setattr__(self, "norm_const", float(self.norm_const))
-        if not self.norm_const > 0.0:
-            raise ValueError("norm_const must be positive")
-
-    @property
-    def component_plus(self) -> complex:
-        return cmath.exp(1j * self.phi) * self.alpha0
-
-    @property
-    def component_minus(self) -> complex:
-        return cmath.exp(-1j * self.phi) * self.alpha0
-
-
 def cat_fock(
-    spec: CatSpec,
+    alpha0: CoherentLabel,
+    phi: float,
     cutoff: int | None = None,
     tail_tol: float | None = None,
 ) -> ModeState:
-    """Truncated cat state from its spec.
+    """Truncated cat ``c (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``.
 
     The two coherent components are generated on a common cutoff (default:
-    ``default_cutoff(spec.alpha0)``) and summed with the stored norm constant.
+    ``default_cutoff(alpha0)``) and summed with :func:`cat_norm_constant`.
     No renormalization happens here, so the truncated norm sits slightly
     below 1 by exactly the discarded tail mass.
     """
     if cutoff is None:
-        cutoff = default_cutoff(spec.alpha0)
-    plus = coherent_fock(spec.component_plus, cutoff, tail_tol)
-    minus = coherent_fock(spec.component_minus, cutoff, tail_tol)
-    return ModeState(spec.norm_const * (plus.amplitudes + minus.amplitudes))
+        cutoff = default_cutoff(alpha0)
+    plus, minus = (
+        coherent_fock(label, cutoff, tail_tol)
+        for label in _cat_components(alpha0, phi)
+    )
+    norm_const = cat_norm_constant(alpha0, phi)
+    return ModeState(norm_const * (plus.amplitudes + minus.amplitudes))

@@ -6,13 +6,15 @@ transmission t, and the vacuum variance 1/4.  For small reflectivity the
 output moments are barely distinguishable from the input ones, which is the
 whole point this package quantifies: those moments stay put while the
 interference visibility of a cat collapses.
+
+Quadratures follow ``x = (a + a+)/2``, giving the vacuum variance 1/4.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import cat_norm_constant, coherent_overlap
+from .fock import _cat_components, cat_norm_constant, coherent_overlap
 from .operators import BeamSplitter
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "output_quadrature_stats",
     "cat_quadrature_stats",
     "ContrastReport",
+    "contrast_report",
 ]
 
 _VACUUM_VAR = 0.25
@@ -91,13 +94,13 @@ def cat_quadrature_stats(alpha0: complex, phi: float, order: int = 4) -> Quadrat
     Sums <u| x^k |v> over the four outer products of the components
     u, v in {e^{i phi} alpha0, e^{-i phi} alpha0}, each weighted by the
     squared normalization constant times <u|v>.  Closed form in alpha0 and
-    phi, so it serves as an oracle for the Fock-space quadrature code.
+    phi; the tests hold it against moments of the truncated Fock state.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     alpha0 = complex(alpha0)
     cn2 = cat_norm_constant(alpha0, phi) ** 2
-    comps = (np.exp(1j * phi) * alpha0, np.exp(-1j * phi) * alpha0)
+    comps = _cat_components(alpha0, phi)
     raw = np.zeros(order + 1, dtype=complex)
     for u in comps:
         for v in comps:

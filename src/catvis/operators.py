@@ -12,9 +12,6 @@ On the number basis the unitary is applied in its factored form
 read right to left.  Both exchange generators conserve total photon number,
 so each power series terminates on the truncated array; amplitude pushed
 past a cutoff is dropped and surfaces as a norm change.
-
-Quadratures follow ``x = (a + a+)/2`` and ``p = (a - a+)/(2i)``, giving the
-vacuum variance 1/4.
 """
 
 import math
@@ -34,14 +31,7 @@ __all__ = [
     "phase_shift_label",
     "phase_shift_fock",
     "phase_shift_fock_a",
-    "apply_V",
-    "quadrature_moments",
-    "quadrature_raw_moments",
-    "position_operator",
-    "partial_trace_b",
     "interference_reduced_a",
-    "dm_quadrature_raw_moments",
-    "dm_quadrature_moments",
 ]
 
 
@@ -221,96 +211,11 @@ def phase_shift_fock_a(state: TwoModeState, chi: float) -> TwoModeState:
     return TwoModeState(state.amplitudes * np.exp(1j * chi * ns)[:, None])
 
 
-def apply_V(state: ModeState, theta: float, phi: float) -> ModeState:
-    """Post-selected single-photon-interferometer branch operator.
-
-    ``(1/2)(e^{i theta} e^{+i phi n} + e^{-i phi n})``: the photon takes both
-    interferometer arms, the Kerr cell writes ``+/- phi`` per photon of this
-    mode, and the detection port folds the arms back together.  Any constant
-    bias phase in the single-photon arm is absorbed into ``theta``.  The
-    operator is not unitary (it is one detection branch); the output norm
-    never exceeds the input norm and the vacuum survives with probability
-    ``cos^2(theta/2)``.
-    """
-    plus = phase_shift_fock(state, +phi).amplitudes
-    minus = phase_shift_fock(state, -phi).amplitudes
-    return ModeState(0.5 * (np.exp(1j * theta) * plus + minus))
-
-
-def _position_apply(amps: np.ndarray) -> np.ndarray:
-    # (x psi)[n] = (sqrt(n+1) psi[n+1] + sqrt(n) psi[n-1]) / 2
-    n = amps.size
-    rt = np.sqrt(np.arange(n))
-    out = np.zeros_like(amps)
-    out[:-1] += rt[1:] * amps[1:]
-    out[1:] += rt[1:] * amps[:-1]
-    return 0.5 * out
-
-
-def quadrature_raw_moments(state: ModeState, order: int = 2) -> list[float]:
-    """``<x^k>`` for k = 1..order via repeated tridiagonal ladder action.
-
-    Moments are taken on the normalized state.  Each application of x raises
-    the occupied band by one level, so keep a few levels of headroom above
-    the state's support when orders above 2 matter.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    n2 = state.squared_norm
-    if n2 <= 0.0:
-        raise ValueError("zero-norm state has no quadrature statistics")
-    moments = []
-    vec = state.amplitudes
-    for _ in range(order):
-        vec = _position_apply(vec)
-        moments.append(float(np.vdot(state.amplitudes, vec).real) / n2)
-    return moments
-
-
-def quadrature_moments(state: ModeState) -> tuple[float, float]:
-    """Mean and variance of ``x = (a + a+)/2`` on the normalized state."""
-    m1, m2 = quadrature_raw_moments(state, order=2)
-    return (m1, m2 - m1 * m1)
-
-
-def position_operator(cutoff: int) -> np.ndarray:
-    """Dense matrix of ``x = (a + a+)/2`` on ``cutoff`` levels."""
-    rt = np.sqrt(np.arange(1, cutoff))
-    x = np.zeros((cutoff, cutoff))
-    x[np.arange(cutoff - 1), np.arange(1, cutoff)] = rt
-    x[np.arange(1, cutoff), np.arange(cutoff - 1)] = rt
-    return 0.5 * x
-
-
-def partial_trace_b(state: TwoModeState) -> np.ndarray:
-    """Reduced mode-A density matrix ``rho[m, n] = sum_k S[m, k] conj(S[n, k])``."""
-    s = state.amplitudes
-    return s @ s.conj().T
-
-
 def interference_reduced_a(ket: TwoModeState, bra: TwoModeState) -> np.ndarray:
-    """Mode-B trace of the cross term ``|ket><bra|``, an operator on mode A."""
+    """Mode-B trace of the cross term ``|ket><bra|``, an operator on mode A.
+
+    With ``bra = ket`` this is the reduced density matrix of mode A.
+    """
     if ket.amplitudes.shape != bra.amplitudes.shape:
         raise ValueError("states must share cutoffs")
     return ket.amplitudes @ bra.amplitudes.conj().T
-
-
-def dm_quadrature_raw_moments(rho: np.ndarray, order: int = 2) -> list[float]:
-    """``Tr(rho x^k)/Tr(rho)`` for k = 1..order, for reduced (mixed) states."""
-    rho = np.asarray(rho, dtype=complex)
-    tr = complex(np.trace(rho)).real
-    if tr <= 0.0:
-        raise ValueError("density matrix must have positive trace")
-    x = position_operator(rho.shape[0])
-    moments = []
-    power = np.eye(rho.shape[0])
-    for _ in range(order):
-        power = power @ x
-        moments.append(complex(np.trace(rho @ power)).real / tr)
-    return moments
-
-
-def dm_quadrature_moments(rho: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of x for a density matrix on the number basis."""
-    m1, m2 = dm_quadrature_raw_moments(rho, order=2)
-    return (m1, m2 - m1 * m1)

@@ -16,21 +16,21 @@ integrates to ``Tr(rho)`` with the plain Lebesgue measure ``d^2alpha' d^2beta'``
 """
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .fock import cat_norm_constant, coherent_overlap
-from .operators import BeamSplitter, bs_coherent_map, bs_label_pair_map
+from .fock import _cat_components, cat_norm_constant, coherent_overlap
+from .operators import BeamSplitter, bs_label_pair_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .experiment import ExperimentParams
 
 __all__ = [
     "CoverageWarning",
-    "PhaseTag",
     "BranchTerm",
     "QGrid",
     "coherent_product_term",
@@ -38,10 +38,7 @@ __all__ = [
     "beam_split_term",
     "postselect_term",
     "post_selected_terms",
-    "f_plus",
-    "f_minus",
     "q_branch",
-    "q_term",
     "q_full",
     "q_marginal",
     "integrate_q_term",
@@ -170,9 +167,8 @@ def initial_cat_terms(alpha0: complex, phi: float) -> list[BranchTerm]:
 
     Order is (+,+), (+,-), (-,+), (-,-) by (ket side, bra side) component.
     """
-    alpha0 = complex(alpha0)
     cn2 = cat_norm_constant(alpha0, phi) ** 2
-    comp = {"+": np.exp(1j * phi) * alpha0, "-": np.exp(-1j * phi) * alpha0}
+    comp = dict(zip("+-", _cat_components(alpha0, phi)))
     terms = []
     for sk in ("+", "-"):
         for sb in ("+", "-"):
@@ -186,9 +182,6 @@ def initial_cat_terms(alpha0: complex, phi: float) -> list[BranchTerm]:
                     phase_tag=(sk, sb),
                 )
             )
-    # keep the documented order (+,+), (+,-), (-,+), (-,-)
-    order = {("+", "+"): 0, ("+", "-"): 1, ("-", "+"): 2, ("-", "-"): 3}
-    terms.sort(key=lambda t: order[t.phase_tag])
     return terms
 
 
@@ -232,68 +225,23 @@ def post_selected_terms(params: "ExperimentParams") -> list[BranchTerm]:
     ]
 
 
-def _branch_amplitude(alpha_p, beta_p, params: "ExperimentParams", sign: float):
-    rot = np.exp(1j * sign * params.phi)
-    out_a, out_b = bs_coherent_map(params.beam_splitter, rot * params.alpha0)
-    return coherent_overlap(rot * alpha_p, out_a) * coherent_overlap(beta_p, out_b)
-
-
-def f_plus(alpha_p, beta_p, params: "ExperimentParams"):
-    """Amplitude for projecting the rotated-frame splitter output onto
-    ``<e^{i phi} alpha'| <beta'|``, for the ``+`` cat component.
-
-    First-principles product of two coherent overlaps: the component
-    ``e^{i phi} alpha0`` leaves the splitter as the product
-    ``|t e^{i phi} alpha0>_A (x) |i r e^{i phi} alpha0>_B``.  Accepts arrays.
-    """
-    return _branch_amplitude(alpha_p, beta_p, params, +1.0)
-
-
-def f_minus(alpha_p, beta_p, params: "ExperimentParams"):
-    """Mirror of :func:`f_plus` for the ``-`` component (phi -> -phi)."""
-    return _branch_amplitude(alpha_p, beta_p, params, -1.0)
+def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
+    return coherent_overlap(z, ket) * np.conjugate(coherent_overlap(z, bra))
 
 
 def q_branch(term: BranchTerm, alpha_p, beta_p):
     """Pointwise Q of one coherent outer-product term, from its labels alone.
 
     ``(w/pi^2) <alpha'|ket_a><beta'|ket_b> conj(<alpha'|bra_a><beta'|bra_b>)``.
-    Valid for any term at any pipeline stage; accepts arrays.
+    Valid for any term at any pipeline stage; accepts arrays, and broadcasts
+    an A-plane array against a B-plane array to the full two-plane grid.
     """
-    ga = coherent_overlap(alpha_p, term.ket_a) * np.conjugate(
-        coherent_overlap(alpha_p, term.bra_a)
-    )
-    gb = coherent_overlap(beta_p, term.ket_b) * np.conjugate(
-        coherent_overlap(beta_p, term.bra_b)
-    )
-    return (term.weight / np.pi**2) * ga * gb
-
-
-# For the fully post-selected interference term the product f+ conj(f-)
-# collapses to the closed form
-#
-#   (w / pi^2) exp(-(|alpha0|^2 + |alpha'|^2 + |beta'|^2))
-#            . exp(t (conj(alpha') alpha0 + conj(alpha0) alpha'))
-#            . exp(i r e^{i phi} (conj(beta') alpha0 - conj(alpha0) beta'))
-#
-# with the e^{i phi} factor attached inside the reflected-mode exponent.
-# The 2-D Gaussian integrals of the three factors give
-# w exp(-r^2 |alpha0|^2 (1 - e^{2 i phi})), whose magnitude over c^2 is the
-# closed-form visibility below.
-def q_term(term: BranchTerm, alpha_p, beta_p, params: "ExperimentParams"):
-    """Q of one post-selected pipeline term via the branch amplitudes.
-
-    Dispatches on ``phase_tag``: the (s_ket, s_bra) term evaluates to
-    ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
-    ``(w/pi^2) |f|^2`` with no theta factor and (+,-) gives
-    ``(c^2 e^{-i theta}/pi^2) f_plus conj(f_minus)`` (the weight carries
-    ``c^2 e^{-i theta}``).  Agrees pointwise with :func:`q_branch` on the
-    same term; this route exists because it mirrors the analytic derivation.
-    """
-    sk, sb = term.phase_tag
-    fk = f_plus(alpha_p, beta_p, params) if sk == "+" else f_minus(alpha_p, beta_p, params)
-    fb = f_plus(alpha_p, beta_p, params) if sb == "+" else f_minus(alpha_p, beta_p, params)
-    return (term.weight / np.pi**2) * fk * np.conjugate(fb)
+    ga = _plane_profile(alpha_p, term.ket_a, term.bra_a)
+    gb = _plane_profile(beta_p, term.ket_b, term.bra_b)
+    # einsum rounds the complex product as an outer product of the plane
+    # profiles does; a plain ga * gb differs in the last bit in about half
+    # the points, which would change printed full-Q grids
+    return (term.weight / np.pi**2) * np.einsum("...,...->...", ga, gb)
 
 
 def _require_hermitian_set(terms: Sequence[BranchTerm]) -> None:
@@ -358,10 +306,6 @@ def q_full(
     return values
 
 
-def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
-    return coherent_overlap(z, ket) * np.conjugate(coherent_overlap(z, bra))
-
-
 def _edge_ratio(vals: np.ndarray) -> float:
     """Largest magnitude on the border of a 2-D sample array over its peak
     (0 when the array is all zero)."""
@@ -380,9 +324,12 @@ def _edge_ratio(vals: np.ndarray) -> float:
 
 def _check_boundary(ratio: float, which: str, tol: float) -> None:
     if ratio > tol:
+        if math.isinf(ratio):
+            what = "samples all underflow, so the grid misses the integrand"
+        else:
+            what = f"boundary holds {ratio:.2e} of the peak integrand"
         warnings.warn(
-            f"plane {which} boundary holds {ratio:.2e} of the peak "
-            "integrand; widen the grid extent",
+            f"plane {which} {what}; widen the grid extent",
             CoverageWarning,
             stacklevel=3,
         )
@@ -425,7 +372,9 @@ def _plane_sum(
     mx, my = np.abs(fx), np.abs(fy)
     peak_x, peak_y = float(mx.max()), float(my.max())
     peak = peak_x * peak_y
-    ratio = 0.0
+    # a plane whose every sample underflows holds none of the integrand's
+    # support: report it as uncovered rather than as a clean edge
+    ratio = math.inf
     if peak > 0.0:
         edge = max(
             max(float(mx[0]), float(mx[-1])) * peak_y,
@@ -447,8 +396,8 @@ def integrate_q_term(
     integral is a product of 1-D midpoint sums over the same grid: each
     ``n x n`` plane sum is exactly the product of two ``n``-point sums.
     With no grid given, each plane is centered between its ket and bra
-    labels.  Warns when boundary samples exceed 1e-10 of the peak
-    (under-covered support); the exact value of the integral is
+    labels.  Warns when boundary samples exceed 1e-10 of the peak, or when
+    every sample of a plane underflows (under-covered support); the exact value of the integral is
     ``w <bra_a|ket_a> <bra_b|ket_b>``, which the tests hold this quadrature
     against.
     """

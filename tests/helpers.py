@@ -9,10 +9,30 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import warnings
 
 import numpy as np
 import scipy.linalg
+
+import catvis
+from catvis import BranchTerm, bs_coherent_map, coherent_overlap
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the same ``catvis``
+    as this suite.
+
+    The directory holding the imported package goes first on ``PYTHONPATH``:
+    a relative entry (such as ``src``) stops resolving in another working
+    directory, and pytest's ``pythonpath`` setting does not reach a child.
+    """
+    root = pathlib.Path(catvis.__file__).resolve().parent.parent
+    paths = [str(root)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def coherent_amplitudes_direct(alpha, cutoff: int) -> np.ndarray:
@@ -45,6 +65,29 @@ def annihilation(n: int) -> np.ndarray:
     a = np.zeros((n, n), dtype=complex)
     a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
     return a
+
+
+def x_moments(state, order: int = 4) -> list[float]:
+    """``Tr(rho x^k) / Tr(rho)`` for k = 1..order, with the dense matrix
+    ``x = (a + a+)/2`` built from :func:`annihilation`.
+
+    ``state`` is a density matrix, or an amplitude vector taken as
+    ``|psi><psi|``.
+    """
+    rho = np.asarray(state, dtype=complex)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    tr = float(np.trace(rho).real)
+    if tr <= 0.0:
+        raise ValueError("state must have positive trace")
+    a = annihilation(rho.shape[0])
+    x = 0.5 * (a + a.conj().T)
+    moments = []
+    power = np.eye(rho.shape[0])
+    for _ in range(order):
+        power = power @ x
+        moments.append(float(np.trace(rho @ power).real) / tr)
+    return moments
 
 
 def dense_bs_unitary(r: float, na: int, nb: int) -> np.ndarray:
@@ -215,3 +258,78 @@ def integrate_q_term_2d(term, grid=None, params=None):
         * (ga.sum() * grid.cell)
         * (gb.sum() * grid.cell)
     )
+
+
+# ---------------------------------------------------------------------------
+# derivation route for q_branch: the branch amplitudes f+ and f- of the
+# analytic derivation, whose products give each post-selected term's Q
+
+
+def _branch_amplitude(alpha_p, beta_p, params: "ExperimentParams", sign: float):
+    rot = np.exp(1j * sign * params.phi)
+    out_a, out_b = bs_coherent_map(params.beam_splitter, rot * params.alpha0)
+    return coherent_overlap(rot * alpha_p, out_a) * coherent_overlap(beta_p, out_b)
+
+
+def f_plus(alpha_p, beta_p, params: "ExperimentParams"):
+    """Amplitude for projecting the rotated-frame splitter output onto
+    ``<e^{i phi} alpha'| <beta'|``, for the ``+`` cat component.
+
+    First-principles product of two coherent overlaps: the component
+    ``e^{i phi} alpha0`` leaves the splitter as the product
+    ``|t e^{i phi} alpha0>_A (x) |i r e^{i phi} alpha0>_B``.  Accepts arrays.
+    """
+    return _branch_amplitude(alpha_p, beta_p, params, +1.0)
+
+
+def f_minus(alpha_p, beta_p, params: "ExperimentParams"):
+    """Mirror of :func:`f_plus` for the ``-`` component (phi -> -phi)."""
+    return _branch_amplitude(alpha_p, beta_p, params, -1.0)
+
+
+# For the fully post-selected interference term the product f+ conj(f-)
+# collapses to the closed form
+#
+#   (w / pi^2) exp(-(|alpha0|^2 + |alpha'|^2 + |beta'|^2))
+#            . exp(t (conj(alpha') alpha0 + conj(alpha0) alpha'))
+#            . exp(i r e^{i phi} (conj(beta') alpha0 - conj(alpha0) beta'))
+#
+# with the e^{i phi} factor attached inside the reflected-mode exponent.
+# The 2-D Gaussian integrals of the three factors give
+# w exp(-r^2 |alpha0|^2 (1 - e^{2 i phi})), whose magnitude over c^2 is the
+# closed-form visibility (catvis.visibility_closed_form).
+def q_term(term: BranchTerm, alpha_p, beta_p, params: "ExperimentParams"):
+    """Q of one post-selected pipeline term via the branch amplitudes.
+
+    Dispatches on ``phase_tag``: the (s_ket, s_bra) term evaluates to
+    ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
+    ``(w/pi^2) |f|^2`` with no theta factor and (+,-) gives
+    ``(c^2 e^{-i theta}/pi^2) f_plus conj(f_minus)`` (the weight carries
+    ``c^2 e^{-i theta}``).  Agrees pointwise with :func:`q_branch` on the
+    same term; this route exists because it mirrors the analytic derivation.
+    """
+    sk, sb = term.phase_tag
+    fk = f_plus(alpha_p, beta_p, params) if sk == "+" else f_minus(alpha_p, beta_p, params)
+    fb = f_plus(alpha_p, beta_p, params) if sb == "+" else f_minus(alpha_p, beta_p, params)
+    return (term.weight / np.pi**2) * fk * np.conjugate(fb)
+
+
+# ---------------------------------------------------------------------------
+# reference full Q: the CLI's own full-Q sum before it called q_full, one
+# einsum outer product of the two plane profiles per term
+
+
+def q_full_grid(terms, planes):
+    from catvis.phase_space import _plane_profile
+
+    n = planes[0].shape[0]
+    total = np.zeros((n, n, n, n), dtype=complex)
+    for t in terms:
+        ga = _plane_profile(planes[0], t.ket_a, t.bra_a)
+        gb = _plane_profile(planes[1], t.ket_b, t.bra_b)
+        total += (t.weight / np.pi**2) * np.einsum("ij,kl->ijkl", ga, gb)
+    if float(np.max(np.abs(total.imag))) > 1e-10 * max(
+        float(np.max(np.abs(total))), 1e-30
+    ):
+        raise ValueError("Q came out complex; term set is inconsistent")
+    return total.real

@@ -15,6 +15,7 @@ import pytest
 
 from catvis import CoverageWarning, OverlapWarning, __version__
 from catvis.cli import main
+from helpers import child_env
 
 PI_HALF = "1.5707963267948966"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -265,7 +266,7 @@ class TestWarningRendering:
     def test_interpreter_writes_the_same_lines(self):
         proc = subprocess.run(
             [sys.executable, "-m", "catvis", *self.ARGV],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == self.LINES
@@ -372,7 +373,7 @@ class TestSubprocess:
     def test_module_entry_point_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "catvis", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"catvis {__version__}"
@@ -407,7 +408,7 @@ class TestSubprocess:
                 sys.executable, "-m", "catvis", "qfunction",
                 "--alpha0", "2", "--extent", "1.8", "--spacing", "0.3",
             ],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "widen --extent" in proc.stderr

@@ -1,20 +1,14 @@
 """Every demo script runs clean and prints its closing line."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import catvis
+from helpers import child_env
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
-
-# The directory holding the catvis package this suite imported. The demos run
-# from a temporary directory, where a relative PYTHONPATH (such as ``src``)
-# no longer resolves, so the child gets this absolute path first.
-CATVIS_ROOT = pathlib.Path(catvis.__file__).resolve().parent.parent
 
 MARKERS = {
     "01_states_and_overlaps.py": "states and overlaps agree",
@@ -29,16 +23,12 @@ MARKERS = {
 def test_demo_runs(name, tmp_path):
     script = DEMOS / name
     assert script.exists()
-    pythonpath = [str(CATVIS_ROOT)]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         cwd=tmp_path,  # keep any saved figures out of the repo
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

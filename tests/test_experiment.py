@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catvis import (
+    CoverageWarning,
     ExperimentParams,
     FringeScan,
     OverlapWarning,
@@ -118,7 +119,9 @@ class TestQIntegralRoute:
             r=0.2,
             grid=QGrid(center_a=50.0 + 0.0j, center_b=50.0 + 0.0j),
         )
-        with pytest.raises(ValueError, match="not positive"):
+        with pytest.warns(CoverageWarning, match="underflow"), pytest.raises(
+            ValueError, match="not positive"
+        ):
             q_integral_visibility(params)
 
 

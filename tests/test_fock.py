@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from catvis import (
-    CatSpec,
     ModeState,
     cat_fock,
     cat_norm_constant,
@@ -15,6 +14,7 @@ from catvis import (
     default_cutoff,
     vacuum_fock,
 )
+from catvis.fock import _cat_components
 from helpers import coherent_amplitudes_direct, poisson_mass
 
 INV_SQRT2 = 0.7071067811865476  # 1/sqrt(2)
@@ -164,31 +164,31 @@ def test_cat_norm_constant_aligned_components():
     [(2.0, np.pi / 4), (1.0, np.pi / 6), (0.5, np.pi / 2), (2.0j, np.pi / 3)],
 )
 def test_cat_state_normalized(alpha0, phi):
-    state = cat_fock(CatSpec(alpha0, phi))
+    state = cat_fock(alpha0, phi)
     assert abs(state.squared_norm - 1.0) < 1e-10
 
 
 def test_cat_parity_structure_at_right_angle():
     # components +/- i alpha0 cancel the odd number amplitudes exactly
-    state = cat_fock(CatSpec(1.5, np.pi / 2))
+    state = cat_fock(1.5, np.pi / 2)
     assert np.max(np.abs(state.amplitudes[1::2])) < 1e-15
 
 
 def test_cat_matches_component_sum():
-    spec = CatSpec(1.2 + 0.3j, 0.7)
-    state = cat_fock(spec, cutoff=40)
-    plus = coherent_fock(spec.component_plus, cutoff=40).amplitudes
-    minus = coherent_fock(spec.component_minus, cutoff=40).amplitudes
-    want = spec.norm_const * (plus + minus)
+    alpha0, phi = 1.2 + 0.3j, 0.7
+    state = cat_fock(alpha0, phi, cutoff=40)
+    plus = coherent_fock(alpha0 * np.exp(1j * phi), cutoff=40).amplitudes
+    minus = coherent_fock(alpha0 * np.exp(-1j * phi), cutoff=40).amplitudes
+    want = cat_norm_constant(alpha0, phi) * (plus + minus)
     np.testing.assert_allclose(state.amplitudes, want, rtol=1e-12, atol=1e-15)
 
 
 def test_cat_spec_components():
-    spec = CatSpec(2.0, np.pi / 3)
-    assert spec.component_plus == pytest.approx(2.0 * np.exp(1j * np.pi / 3))
-    assert spec.component_minus == pytest.approx(2.0 * np.exp(-1j * np.pi / 3))
+    plus, minus = _cat_components(2.0, np.pi / 3)
+    assert plus == pytest.approx(2.0 * np.exp(1j * np.pi / 3))
+    assert minus == pytest.approx(2.0 * np.exp(-1j * np.pi / 3))
 
 
 def test_cat_tail_guard():
     with pytest.raises(ValueError):
-        cat_fock(CatSpec(3.0, np.pi / 4), cutoff=12, tail_tol=1e-12)
+        cat_fock(3.0, np.pi / 4, cutoff=12, tail_tol=1e-12)

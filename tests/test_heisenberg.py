@@ -8,7 +8,6 @@ import pytest
 
 from catvis import (
     BeamSplitter,
-    CatSpec,
     ContrastReport,
     ExperimentParams,
     QuadratureStats,
@@ -17,12 +16,11 @@ from catvis import (
     cat_fock,
     cat_quadrature_stats,
     contrast_report,
-    dm_quadrature_raw_moments,
+    interference_reduced_a,
     output_quadrature_stats,
-    partial_trace_b,
-    quadrature_raw_moments,
     vacuum_fock,
 )
+from helpers import x_moments
 
 
 def central_from_raw(raw):
@@ -77,8 +75,8 @@ class TestCatStats:
     @pytest.mark.parametrize("phi", [np.pi / 6, np.pi / 4, np.pi / 2])
     def test_matches_fock_quadratures(self, alpha0, phi):
         stats = cat_quadrature_stats(alpha0, phi, order=4)
-        state = cat_fock(CatSpec(alpha0, phi))
-        m1, var, c3, c4 = central_from_raw(quadrature_raw_moments(state, order=4))
+        state = cat_fock(alpha0, phi)
+        m1, var, c3, c4 = central_from_raw(x_moments(state.amplitudes, order=4))
         assert stats.mean_x == pytest.approx(m1, abs=1e-9)
         assert stats.var_x == pytest.approx(var, abs=1e-9)
         assert stats.central_m3 == pytest.approx(c3, abs=1e-9)
@@ -105,12 +103,12 @@ def test_propagated_moments_match_fock_pipeline():
     # and compare the reduced-state moments with the propagation formulas
     alpha0, phi, r = 1.2, np.pi / 4, 0.4
     bs = BeamSplitter(r)
-    state = TwoModeState.from_product(cat_fock(CatSpec(alpha0, phi)), vacuum_fock(18))
+    state = TwoModeState.from_product(cat_fock(alpha0, phi), vacuum_fock(18))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = bs_fock_apply(bs, state)
-    rho = partial_trace_b(out)
-    m1, var, c3, c4 = central_from_raw(dm_quadrature_raw_moments(rho, order=4))
+    rho = interference_reduced_a(out, out)
+    m1, var, c3, c4 = central_from_raw(x_moments(rho, order=4))
 
     want = output_quadrature_stats(cat_quadrature_stats(alpha0, phi, order=4), bs)
     assert want.mean_x == pytest.approx(m1, abs=1e-8)

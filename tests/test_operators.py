@@ -1,6 +1,6 @@
-"""Two-mode operations: splitter, phase shifts, projections, quadratures."""
+"""Two-mode operations: splitter, phase shifts, reduced operators; and the
+dense quadrature-moment oracle the moment tests rest on."""
 
-import math
 import warnings
 
 import numpy as np
@@ -8,28 +8,26 @@ import pytest
 
 from catvis import (
     BeamSplitter,
-    ModeState,
     TruncationWarning,
     TwoModeState,
-    apply_V,
     bs_coherent_map,
     bs_fock_apply,
     bs_label_pair_map,
     coherent_fock,
     coherent_overlap,
-    dm_quadrature_moments,
-    dm_quadrature_raw_moments,
     interference_reduced_a,
-    partial_trace_b,
     phase_shift_fock,
     phase_shift_fock_a,
     phase_shift_label,
-    position_operator,
-    quadrature_moments,
-    quadrature_raw_moments,
     vacuum_fock,
 )
-from helpers import dense_bs_unitary, random_mode, random_two_mode, two_mode_vec
+from helpers import (
+    dense_bs_unitary,
+    random_mode,
+    random_two_mode,
+    two_mode_vec,
+    x_moments,
+)
 
 SQRT_3_4 = 0.8660254037844386  # sqrt(0.75)
 
@@ -197,86 +195,43 @@ def test_phase_shift_roundtrip_is_identity():
     np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-14)
 
 
-class TestApplyV:
-    def test_vacuum_survival(self):
-        for theta in np.linspace(0.0, 2.0 * np.pi, 9):
-            out = apply_V(vacuum_fock(4), theta, 0.6)
-            assert out.squared_norm == pytest.approx(
-                math.cos(theta / 2.0) ** 2, abs=1e-12
-            )
-
-    def test_number_state_eigenvalues(self):
-        theta, phi = 0.7, 0.3
-        amps = np.zeros(6)
-        amps[4] = 1.0
-        out = apply_V(ModeState(amps), theta, phi)
-        want = 0.5 * (np.exp(1j * (theta + 4 * phi)) + np.exp(-4j * phi))
-        assert out.amplitudes[4] == pytest.approx(want)
-
-    def test_contraction(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            state = random_mode(rng, 8, 8)
-            out = apply_V(state, rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi))
-            assert out.squared_norm <= state.squared_norm + 1e-12
-
-    def test_identity_at_zero_angles(self):
-        rng = np.random.default_rng(10)
-        state = random_mode(rng, 7, 7)
-        out = apply_V(state, 0.0, 0.0)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+def mean_var(state):
+    m1, m2 = x_moments(state, order=2)
+    return m1, m2 - m1 * m1
 
 
 class TestQuadratures:
+    # checks the dense x-moment oracle of tests/helpers.py against closed
+    # forms, so the moment tests that rest on it are evidence
     def test_coherent_moments(self):
         for alpha in (0.5, 1.5 - 0.5j, 2.0j):
-            mean, var = quadrature_moments(coherent_fock(alpha))
-            assert mean == pytest.approx(alpha.real if isinstance(alpha, complex) else alpha, abs=1e-10)
+            mean, var = mean_var(coherent_fock(alpha).amplitudes)
+            assert mean == pytest.approx(complex(alpha).real, abs=1e-10)
             assert var == pytest.approx(0.25, abs=1e-10)
 
     def test_number_state_moments(self):
         amps = np.zeros(10)
         amps[3] = 1.0
-        mean, var = quadrature_moments(ModeState(amps))
+        mean, var = mean_var(amps)
         assert mean == pytest.approx(0.0, abs=1e-14)
         assert var == pytest.approx((2 * 3 + 1) / 4.0)
 
-    def test_raw_moments_match_dense_operator(self):
-        rng = np.random.default_rng(11)
-        state = random_mode(rng, 16, 10)
-        got = quadrature_raw_moments(state, order=4)
-        x = position_operator(16)
-        vec = state.amplitudes
-        n2 = state.squared_norm
-        power = np.eye(16)
-        for k in range(4):
-            power = power @ x
-            want = float(np.vdot(vec, power @ vec).real) / n2
-            assert got[k] == pytest.approx(want, abs=1e-12)
-
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            quadrature_raw_moments(ModeState(np.zeros(3)))
+            x_moments(np.zeros(3))
 
     def test_subnormalized_states_use_normalized_moments(self):
-        state = ModeState(0.5 * coherent_fock(1.0, cutoff=25).amplitudes)
-        mean, var = quadrature_moments(state)
+        amps = 0.5 * coherent_fock(1.0, cutoff=25).amplitudes
+        mean, var = mean_var(amps)
         assert mean == pytest.approx(1.0, abs=1e-10)
         assert var == pytest.approx(0.25, abs=1e-10)
-
-
-def test_position_operator_structure():
-    x = position_operator(4)
-    np.testing.assert_allclose(x, x.T)
-    assert x[0, 1] == pytest.approx(0.5)
-    assert x[1, 2] == pytest.approx(math.sqrt(2) / 2)
-    assert np.count_nonzero(np.diag(x)) == 0
 
 
 def test_partial_trace_of_product_is_rank_one():
     a = coherent_fock(1.2, cutoff=12)
     b = coherent_fock(0.5j, cutoff=8)
-    rho = partial_trace_b(TwoModeState.from_product(a, b))
+    state = TwoModeState.from_product(a, b)
+    rho = interference_reduced_a(state, state)
     want = np.outer(a.amplitudes, a.amplitudes.conj()) * b.squared_norm
     np.testing.assert_allclose(rho, want, atol=1e-14)
     assert complex(np.trace(rho)).real == pytest.approx(
@@ -299,16 +254,3 @@ def test_interference_requires_matching_cutoffs():
         interference_reduced_a(
             random_two_mode(rng, 6, 6, 3), random_two_mode(rng, 7, 6, 3)
         )
-
-
-def test_dm_moments_match_pure_state_moments():
-    state = coherent_fock(1.1 - 0.7j, cutoff=30)
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    got = dm_quadrature_moments(rho)
-    want = quadrature_moments(state)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_dm_moments_reject_zero_trace():
-    with pytest.raises(ValueError):
-        dm_quadrature_raw_moments(np.zeros((3, 3)))

@@ -25,13 +25,12 @@ from catvis import (
     q_branch,
     q_full,
     q_marginal,
-    q_term,
     visibility_analytic,
     visibility_closed_form,
 )
 from catvis.phase_space import _edge_ratio, _plane_profile, _plane_sum
 
-from helpers import integrate_q_term_2d
+from helpers import integrate_q_term_2d, q_full_grid, q_term
 
 INV_PI_SQ = 0.10132118364233778  # 1/pi^2
 
@@ -193,6 +192,30 @@ def test_q_full_accepts_hermitian_pair():
     assert vals.shape == (9, 1)
 
 
+@pytest.mark.parametrize("stage", ["initial", "after-bs"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        QGrid(extent=3.0, spacing=0.5),
+        QGrid(extent=3.25, spacing=0.5),
+        QGrid(extent=3.0, spacing=0.5, center_a=0.4 - 0.3j, center_b=-0.2 + 0.5j),
+    ],
+    ids=["even", "odd", "shifted"],
+)
+def test_q_full_on_broadcast_planes_matches_the_grid_oracle(stage, grid):
+    # the CLI's full-Q table is q_full on an A plane broadcast against a B
+    # plane; its printed digits need the oracle's exact bits
+    params = ExperimentParams(alpha0=1.3 * np.exp(0.4j), phi=0.9, r=0.35)
+    terms = initial_cat_terms(params.alpha0, params.phi)
+    if stage == "after-bs":
+        terms = [beam_split_term(t, params.beam_splitter) for t in terms]
+    za, zb = grid.plane("a"), grid.plane("b")
+    got = q_full(terms, za[:, :, None, None], zb[None, None])
+    want = q_full_grid(terms, (za, zb))
+    assert got.shape == (grid.points_per_axis,) * 4
+    assert np.array_equal(got, want)
+
+
 def test_integrate_q_term_reproduces_trace_identity():
     # the grid sum must land on w <bra_a|ket_a><bra_b|ket_b>
     rng = np.random.default_rng(23)
@@ -219,6 +242,27 @@ def test_integrate_q_term_warns_on_poor_coverage():
     grid = QGrid()  # centered at the origin, extent 6
     with pytest.warns(CoverageWarning):
         integrate_q_term(term, grid)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [coherent_product_term(0.0), BranchTerm(0.5j, 1.0, 0.0, -1.0, 0.0)],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_integrate_q_term_warns_when_a_plane_underflows(term):
+    # every A-plane sample underflows to 0, so there is no peak to compare
+    # the edge with; the plane must count as uncovered, not as clean
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = integrate_q_term(term, QGrid(center_a=50.0))
+    assert got == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (
+            CoverageWarning,
+            "plane A samples all underflow, so the grid misses the "
+            "integrand; widen the grid extent",
+        )
+    ]
 
 
 def _random_term(rng, diagonal):
