@@ -1,22 +1,24 @@
 """Command-line front end: parse a run configuration, drive the pipelines,
 and emit deterministic CSV or JSON.
 
-Every flag can also arrive through the environment as CATVIS_<FLAG> with
-the flag name uppercased and dashes turned to underscores; explicit flags
-win over the environment, which wins over built-in defaults.  Identical
+Every flag of the chosen subcommand can also arrive through the environment
+as CATVIS_<FLAG> with the flag name uppercased and dashes turned to
+underscores (variables of other subcommands' flags are not read); explicit
+flags win over the environment, which wins over built-in defaults.  Identical
 configuration produces byte-identical output: floats are printed to 12
 significant digits, row order is fixed, and nothing timestamped is emitted.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +51,12 @@ ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
 
-_DEFAULT_SWEEP_R = (0.05, 0.1, 0.2, 0.3, 0.5)
-_DEFAULT_SWEEP_ALPHA0 = (0.5, 1.0, 2.0, 3.0)
-_DEFAULT_SWEEP_PHI = (np.pi / 6.0, np.pi / 4.0, np.pi / 2.0)
-
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
 # sized so the normalization header stays good to 1e-4
 _EMIT_EDGE_RATIO = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Resolved configuration of one CLI invocation."""
 
@@ -77,9 +75,9 @@ class RunConfig:
     stage: str = "after-bs"
     extent: float | None = None
     spacing: float | None = None
-    r_values: tuple = _DEFAULT_SWEEP_R
-    alpha0_values: tuple = _DEFAULT_SWEEP_ALPHA0
-    phi_values: tuple = _DEFAULT_SWEEP_PHI
+    r_values: tuple = (0.05, 0.1, 0.2, 0.3, 0.5)
+    alpha0_values: tuple = (0.5, 1.0, 2.0, 3.0)
+    phi_values: tuple = (np.pi / 6.0, np.pi / 4.0, np.pi / 2.0)
     format: str = "csv"
     output: str | None = None
     degrees: bool = False
@@ -102,22 +100,100 @@ class RunConfig:
     def to_params(self) -> ExperimentParams:
         label = self.alpha0 * complex(math.cos(self.alpha0_phase),
                                       math.sin(self.alpha0_phase))
-        return ExperimentParams(
-            alpha0=label,
-            phi=self.phi,
-            r=self.r,
-            theta=self.theta,
-            cutoff_a=self.cutoff_a,
-            cutoff_b=self.cutoff_b,
-        )
+        return ExperimentParams(alpha0=label, phi=self.phi, r=self.r,
+                                theta=self.theta, cutoff_a=self.cutoff_a,
+                                cutoff_b=self.cutoff_b)
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution: CLI flag, then environment, then default
+# the flags: each row drives the parser, the environment and the echo
 
 
-def _env_name(dest: str) -> str:
-    return ENV_PREFIX + dest.upper()
+class _Flag(NamedTuple):
+    """One command-line flag of the ``commands`` subcommands.
+
+    ``kind`` is the argparse type of a plain value, or ``"switch"``,
+    ``"angle"`` (a float that ``--degrees`` converts), ``"floats"`` or
+    ``"angles"`` (comma-separated lists, which argparse passes on as text).
+    ``field`` names the :class:`RunConfig` field where it is not the dest.
+    ``echo`` lists the subcommands whose ``params:`` record the value,
+    where that is not every one in ``commands``.
+    """
+
+    opts: tuple
+    kind: object
+    commands: tuple
+    help: str
+    field: str = ""
+    choices: tuple | None = None
+    metavar: str | None = None
+    echo: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.opts[-1].lstrip("-").replace("-", "_")
+
+    @property
+    def key(self) -> str:
+        return self.field or self.dest
+
+    @property
+    def type(self):
+        """How argparse and the environment read the value's text (a switch
+        reads its variable with :func:`_parse_bool`)."""
+        return {"angle": float, "floats": str, "angles": str}.get(self.kind, self.kind)
+
+
+_POINT = ("visibility", "qfunction", "fringe")
+_EVERY = _POINT + ("sweep",)
+
+# in --help order: point flags, output flags, then the subcommands' own
+_FLAGS = (
+    _Flag(("--alpha0",), float, _POINT,
+          "cat component magnitude |alpha0| (default 1)"),
+    _Flag(("--alpha0-phase",), "angle", _POINT,
+          "phase of alpha0; results depend only on |alpha0|"),
+    _Flag(("--phi",), "angle", _POINT,
+          "half-angle between the cat components (default pi/2)"),
+    _Flag(("--R",), float, _POINT,
+          "beam splitter reflectivity in [0, 1) (default 0.1)", field="r"),
+    _Flag(("--theta",), "angle", _POINT,
+          "readout phase of the final projection (default 0)",
+          echo=("visibility",)),
+    _Flag(("--format",), str, _EVERY, "output format (default csv)",
+          choices=("csv", "json"), echo=()),
+    _Flag(("--output",), str, _EVERY, "write to this file instead of stdout",
+          metavar="PATH", echo=()),
+    _Flag(("--degrees",), "switch", _EVERY,
+          "supplied angles are degrees instead of radians", echo=()),
+    _Flag(("-v", "--verbose"), "switch", _EVERY,
+          "echo the resolved configuration to stderr", echo=()),
+    _Flag(("--R-values",), "floats", ("sweep",),
+          "comma-separated reflectivities", field="r_values"),
+    _Flag(("--alpha0-values",), "floats", ("sweep",),
+          "comma-separated magnitudes"),
+    _Flag(("--phi-values",), "angles", ("sweep",),
+          "comma-separated component half-angles"),
+    _Flag(("--brute-force",), "switch", ("visibility", "sweep"),
+          "add the truncated-Fock visibility column"),
+    _Flag(("--fringe",), "switch", ("sweep",), "add the fringe-fit column",
+          field="include_fringe"),
+    _Flag(("--cutoff-a",), int, ("visibility",),
+          "Fock cutoff of the signal mode (default sized to fit)"),
+    _Flag(("--cutoff-b",), int, ("visibility",),
+          "Fock cutoff of the tap mode (default sized to fit)"),
+    _Flag(("--qmode",), str, ("qfunction",), "which distribution to emit",
+          choices=("marginal-a", "marginal-b", "full")),
+    _Flag(("--stage",), str, ("qfunction",),
+          "before or after the splitter (default after-bs)",
+          choices=("initial", "after-bs")),
+    _Flag(("--extent",), float, ("qfunction",),
+          "grid half-width (default 6, or 3 for full)"),
+    _Flag(("--spacing",), float, ("qfunction",),
+          "grid step (default 0.1, or 0.5 for full)"),
+    _Flag(("--n-theta",), int, ("fringe", "sweep"),
+          "number of readout phases over one period (default 16)"),
+)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -136,84 +212,55 @@ def _float_list(raw: str) -> tuple:
     return vals
 
 
-def _from_env(dest, cast):
-    raw = os.environ.get(_env_name(dest))
+_TO_RADIANS = {
+    "angle": math.radians,
+    "angles": lambda vals: tuple(map(math.radians, vals)),
+}
+
+
+def _supplied(ns, flag):
+    """The flag's value, else its ``CATVIS_<DEST>`` variable's, else None."""
+    val = getattr(ns, flag.dest)
+    if val is not None:
+        return val
+    name = ENV_PREFIX + flag.dest.upper()
+    raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return cast(raw)
+        return _parse_bool(raw) if flag.kind == "switch" else flag.type(raw)
     except ValueError:
-        raise ValueError(f"invalid value {raw!r} in {_env_name(dest)}") from None
-
-
-def _resolve(ns, dest, cast, default):
-    val = getattr(ns, dest, None)
-    if val is None:
-        val = _from_env(dest, cast)
-    return default if val is None else val
-
-
-def _resolve_angle(ns, dest, default, degrees: bool):
-    """Degrees conversion applies to supplied values only, never defaults."""
-    val = getattr(ns, dest, None)
-    if val is None:
-        val = _from_env(dest, float)
-    if val is None:
-        return default
-    return math.radians(val) if degrees else float(val)
-
-
-def _resolve_angle_list(ns, dest, default, degrees: bool):
-    val = getattr(ns, dest, None)
-    if val is None:
-        val = _from_env(dest, str)
-    if val is None:
-        return default
-    vals = _float_list(val)
-    return tuple(math.radians(v) for v in vals) if degrees else vals
+        raise ValueError(f"invalid value {raw!r} in {name}") from None
 
 
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
-    degrees = bool(_resolve(ns, "degrees", _parse_bool, False))
-    kw = {
-        "subcommand": ns.subcommand,
-        "degrees": degrees,
-        "format": _resolve(ns, "format", str, "csv"),
-        "output": _resolve(ns, "output", str, None),
-        "verbose": bool(_resolve(ns, "verbose", _parse_bool, False)),
-    }
-    if ns.subcommand in ("visibility", "qfunction", "fringe"):
-        kw["alpha0"] = float(_resolve(ns, "alpha0", float, 1.0))
-        kw["alpha0_phase"] = _resolve_angle(ns, "alpha0_phase", 0.0, degrees)
-        kw["phi"] = _resolve_angle(ns, "phi", np.pi / 2.0, degrees)
-        kw["r"] = float(_resolve(ns, "R", float, 0.1))
-        kw["theta"] = _resolve_angle(ns, "theta", 0.0, degrees)
-    if ns.subcommand == "visibility":
-        kw["brute_force"] = bool(_resolve(ns, "brute_force", _parse_bool, False))
-        cutoff_a = _resolve(ns, "cutoff_a", int, None)
-        cutoff_b = _resolve(ns, "cutoff_b", int, None)
-        kw["cutoff_a"] = None if cutoff_a is None else int(cutoff_a)
-        kw["cutoff_b"] = None if cutoff_b is None else int(cutoff_b)
-    if ns.subcommand == "qfunction":
-        kw["qmode"] = _resolve(ns, "qmode", str, "marginal-a")
-        kw["stage"] = _resolve(ns, "stage", str, "after-bs")
-        extent = _resolve(ns, "extent", float, None)
-        spacing = _resolve(ns, "spacing", float, None)
-        kw["extent"] = None if extent is None else float(extent)
-        kw["spacing"] = None if spacing is None else float(spacing)
-    if ns.subcommand in ("fringe", "sweep"):
-        kw["n_theta"] = int(_resolve(ns, "n_theta", int, 16))
-    if ns.subcommand == "sweep":
-        kw["r_values"] = _resolve_angle_list(ns, "R_values", _DEFAULT_SWEEP_R, False)
-        kw["alpha0_values"] = _resolve_angle_list(
-            ns, "alpha0_values", _DEFAULT_SWEEP_ALPHA0, False
-        )
-        kw["phi_values"] = _resolve_angle_list(
-            ns, "phi_values", _DEFAULT_SWEEP_PHI, degrees
-        )
-        kw["brute_force"] = bool(_resolve(ns, "brute_force", _parse_bool, False))
-        kw["include_fringe"] = bool(_resolve(ns, "fringe", _parse_bool, False))
-    return RunConfig(**kw)
+    """Each flag of ``ns.subcommand`` from the command line, then the
+    environment, then the :class:`RunConfig` default.  ``--degrees``
+    converts supplied angles only, never defaults."""
+    kw = {}
+    for flag in _FLAGS:
+        if ns.subcommand in flag.commands:
+            val = _supplied(ns, flag)
+            if val is None:
+                continue
+            # list text is split here, so its errors name no variable
+            lists = flag.kind in ("floats", "angles")
+            kw[flag.key] = _float_list(val) if lists else val
+    if kw.get("degrees"):
+        for flag in _FLAGS:
+            if flag.kind in _TO_RADIANS and flag.key in kw:
+                kw[flag.key] = _TO_RADIANS[flag.kind](kw[flag.key])
+    return RunConfig(ns.subcommand, **kw)
+
+
+def _echo(cfg: RunConfig, **resolved) -> dict:
+    """The ``params:`` record of ``cfg``'s subcommand, keyed by flag dest;
+    ``resolved`` gives values the command worked out in place of defaults."""
+    return {
+        flag.dest: getattr(cfg, flag.key)
+        for flag in _FLAGS
+        if cfg.subcommand in (flag.commands if flag.echo is None else flag.echo)
+    } | resolved
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +333,8 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, np.integer)):
-        return obj if obj is None or isinstance(obj, bool) else int(obj)
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     return obj
@@ -328,8 +375,7 @@ def _json_row_template(header) -> str:
     return "    {{\n" + fields + "\n    }}"
 
 
-def _to_csv(cfg, echo, header, rows, grid, head_comments, foot_comments):
-    buf = io.StringIO()
+def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
     buf.write(f"# catvis {__version__}\n")
     buf.write(f"# command: {cfg.subcommand}\n")
     pairs = " ".join(f"{k}={_echo_value(echo[k])}" for k in sorted(echo))
@@ -348,17 +394,15 @@ def _to_csv(cfg, echo, header, rows, grid, head_comments, foot_comments):
                                for (x, y), q in zip(tails, qs)]))
     for line in foot_comments:
         buf.write(f"# {line}\n")
-    return buf.getvalue()
 
 
-def _to_json(cfg, echo, header, rows, grid, diagnostics):
+def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
     # json.dumps lays out the small dicts; "rows" sorts after both keys
     meta = {
         "diagnostics": dict(diagnostics, version=__version__),
         "params": dict(echo, command=cfg.subcommand),
     }
     text = json.dumps(_round_floats(meta), sort_keys=True, indent=2)
-    buf = io.StringIO()
     buf.write(text[:-2] + ',\n  "rows": [')
     row = _json_row_template(header).format
     if grid is None:
@@ -374,24 +418,32 @@ def _to_json(cfg, echo, header, rows, grid, diagnostics):
             buf.write(sep + ",\n".join(block))
             sep = ",\n"
     buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
-    return buf.getvalue()
 
 
 def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
           foot_comments=(), diagnostics=None):
-    """Render a table as CSV or JSON text.  ``rows`` holds tuples of cells in
-    ``header`` order; a Q table passes ``grid=(planes, values)`` instead (see
-    :func:`_grid_blocks`), whose columns are each plane's re, im, then q."""
-    if cfg.format == "json":
-        return _to_json(cfg, echo, header, rows, grid, diagnostics or {})
-    return _to_csv(cfg, echo, header, rows, grid, head_comments, foot_comments)
+    """Write a table as CSV or JSON to ``cfg.output``, or to stdout, as it
+    renders; call it once the table is computed, since it creates the file.
+    ``rows`` holds tuples of cells in ``header`` order; a Q table passes
+    ``grid=(planes, values)`` instead (see :func:`_grid_blocks`), whose
+    columns are each plane's re, im, then q."""
+    if cfg.output is None:
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        out = open(cfg.output, "w", newline="")
+    with out as fh:
+        if cfg.format == "json":
+            _to_json(fh, cfg, echo, header, rows, grid, diagnostics or {})
+        else:
+            _to_csv(fh, cfg, echo, header, rows, grid, head_comments,
+                    foot_comments)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_visibility(cfg: RunConfig) -> str:
+def _cmd_visibility(cfg: RunConfig) -> None:
     params = cfg.to_params()
     report = contrast_report(params)
     nu_brute = fock_brute_force_visibility(params) if cfg.brute_force else None
@@ -410,20 +462,10 @@ def _cmd_visibility(cfg: RunConfig) -> str:
         report.mean_ratio,
         report.var_out,
     )
-    echo = {
-        "alpha0": cfg.alpha0,
-        "alpha0_phase": cfg.alpha0_phase,
-        "phi": cfg.phi,
-        "R": cfg.r,
-        "theta": cfg.theta,
-        "cutoff_a": cfg.cutoff_a,
-        "cutoff_b": cfg.cutoff_b,
-        "brute_force": cfg.brute_force,
-    }
-    return _emit(cfg, echo, header, [row])
+    _emit(cfg, _echo(cfg), header, [row])
 
 
-def _cmd_qfunction(cfg: RunConfig) -> str:
+def _cmd_qfunction(cfg: RunConfig) -> None:
     params = cfg.to_params()
     full = cfg.qmode == "full"
     extent = cfg.extent if cfg.extent is not None else (3.0 if full else 6.0)
@@ -461,8 +503,8 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
         normalization = float(values.sum()) * grid.cell * grid.cell
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
-        plane = "a" if cfg.qmode == "marginal-a" else "b"
-        pts, values = (pts_a, marg_a) if plane == "a" else (pts_b, marg_b)
+        pts, values, name = ((pts_a, marg_a, "alpha") if cfg.qmode == "marginal-a"
+                             else (pts_b, marg_b, "beta"))
         if float(values.min()) < -1e-12:
             raise ValueError(
                 f"Q reached {float(values.min()):.3e}; term set does not "
@@ -470,55 +512,29 @@ def _cmd_qfunction(cfg: RunConfig) -> str:
             )
         planes = (pts,)
         normalization = float(values.sum()) * grid.cell
-        name = "alpha" if plane == "a" else "beta"
         header = (f"re_{name}", f"im_{name}", "q")
 
-    echo = {
-        "alpha0": cfg.alpha0,
-        "alpha0_phase": cfg.alpha0_phase,
-        "phi": cfg.phi,
-        "R": cfg.r,
-        "qmode": cfg.qmode,
-        "stage": cfg.stage,
-        "extent": extent,
-        "spacing": spacing,
-    }
     head = [f"normalization: {normalization:.12g}"]
     diag = {"normalization": normalization, "points_per_axis": n}
-    return _emit(cfg, echo, header, grid=(planes, values), head_comments=head,
-                 diagnostics=diag)
+    _emit(cfg, _echo(cfg, extent=extent, spacing=spacing), header,
+          grid=(planes, values), head_comments=head, diagnostics=diag)
 
 
-def _cmd_fringe(cfg: RunConfig) -> str:
+def _cmd_fringe(cfg: RunConfig) -> None:
     params = cfg.to_params()
     scan = fringe_scan(params, n_theta=cfg.n_theta)
     fit = fit_fringe(scan)
     header = ("theta", "rate")
     rows = list(zip(scan.thetas.tolist(), scan.rates.tolist()))
-    fit_fields = {
-        "offset": fit.offset,
-        "amplitude": fit.amplitude,
-        "phase": fit.phase,
-        "visibility": fit.visibility,
-        "residual_rms": fit.residual_rms,
-        "raw_visibility": fit.raw_visibility,
-        "period": fit.period,
-    }
+    fit_fields = dataclasses.asdict(fit)
     foot = [
         "fit: " + " ".join(f"{k}={float(v):.12g}" for k, v in fit_fields.items())
     ]
-    echo = {
-        "alpha0": cfg.alpha0,
-        "alpha0_phase": cfg.alpha0_phase,
-        "phi": cfg.phi,
-        "R": cfg.r,
-        "n_theta": cfg.n_theta,
-    }
-    return _emit(cfg, echo, header, rows, foot_comments=foot,
-                 diagnostics={"fit": fit_fields})
+    _emit(cfg, _echo(cfg), header, rows, foot_comments=foot,
+          diagnostics={"fit": fit_fields})
 
 
-def _cmd_sweep(cfg: RunConfig) -> str:
+def _cmd_sweep(cfg: RunConfig) -> None:
     table = sweep(
         cfg.r_values,
         cfg.alpha0_values,
@@ -528,16 +544,8 @@ def _cmd_sweep(cfg: RunConfig) -> str:
         n_theta=cfg.n_theta,
     )
     rows = [tuple(rec[k] for k in _SWEEP_KEYS) for rec in table]
-    echo = {
-        "R_values": cfg.r_values,
-        "alpha0_values": cfg.alpha0_values,
-        "phi_values": cfg.phi_values,
-        "brute_force": cfg.brute_force,
-        "fringe": cfg.include_fringe,
-        "n_theta": cfg.n_theta,
-    }
-    return _emit(cfg, echo, _SWEEP_KEYS, rows,
-                 diagnostics={"n_rows": len(rows)})
+    _emit(cfg, _echo(cfg), _SWEEP_KEYS, rows,
+          diagnostics={"n_rows": len(rows)})
 
 
 _COMMANDS = {
@@ -561,80 +569,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"catvis {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format (default csv)")
-    out.add_argument("--output", metavar="PATH", default=None,
-                     help="write to this file instead of stdout")
-    out.add_argument("--degrees", action="store_const", const=True,
-                     default=None,
-                     help="supplied angles are degrees instead of radians")
-    out.add_argument("-v", "--verbose", action="store_const", const=True,
-                     default=None,
-                     help="echo the resolved configuration to stderr")
-
-    par = argparse.ArgumentParser(add_help=False)
-    par.add_argument("--alpha0", type=float, default=None,
-                     help="cat component magnitude |alpha0| (default 1)")
-    par.add_argument("--alpha0-phase", type=float, default=None,
-                     help="phase of alpha0; results depend only on |alpha0|")
-    par.add_argument("--phi", type=float, default=None,
-                     help="half-angle between the cat components (default pi/2)")
-    par.add_argument("--R", type=float, default=None,
-                     help="beam splitter reflectivity in [0, 1) (default 0.1)")
-    par.add_argument("--theta", type=float, default=None,
-                     help="readout phase of the final projection (default 0)")
-
-    p = sub.add_parser("visibility", parents=[par, out],
-                       help="one visibility and moment record")
-    p.add_argument("--brute-force", action="store_const", const=True,
-                   default=None,
-                   help="add the truncated-Fock visibility column")
-    p.add_argument("--cutoff-a", type=int, default=None,
-                   help="Fock cutoff of the signal mode (default sized to fit)")
-    p.add_argument("--cutoff-b", type=int, default=None,
-                   help="Fock cutoff of the tap mode (default sized to fit)")
-
-    p = sub.add_parser("qfunction", parents=[par, out],
-                       help="phase-space distribution over a grid")
-    p.add_argument("--qmode", choices=("marginal-a", "marginal-b", "full"),
-                   default=None, help="which distribution to emit")
-    p.add_argument("--stage", choices=("initial", "after-bs"), default=None,
-                   help="before or after the splitter (default after-bs)")
-    p.add_argument("--extent", type=float, default=None,
-                   help="grid half-width (default 6, or 3 for full)")
-    p.add_argument("--spacing", type=float, default=None,
-                   help="grid step (default 0.1, or 0.5 for full)")
-
-    p = sub.add_parser("fringe", parents=[par, out],
-                       help="detection rate against readout phase, plus fit")
-    p.add_argument("--n-theta", type=int, default=None,
-                   help="number of readout phases over one period (default 16)")
-
-    p = sub.add_parser("sweep", parents=[out],
-                       help="visibility table over a parameter grid")
-    p.add_argument("--R-values", default=None,
-                   help="comma-separated reflectivities")
-    p.add_argument("--alpha0-values", default=None,
-                   help="comma-separated magnitudes")
-    p.add_argument("--phi-values", default=None,
-                   help="comma-separated component half-angles")
-    p.add_argument("--brute-force", action="store_const", const=True,
-                   default=None, help="add the truncated-Fock column")
-    p.add_argument("--fringe", action="store_const", const=True, default=None,
-                   help="add the fringe-fit column")
-    p.add_argument("--n-theta", type=int, default=None,
-                   help="scan points per fringe (default 16)")
+    summaries = {
+        "visibility": "one visibility and moment record",
+        "qfunction": "phase-space distribution over a grid",
+        "fringe": "detection rate against readout phase, plus fit",
+        "sweep": "visibility table over a parameter grid",
+    }
+    for name, summary in summaries.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in _FLAGS:
+            if name not in flag.commands:
+                continue
+            if flag.kind == "switch":
+                kw = {"action": "store_const", "const": True}
+            else:
+                kw = {"type": flag.type, "choices": flag.choices,
+                      "metavar": flag.metavar}
+            p.add_argument(*flag.opts, default=None, help=flag.help, **kw)
     return parser
-
-
-def _write_output(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def _render_warning(message, category, filename, lineno, line=None) -> str:
@@ -652,14 +604,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(ns)
         if cfg.verbose:
-            fields = {
-                k: getattr(cfg, k)
-                for k in sorted(vars(cfg))
-            }
-            pairs = " ".join(f"{k}={_echo_value(v)}" for k, v in fields.items())
+            pairs = " ".join(f"{k}={_echo_value(getattr(cfg, k))}"
+                             for k in sorted(vars(cfg)))
             print(f"catvis config: {pairs}", file=sys.stderr)
-        text = _COMMANDS[cfg.subcommand](cfg)
-        _write_output(text, cfg.output)
+        _COMMANDS[cfg.subcommand](cfg)
     except (ValueError, TruncationError) as exc:
         print(f"catvis: error: {exc}", file=sys.stderr)
         return 1

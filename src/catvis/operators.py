@@ -153,7 +153,9 @@ def _exchange_series(amps: np.ndarray, coupling: complex, raise_a: bool) -> np.n
         if tnorm == 0.0:
             break
         total += term
-        if tnorm < 1e-34 * max(1.0, float(np.vdot(total, total).real)):
+        # relative to the running total, whose norm can be far below 1
+        # after the diagonal factor t^(n_a - n_b)
+        if tnorm < 1e-34 * float(np.vdot(total, total).real):
             break
     return total
 

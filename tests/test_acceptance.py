@@ -4,10 +4,11 @@ Run ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
 criterion; with ``-s`` each also prints an ACCEPTANCE verdict line.
 """
 
+import io
 import math
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
@@ -252,10 +253,16 @@ def test_acceptance_8_deterministic_output(capsys):
             RunConfig(subcommand="sweep", r_values=(0.1, 0.3),
                       alpha0_values=(1.0,), phi_values=(0.8,), format="json"),
         ]
+        def text(cfg):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                _COMMANDS[cfg.subcommand](cfg)
+            return buf.getvalue()
+
         with quiet():
             for cfg in configs:
-                first = _COMMANDS[cfg.subcommand](cfg)
-                second = _COMMANDS[cfg.subcommand](cfg)
+                first = text(cfg)
+                second = text(cfg)
                 assert first == second, cfg.subcommand
                 assert first.encode() == second.encode()
 

@@ -311,12 +311,188 @@ class TestResolutionOrder:
         assert out.startswith("# catvis")
 
 
+# Every flag and its CATVIS_<DEST> variable: (spelling, RunConfig field,
+# variable value, what -v shows for it, flag value, what -v shows for that,
+# a variable value the flag beats, an invalid value, a fragment of its
+# error).  A switch takes no flag value and beats a variable set off.
+FLAGS = {
+    "alpha0": ("--alpha0", "alpha0", "2.5", "2.5", "0.7", "0.7", "2.5",
+               "big", "CATVIS_ALPHA0"),
+    "alpha0_phase": ("--alpha0-phase", "alpha0_phase", "0.4", "0.4", "1.1",
+                     "1.1", "0.4", "x", "CATVIS_ALPHA0_PHASE"),
+    "phi": ("--phi", "phi", "0.9", "0.9", "1.2", "1.2", "0.9", "pi",
+            "CATVIS_PHI"),
+    "R": ("--R", "r", "0.25", "0.25", "0.15", "0.15", "0.25", "half",
+          "CATVIS_R"),
+    "theta": ("--theta", "theta", "1.3", "1.3", "0.2", "0.2", "1.3", "t",
+              "CATVIS_THETA"),
+    "format": ("--format", "format", "json", "json", "csv", "csv", "json",
+               "xml", "unknown output format 'xml'"),
+    "output": ("--output", "output", "{tmp}/env.out", "{tmp}/env.out",
+               "{tmp}/flag.out", "{tmp}/flag.out", "{tmp}/env.out", None,
+               None),
+    "degrees": ("--degrees", "degrees", "1", "true", None, "true", "0",
+                "maybe", "CATVIS_DEGREES"),
+    "verbose": ("-v", "verbose", "yes", "true", None, "true", "no", "loud",
+                "CATVIS_VERBOSE"),
+    "R_values": ("--R-values", "r_values", "0.05,0.3", "0.05,0.3", "0.2",
+                 "0.2", "0.05,0.3", "abc",
+                 "could not convert string to float: 'abc'"),
+    "alpha0_values": ("--alpha0-values", "alpha0_values", "2,3", "2,3", "1.5",
+                      "1.5", "2,3", ",", "empty list"),
+    "phi_values": ("--phi-values", "phi_values", "0.5,1", "0.5,1", "0.8",
+                   "0.8", "0.5,1", "a,b",
+                   "could not convert string to float: 'a'"),
+    "brute_force": ("--brute-force", "brute_force", "true", "true", None,
+                    "true", "0", "2", "CATVIS_BRUTE_FORCE"),
+    "fringe": ("--fringe", "include_fringe", "on", "true", None, "true",
+               "off", "nah", "CATVIS_FRINGE"),
+    "cutoff_a": ("--cutoff-a", "cutoff_a", "40", "40", "30", "30", "40",
+                 "4.5", "CATVIS_CUTOFF_A"),
+    "cutoff_b": ("--cutoff-b", "cutoff_b", "20", "20", "25", "25", "20",
+                 "many", "CATVIS_CUTOFF_B"),
+    "qmode": ("--qmode", "qmode", "marginal-b", "marginal-b", "marginal-a",
+              "marginal-a", "marginal-b", "full-ish", "unknown qmode 'full-ish'"),
+    "stage": ("--stage", "stage", "initial", "initial", "after-bs", "after-bs",
+              "initial", "middle", "unknown stage 'middle'"),
+    "extent": ("--extent", "extent", "2.1", "2.1", "1.5", "1.5", "2.1", "wide",
+               "CATVIS_EXTENT"),
+    "spacing": ("--spacing", "spacing", "0.35", "0.35", "0.3", "0.3", "0.35",
+                "fine", "CATVIS_SPACING"),
+    "n_theta": ("--n-theta", "n_theta", "12", "12", "10", "10", "12", "7.5",
+                "CATVIS_N_THETA"),
+}
+COMMON = ["format", "output", "degrees", "verbose"]
+POINT = ["alpha0", "alpha0_phase", "phi", "R", "theta"]
+SUBCOMMAND_FLAGS = {
+    "visibility": POINT + COMMON + ["brute_force", "cutoff_a", "cutoff_b"],
+    "qfunction": POINT + COMMON + ["qmode", "stage", "extent", "spacing"],
+    "fringe": POINT + COMMON + ["n_theta"],
+    "sweep": COMMON + ["R_values", "alpha0_values", "phi_values",
+                       "brute_force", "fringe", "n_theta"],
+}
+# keeps sweep to one row unless the list under test is the variable
+SWEEP_BASE = {"R_values": "0.1", "alpha0_values": "1", "phi_values": "0.8"}
+PAIRS = [(sub, dest) for sub, dests in SUBCOMMAND_FLAGS.items() for dest in dests]
+FOREIGN = [
+    (sub, dest) for sub, dests in SUBCOMMAND_FLAGS.items()
+    for dest in FLAGS if dest not in dests
+]
+
+
+def _argv(sub, dest):
+    """``sub`` with -v (unless verbose is under test) and its base flags."""
+    argv = [sub] if dest == "verbose" else [sub, "-v"]
+    for other, value in SWEEP_BASE.items():
+        if sub == "sweep" and other != dest:
+            argv += [FLAGS[other][0], value]
+    return argv
+
+
+def _config(err):
+    """The fields of the ``catvis config:`` line of ``err``."""
+    line = next(ln for ln in err.splitlines() if ln.startswith("catvis config:"))
+    return dict(tok.split("=", 1) for tok in line.split()[2:])
+
+
+@pytest.mark.filterwarnings("ignore::catvis.OverlapWarning")
+@pytest.mark.filterwarnings("ignore::catvis.CoverageWarning")
+class TestFlagVariables:
+    @pytest.mark.parametrize("sub,dest", PAIRS)
+    def test_variable_supplies_the_value(self, sub, dest, capsys, monkeypatch,
+                                         tmp_path):
+        _, field, env, shown, *_ = FLAGS[dest]
+        monkeypatch.setenv(f"CATVIS_{dest.upper()}", env.format(tmp=tmp_path))
+        code, out, err = run_cli(_argv(sub, dest), capsys)
+        assert code == 0
+        assert _config(err)[field] == shown.format(tmp=tmp_path)
+        assert (out == "") == (dest == "output")
+
+    @pytest.mark.parametrize("sub,dest", PAIRS)
+    def test_flag_beats_the_variable(self, sub, dest, capsys, monkeypatch,
+                                     tmp_path):
+        flag, field, _, _, value, shown, beaten, *_ = FLAGS[dest]
+        monkeypatch.setenv(f"CATVIS_{dest.upper()}", beaten.format(tmp=tmp_path))
+        argv = _argv(sub, dest) + [flag]
+        if value is not None:
+            argv.append(value.format(tmp=tmp_path))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert _config(err)[field] == shown.format(tmp=tmp_path)
+
+    @pytest.mark.parametrize(
+        "sub,dest", [p for p in PAIRS if FLAGS[p[1]][7] is not None]
+    )
+    def test_invalid_variable_value_exits_1(self, sub, dest, capsys,
+                                            monkeypatch):
+        *_, bad, fragment = FLAGS[dest]
+        monkeypatch.setenv(f"CATVIS_{dest.upper()}", bad)
+        code, out, err = run_cli(_argv(sub, dest), capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("catvis: error:")
+        assert fragment in err
+
+    @pytest.mark.parametrize("sub,dest", FOREIGN)
+    def test_variable_of_another_subcommand_is_ignored(self, sub, dest, capsys,
+                                                       monkeypatch):
+        unset = run_cli(_argv(sub, dest), capsys)
+        monkeypatch.setenv(f"CATVIS_{dest.upper()}", FLAGS[dest][7])
+        assert run_cli(_argv(sub, dest), capsys) == unset
+        assert unset[0] == 0
+
+    @pytest.mark.parametrize("sub,echoed", [
+        ("visibility", "R=0.1 alpha0=1 alpha0_phase=0 brute_force=false "
+         "cutoff_a=auto cutoff_b=auto phi=1.57079632679 theta=0"),
+        # theta is taken but not echoed; extent and spacing as resolved
+        ("qfunction", "R=0.1 alpha0=1 alpha0_phase=0 extent=6 phi=1.57079632679 "
+         "qmode=marginal-a spacing=0.1 stage=after-bs"),
+        ("fringe", "R=0.1 alpha0=1 alpha0_phase=0 n_theta=16 phi=1.57079632679"),
+        ("sweep", "R_values=0.1 alpha0_values=1 brute_force=false fringe=false "
+         "n_theta=16 phi_values=0.8"),
+    ])
+    def test_params_line_echoes_the_subcommands_own_flags(self, sub, echoed,
+                                                          capsys):
+        code, out, _ = run_cli(_argv(sub, "verbose"), capsys)
+        assert code == 0
+        assert out.splitlines()[2] == f"# params: {echoed}"
+
+    def test_degrees_convert_phi_values_but_not_r_values(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("CATVIS_DEGREES", "1")
+        monkeypatch.setenv("CATVIS_PHI_VALUES", "30,90")
+        monkeypatch.setenv("CATVIS_R_VALUES", "0.1,0.5")
+        code, _, err = run_cli(["sweep", "-v", "--alpha0-values", "1"], capsys)
+        assert code == 0
+        config = _config(err)
+        assert config["phi_values"] == ",".join(
+            f"{math.radians(deg):.12g}" for deg in (30, 90)
+        )
+        assert config["r_values"] == "0.1,0.5"
+
+
 class TestFailureModes:
     def test_invalid_reflectivity(self, capsys):
         code, out, err = run_cli(["visibility", "--R", "1.5"], capsys)
         assert code == 1
         assert out == ""
         assert "catvis: error:" in err
+
+    @pytest.mark.parametrize("existing", [b"earlier bytes\n", None])
+    def test_error_exit_leaves_the_output_file_alone(self, existing, capsys,
+                                                     tmp_path):
+        path = tmp_path / "record.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        code, out, _ = run_cli(
+            ["visibility", "--R", "1.5", "--output", str(path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
 
     def test_negative_magnitude(self, capsys):
         code, _, err = run_cli(["visibility", "--alpha0", "-2"], capsys)

@@ -5,6 +5,9 @@ template; these tests hold its text byte for byte to the original
 ``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts.
 """
 
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -45,7 +48,10 @@ def _rows():
 def _pair(fmt, header, rows=(), grid=None, ref_rows=None, **kw):
     """(new emitter text, reference text) for one table."""
     cfg = RunConfig(subcommand="sweep", format=fmt)
-    got = _emit(cfg, ECHO, header, rows, grid=grid, **kw)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit(cfg, ECHO, header, rows, grid=grid, **kw)
+    got = buf.getvalue()
     ref_rows = rows if ref_rows is None else ref_rows
     if fmt == "json":
         want = helpers.to_json(cfg, ECHO, header, ref_rows,

@@ -305,6 +305,17 @@ class TestBruteForce:
         nu = fock_brute_force_visibility(forced)
         assert nu == pytest.approx(math.exp(-8.0), rel=1e-9)
 
+    @pytest.mark.parametrize("r,cutoff_b", [(0.95, 187), (0.99, 198)])
+    def test_exchange_series_runs_on_a_subnormal_state(self, r, cutoff_b):
+        # the diagonal factor t^(n_a - n_b) leaves a state of squared norm
+        # near t^(2 |alpha0|^2); a series stop judged against max(1, norm)
+        # ended the second exchange series at once and leaked it all
+        params = ExperimentParams(
+            alpha0=10.0, phi=0.7, r=r, cutoff_a=240, cutoff_b=cutoff_b
+        )
+        nu = fock_brute_force_visibility(params)
+        assert nu == pytest.approx(visibility_analytic(params), abs=1e-12)
+
     def test_starved_cutoff_raises_with_retry_advice(self):
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=4)
         with pytest.warns(OverlapWarning):
