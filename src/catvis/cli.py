@@ -219,18 +219,25 @@ _TO_RADIANS = {
 
 
 def _supplied(ns, flag):
-    """The flag's value, else its ``CATVIS_<DEST>`` variable's, else None."""
+    """The flag's value, else its ``CATVIS_<DEST>`` variable's, else None;
+    list text comes back split into floats."""
+    lists = flag.kind in ("floats", "angles")
     val = getattr(ns, flag.dest)
     if val is not None:
-        return val
+        return _float_list(val) if lists else val
     name = ENV_PREFIX + flag.dest.upper()
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return _parse_bool(raw) if flag.kind == "switch" else flag.type(raw)
+        val = _parse_bool(raw) if flag.kind == "switch" else flag.type(raw)
+        if lists:
+            val = _float_list(val)
+        if flag.choices is not None and val not in flag.choices:
+            raise ValueError
     except ValueError:
         raise ValueError(f"invalid value {raw!r} in {name}") from None
+    return val
 
 
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
@@ -241,11 +248,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     for flag in _FLAGS:
         if ns.subcommand in flag.commands:
             val = _supplied(ns, flag)
-            if val is None:
-                continue
-            # list text is split here, so its errors name no variable
-            lists = flag.kind in ("floats", "angles")
-            kw[flag.key] = _float_list(val) if lists else val
+            if val is not None:
+                kw[flag.key] = val
     if kw.get("degrees"):
         for flag in _FLAGS:
             if flag.kind in _TO_RADIANS and flag.key in kw:
@@ -430,7 +434,12 @@ def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
     if cfg.output is None:
         out = contextlib.nullcontext(sys.stdout)
     else:
-        out = open(cfg.output, "w", newline="")
+        try:
+            out = open(cfg.output, "w", newline="")
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write output file {cfg.output!r}: {exc.strerror}"
+            ) from None
     with out as fh:
         if cfg.format == "json":
             _to_json(fh, cfg, echo, header, rows, grid, diagnostics or {})

@@ -30,8 +30,8 @@ from .heisenberg import contrast_report
 from .operators import (
     BeamSplitter,
     TwoModeState,
+    _sector_cutoff_b,
     bs_fock_apply,
-    interference_reduced_a,
     phase_shift_fock_a,
 )
 from .phase_space import (
@@ -342,9 +342,11 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
 
     Each cat component crosses the splitter as an explicit two-mode array,
     picks up its readout rotation, and the interference contrast is the
-    traced cross term between the two branches over their norms.  Raises
+    overlap of the two branches over their norms.  Raises
     :class:`TruncationError` when the splitter step loses more probability
-    than ``tolerances.leakage``, with a cutoff suggestion.
+    than ``tolerances.leakage``, with the smallest ``cutoff_b`` whose
+    binomial tail meets that budget (mode A cannot leak: the splitter never
+    adds photons to it).
     """
     _warn_if_components_overlap(params)
     na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
@@ -362,14 +364,13 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
             out = bs_fock_apply(bs, two)
         leak = abs(out.squared_norm - two.squared_norm)
         if leak > tol.leakage:
+            need = _sector_cutoff_b(bs, mode_a.amplitudes, tol.leakage)
             raise TruncationError(
                 f"splitter propagation leaked {leak:.3e} probability at "
-                f"cutoffs ({na}, {nb}); retry with cutoff_a >= "
-                f"{int(1.5 * na) + 5} and cutoff_b >= {int(1.5 * nb) + 5}"
+                f"cutoffs ({na}, {nb}); retry with cutoff_b >= {need}"
             )
         branches[sign] = phase_shift_fock_a(out, readout)
-    cross = interference_reduced_a(branches["+"], branches["-"])
-    overlap = complex(np.trace(cross))
+    overlap = branches["-"].inner(branches["+"])
     denom = branches["+"].norm * branches["-"].norm
     if denom <= 0.0:
         raise ValueError("branch states have zero norm")

@@ -5,13 +5,20 @@ Conventions
 The beam splitter has real reflectivity ``r`` and transmissivity ``t`` with
 ``r^2 + t^2 = 1``.  Reflection carries the factor i, so a coherent input
 ``|alpha>_A`` with vacuum in B leaves as ``|t alpha>_A (x) |i r alpha>_B``.
-On the number basis the unitary is applied in its factored form
+On the number basis the unitary takes one of two paths.  With vacuum in
+mode B it is the closed binomial map over photon-number sectors
+
+    U |n, 0> = sum_k sqrt(C(n, k)) t^(n-k) (i r)^k |n-k, k>,
+
+exact to rounding; amplitude that would land at ``k >= cutoff_b`` is
+dropped.  A general two-mode input goes through the factored form
 
     exp(i (r/t) a b+) . t^(n_a - n_b) . exp(i (r/t) a+ b)
 
 read right to left.  Both exchange generators conserve total photon number,
 so each power series terminates on the truncated array; amplitude pushed
-past a cutoff is dropped and surfaces as a norm change.
+past a cutoff is dropped.  On either path the loss surfaces as a norm
+change.
 """
 
 import math
@@ -160,25 +167,68 @@ def _exchange_series(amps: np.ndarray, coupling: complex, raise_a: bool) -> np.n
     return total
 
 
+def _sector_window(column: np.ndarray, nb: int) -> np.ndarray:
+    """``[m, k] = column[m + k]`` for ``m < column.size, k < nb``, zero past
+    the end: on the vacuum-port path, output ``|m, k>`` is fed by input
+    ``|m + k, 0>`` alone."""
+    padded = np.concatenate([column, np.zeros(nb - 1, dtype=column.dtype)])
+    return padded[np.add.outer(np.arange(column.size), np.arange(nb))]
+
+
+def _sector_magnitudes(bs: BeamSplitter, na: int, nb: int) -> np.ndarray:
+    """``|<m, k| U |m+k, 0>| = sqrt(C(m+k, k)) t^m r^k`` for ``m < na, k < nb``.
+
+    A cumulative product down each column from ``r^k`` at ``m = 0`` with step
+    ``t sqrt((m+k)/m)``.  Every partial product is itself a coefficient of
+    magnitude at most 1, so nothing overflows, and no factorial or log-gamma
+    rounding enters.
+    """
+    m = np.arange(1, na)[:, None]
+    steps = np.empty((na, nb))
+    steps[0] = bs.r ** np.arange(nb)
+    steps[1:] = bs.t * np.sqrt((m + np.arange(nb)) / m)
+    return np.cumprod(steps, axis=0, out=steps)
+
+
+def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray, budget: float) -> int:
+    """Smallest ``cutoff_b`` at which the vacuum-port path drops at most
+    ``budget`` of squared norm from input ``column (x) |0>``: the binomial
+    tail ``sum_n |column_n|^2 P(k >= cutoff_b | n)``."""
+    na = column.size
+    weights = _sector_magnitudes(bs, na, na) ** 2
+    weights *= _sector_window(np.abs(column) ** 2, na)
+    tail = np.cumsum(weights.sum(axis=0)[::-1])[::-1]  # mass at k >= index
+    return int(np.count_nonzero(tail > budget))
+
+
 def bs_fock_apply(
     bs: BeamSplitter, state: TwoModeState, leak_tol: float = 1e-10
 ) -> TwoModeState:
-    """Run a two-mode Fock state through the beam splitter's factored unitary.
+    """Run a two-mode Fock state through the beam splitter's unitary.
 
-    Exact (to rounding) on every fixed-total-photon sector that fits inside
-    both cutoffs.  When the exchange series pushes amplitude past a cutoff
-    the result is no longer unitary: a norm change beyond ``leak_tol`` emits
-    :class:`TruncationWarning`, and a norm blown past 1 raises, since the
-    intermediate diagonal factor can amplify stranded high-occupancy
-    amplitudes.
+    With vacuum in mode B (``amplitudes[:, 1:]`` all zero) it takes the
+    binomial sector map: column ``k`` of the output is the input shifted down
+    by ``k`` rows times ``sqrt(C(n, k)) t^(n-k) (i r)^k``.  Mode A never gains
+    photons there, so only ``cutoff_b`` can leak.  Any other input goes
+    through the factored exchange series, exact (to rounding) on every
+    fixed-total-photon sector that fits inside both cutoffs.
+
+    Amplitude pushed past a cutoff is dropped: a norm change beyond
+    ``leak_tol`` emits :class:`TruncationWarning`, and a norm blown past 1
+    raises, since the series path's diagonal factor can amplify stranded
+    high-occupancy amplitudes.
     """
     amps = state.amplitudes
-    coupling = 1j * bs.r / bs.t
-    out = _exchange_series(amps, coupling, raise_a=True)
-    na = np.arange(out.shape[0])
-    nb = np.arange(out.shape[1])
-    out = out * bs.t ** (na[:, None] - nb[None, :])
-    out = _exchange_series(out, coupling, raise_a=False)
+    na, nb = amps.shape
+    if not amps[:, 1:].any():
+        i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
+        out = _sector_magnitudes(bs, na, nb) * i_to_k
+        out *= _sector_window(amps[:, 0], nb)
+    else:
+        coupling = 1j * bs.r / bs.t
+        out = _exchange_series(amps, coupling, raise_a=True)
+        out *= bs.t ** (np.arange(na)[:, None] - np.arange(nb)[None, :])
+        out = _exchange_series(out, coupling, raise_a=False)
     in2 = state.squared_norm
     out2 = float(np.vdot(out, out).real)
     if out2 > 1.0 + _NORM_SLACK:
@@ -189,7 +239,7 @@ def bs_fock_apply(
     if abs(out2 - in2) > leak_tol:
         warnings.warn(
             f"beam splitter leaked {abs(out2 - in2):.3e} of squared norm past "
-            f"the cutoffs ({out.shape[0]}, {out.shape[1]})",
+            f"the cutoffs ({na}, {nb})",
             TruncationWarning,
             stacklevel=2,
         )

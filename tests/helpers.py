@@ -133,6 +133,43 @@ def random_mode(rng, cutoff: int, support: int):
     return ModeState(amps)
 
 
+def _exchange_series(amps, coupling, raise_a):
+    na, nb = amps.shape
+    sa = np.sqrt(np.arange(na))
+    sb = np.sqrt(np.arange(nb))
+    total = amps.astype(complex, copy=True)
+    term = total.copy()
+    for j in range(1, na + nb + 1):
+        nxt = np.zeros_like(term)
+        if raise_a:
+            nxt[1:, : nb - 1] = term[: na - 1, 1:] * sa[1:, None] * sb[None, 1:]
+        else:
+            nxt[: na - 1, 1:] = term[1:, : nb - 1] * sa[1:, None] * sb[None, 1:]
+        term = nxt * (coupling / j)
+        tnorm = float(np.vdot(term, term).real)
+        if tnorm == 0.0:
+            break
+        total += term
+        if tnorm < 1e-34 * float(np.vdot(total, total).real):
+            break
+    return total
+
+
+def bs_fock_apply_series(bs, state) -> np.ndarray:
+    """The splitter as the factored exponential
+    ``exp(i (r/t) a b+) . t^(n_a - n_b) . exp(i (r/t) a+ b)``, two exchange
+    power series and a diagonal factor: the body ``bs_fock_apply`` ran on
+    every input before it gained the vacuum-port sector path, kept as that
+    path's oracle.  Returns the output amplitudes, unaudited."""
+    amps = state.amplitudes
+    coupling = 1j * bs.r / bs.t
+    out = _exchange_series(amps, coupling, raise_a=True)
+    na = np.arange(out.shape[0])
+    nb = np.arange(out.shape[1])
+    out = out * bs.t ** (na[:, None] - nb[None, :])
+    return _exchange_series(out, coupling, raise_a=False)
+
+
 # ---------------------------------------------------------------------------
 # reference emitters: the CLI's original per-cell CSV and dict-row JSON
 # writers, kept as oracles for the byte identity of the streamed ones

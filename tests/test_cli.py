@@ -327,7 +327,7 @@ FLAGS = {
     "theta": ("--theta", "theta", "1.3", "1.3", "0.2", "0.2", "1.3", "t",
               "CATVIS_THETA"),
     "format": ("--format", "format", "json", "json", "csv", "csv", "json",
-               "xml", "unknown output format 'xml'"),
+               "xml", "CATVIS_FORMAT"),
     "output": ("--output", "output", "{tmp}/env.out", "{tmp}/env.out",
                "{tmp}/flag.out", "{tmp}/flag.out", "{tmp}/env.out", None,
                None),
@@ -336,13 +336,11 @@ FLAGS = {
     "verbose": ("-v", "verbose", "yes", "true", None, "true", "no", "loud",
                 "CATVIS_VERBOSE"),
     "R_values": ("--R-values", "r_values", "0.05,0.3", "0.05,0.3", "0.2",
-                 "0.2", "0.05,0.3", "abc",
-                 "could not convert string to float: 'abc'"),
+                 "0.2", "0.05,0.3", "abc", "CATVIS_R_VALUES"),
     "alpha0_values": ("--alpha0-values", "alpha0_values", "2,3", "2,3", "1.5",
-                      "1.5", "2,3", ",", "empty list"),
+                      "1.5", "2,3", ",", "CATVIS_ALPHA0_VALUES"),
     "phi_values": ("--phi-values", "phi_values", "0.5,1", "0.5,1", "0.8",
-                   "0.8", "0.5,1", "a,b",
-                   "could not convert string to float: 'a'"),
+                   "0.8", "0.5,1", "a,b", "CATVIS_PHI_VALUES"),
     "brute_force": ("--brute-force", "brute_force", "true", "true", None,
                     "true", "0", "2", "CATVIS_BRUTE_FORCE"),
     "fringe": ("--fringe", "include_fringe", "on", "true", None, "true",
@@ -352,9 +350,9 @@ FLAGS = {
     "cutoff_b": ("--cutoff-b", "cutoff_b", "20", "20", "25", "25", "20",
                  "many", "CATVIS_CUTOFF_B"),
     "qmode": ("--qmode", "qmode", "marginal-b", "marginal-b", "marginal-a",
-              "marginal-a", "marginal-b", "full-ish", "unknown qmode 'full-ish'"),
+              "marginal-a", "marginal-b", "full-ish", "CATVIS_QMODE"),
     "stage": ("--stage", "stage", "initial", "initial", "after-bs", "after-bs",
-              "initial", "middle", "unknown stage 'middle'"),
+              "initial", "middle", "CATVIS_STAGE"),
     "extent": ("--extent", "extent", "2.1", "2.1", "1.5", "1.5", "2.1", "wide",
                "CATVIS_EXTENT"),
     "spacing": ("--spacing", "spacing", "0.35", "0.35", "0.3", "0.3", "0.35",
@@ -493,6 +491,17 @@ class TestFailureModes:
             assert not path.exists()
         else:
             assert path.read_bytes() == existing
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
+    def test_unopenable_output_path_is_a_reported_error(self, where, capsys,
+                                                        tmp_path):
+        path = {"missing-dir": str(tmp_path / "no" / "x.csv"),
+                "directory": str(tmp_path), "empty": ""}[where]
+        code, out, err = run_cli(["visibility", "--output", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"catvis: error: cannot write output file {path!r}")
+        assert err.count("\n") == 1
 
     def test_negative_magnitude(self, capsys):
         code, _, err = run_cli(["visibility", "--alpha0", "-2"], capsys)

@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catvis import (
     CoverageWarning,
@@ -319,8 +322,49 @@ class TestBruteForce:
     def test_starved_cutoff_raises_with_retry_advice(self):
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=4)
         with pytest.warns(OverlapWarning):
-            with pytest.raises(TruncationError, match=r"cutoff_b >= 11"):
+            with pytest.raises(TruncationError, match=r"retry with cutoff_b >= 12$"):
                 fock_brute_force_visibility(params)
+
+    @pytest.mark.parametrize("alpha0,r,cutoff_b", [
+        (2.0, 0.5, 4), (2.0, 0.5, 11), (6.0, 0.9, 10), (12.0, 0.3, 8),
+    ])
+    def test_suggested_cutoff_b_is_the_smallest_that_succeeds(
+        self, alpha0, r, cutoff_b
+    ):
+        # mode A never gains photons, so the advice names cutoff_b alone
+        params = ExperimentParams(
+            alpha0=alpha0, phi=np.pi / 4, r=r, cutoff_b=cutoff_b,
+            cutoff_a=math.ceil(alpha0 * alpha0 + 12 * alpha0 + 20),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OverlapWarning)
+            with pytest.raises(TruncationError) as exc:
+                fock_brute_force_visibility(params)
+            need = int(str(exc.value).rsplit(">= ", 1)[1])
+            assert "cutoff_a" not in str(exc.value).split("retry")[1]
+            with pytest.raises(TruncationError):
+                fock_brute_force_visibility(replace(params, cutoff_b=need - 1))
+            nu = fock_brute_force_visibility(replace(params, cutoff_b=need))
+        assert nu == pytest.approx(visibility_analytic(params), abs=1e-6)
+
+
+@settings(deadline=None)
+@given(
+    r=st.floats(0.0, 0.99),
+    a=st.floats(0.0, 20.0),
+    phi=st.floats(0.0, math.pi / 2, exclude_min=True),
+)
+def test_brute_force_matches_the_closed_form_over_the_domain(r, a, phi):
+    # explicit cutoffs: the default cutoff_a trips the top-band tail guard
+    # from |alpha0| ~ 4.75 on
+    params = ExperimentParams(
+        alpha0=a, phi=phi, r=r, cutoff_a=math.ceil(a * a + 12 * a + 20),
+        cutoff_b=default_cutoff(r * a) + 10,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        nu = fock_brute_force_visibility(params)
+    assert abs(nu - visibility_analytic(params)) <= 1e-13
 
 
 class TestSweep:

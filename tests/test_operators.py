@@ -1,6 +1,7 @@
 """Two-mode operations: splitter, phase shifts, reduced operators; and the
 dense quadrature-moment oracle the moment tests rest on."""
 
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from catvis import (
     vacuum_fock,
 )
 from helpers import (
+    bs_fock_apply_series,
     dense_bs_unitary,
     random_mode,
     random_two_mode,
@@ -151,6 +153,55 @@ def test_coherent_product_passes_through_exactly():
     np.testing.assert_allclose(out.amplitudes, want.amplitudes, atol=1e-9)
     fid = abs(out.inner(want)) / (out.norm * want.norm)
     assert fid >= 1.0 - 1e-10
+
+
+class TestVacuumPortSectors:
+    """``psi (x) |0>`` takes the binomial sector map, not the exchange series."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.99])
+    def test_matches_dense_exponential(self, r):
+        rng = np.random.default_rng(int(r * 100) + 20)
+        # every input sector n < 10 fits inside both cutoffs
+        state = TwoModeState.from_product(random_mode(rng, 10, 10), vacuum_fock(12))
+        want = dense_bs_unitary(r, 10, 12) @ two_mode_vec(state)
+        got = bs_fock_apply(BeamSplitter(r), state)
+        np.testing.assert_allclose(two_mode_vec(got), want, atol=1e-12)
+
+    # (|alpha|, R, cutoff_a, cutoff_b): the subnormal-series points, the
+    # |alpha0| = 20 point that once leaked everything, and the largest R of
+    # each magnitude in the bench's brute workload with its cutoffs
+    POINTS = [(10.0, 0.95, 240, 187), (10.0, 0.99, 240, 198), (20.0, 0.5, 660, 200)]
+    POINTS += [
+        (a, 0.35, math.ceil(a * a + 12 * a + 20),
+         math.ceil((0.35 * a) ** 2 + 8 * 0.35 * a + 10) + 10)
+        for a in (4.0, 8.0, 12.0, 16.0, 20.0)
+    ]
+
+    @pytest.mark.parametrize("alpha,r,na,nb", POINTS)
+    def test_matches_the_exchange_series(self, alpha, r, na, nb):
+        state = TwoModeState.from_product(
+            coherent_fock(alpha * np.exp(0.7j), cutoff=na), vacuum_fock(nb)
+        )
+        bs = BeamSplitter(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            got = bs_fock_apply(bs, state)
+        want = bs_fock_apply_series(bs, state)
+        assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
+        assert abs(got.squared_norm - state.squared_norm) <= 1e-13
+
+    def test_leak_is_the_binomial_tail(self):
+        amps = np.zeros((8, 3))
+        amps[6, 0] = 1.0
+        bs = BeamSplitter(0.6)
+        with pytest.warns(TruncationWarning):
+            out = bs_fock_apply(bs, TwoModeState(amps))
+        kept = sum(
+            math.comb(6, k) * bs.r ** (2 * k) * bs.t ** (2 * (6 - k)) for k in range(3)
+        )
+        assert out.squared_norm == pytest.approx(kept, rel=1e-14)
+        # mode A never gains photons on this path
+        assert not out.amplitudes[7:].any()
 
 
 def test_leakage_warns():
