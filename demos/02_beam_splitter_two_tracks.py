@@ -12,8 +12,8 @@ import numpy as np
 from catvis import (
     BeamSplitter,
     TwoModeState,
-    bs_coherent_map,
     bs_fock_apply,
+    bs_label_pair_map,
     coherent_fock,
     vacuum_fock,
 )
@@ -22,7 +22,7 @@ from catvis import (
 def main() -> None:
     alpha, r = 1.8, 0.45
     bs = BeamSplitter(r)
-    out_a, out_b = bs_coherent_map(bs, alpha)
+    out_a, out_b = bs_label_pair_map(bs, alpha, 0)
     print(f"splitter r = {r}, t = {bs.t:.6f}")
     print(f"labels: ({alpha}, 0) -> ({out_a:.6f}, {out_b:.6f})")
 

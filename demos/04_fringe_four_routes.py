@@ -15,7 +15,7 @@ from catvis import (
     fit_fringe,
     fock_brute_force_visibility,
     fringe_scan,
-    visibility_analytic,
+    visibility_closed_form,
 )
 
 
@@ -36,7 +36,9 @@ def main() -> None:
 
     routes = {
         "fringe fit": fit.visibility,
-        "closed form": visibility_analytic(params),
+        "closed form": visibility_closed_form(
+            params.r, abs(params.alpha0), params.phi
+        ),
         "overlap oracle": abs(environment_overlap_oracle(params)),
         "truncated Fock": fock_brute_force_visibility(params),
     }

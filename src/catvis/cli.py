@@ -35,6 +35,7 @@ from .experiment import (
 )
 from .heisenberg import contrast_report
 from .phase_space import (
+    _NEGATIVITY_TOL,
     CoverageWarning,
     QGrid,
     _edge_ratio,
@@ -42,7 +43,6 @@ from .phase_space import (
     initial_cat_terms,
     q_full,
     q_marginal,
-    visibility_analytic,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -98,11 +98,13 @@ class RunConfig:
             raise ValueError("n-theta must be at least 8")
 
     def to_params(self) -> ExperimentParams:
+        # theta is only echoed; fringe scans every readout phase itself
+        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
+            raise ValueError("phi and theta must be finite")
         label = self.alpha0 * complex(math.cos(self.alpha0_phase),
                                       math.sin(self.alpha0_phase))
         return ExperimentParams(alpha0=label, phi=self.phi, r=self.r,
-                                theta=self.theta, cutoff_a=self.cutoff_a,
-                                cutoff_b=self.cutoff_b)
+                                cutoff_a=self.cutoff_a, cutoff_b=self.cutoff_b)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ class _Flag(NamedTuple):
 
     ``kind`` is the argparse type of a plain value, or ``"switch"``,
     ``"angle"`` (a float that ``--degrees`` converts), ``"floats"`` or
-    ``"angles"`` (comma-separated lists, which argparse passes on as text).
+    ``"angles"`` (comma-separated lists, read by :func:`_float_list`).
     ``field`` names the :class:`RunConfig` field where it is not the dest.
     ``echo`` lists the subcommands whose ``params:`` record the value,
     where that is not every one in ``commands``.
@@ -141,7 +143,8 @@ class _Flag(NamedTuple):
     def type(self):
         """How argparse and the environment read the value's text (a switch
         reads its variable with :func:`_parse_bool`)."""
-        return {"angle": float, "floats": str, "angles": str}.get(self.kind, self.kind)
+        return {"angle": float, "floats": _float_list,
+                "angles": _float_list}.get(self.kind, self.kind)
 
 
 _POINT = ("visibility", "qfunction", "fringe")
@@ -206,9 +209,13 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _float_list(raw: str) -> tuple:
-    vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    try:
+        vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        vals = ()
     if not vals:
-        raise ValueError("empty list")
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {raw!r}")
     return vals
 
 
@@ -219,23 +226,19 @@ _TO_RADIANS = {
 
 
 def _supplied(ns, flag):
-    """The flag's value, else its ``CATVIS_<DEST>`` variable's, else None;
-    list text comes back split into floats."""
-    lists = flag.kind in ("floats", "angles")
+    """The flag's value, else its ``CATVIS_<DEST>`` variable's, else None."""
     val = getattr(ns, flag.dest)
     if val is not None:
-        return _float_list(val) if lists else val
+        return val
     name = ENV_PREFIX + flag.dest.upper()
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
         val = _parse_bool(raw) if flag.kind == "switch" else flag.type(raw)
-        if lists:
-            val = _float_list(val)
         if flag.choices is not None and val not in flag.choices:
             raise ValueError
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"invalid value {raw!r} in {name}") from None
     return val
 
@@ -464,7 +467,7 @@ def _cmd_visibility(cfg: RunConfig) -> None:
         cfg.r,
         cfg.alpha0,
         cfg.phi,
-        visibility_analytic(params),
+        report.visibility,
         abs(environment_overlap_oracle(params)),
         nu_brute,
         report.t,
@@ -514,7 +517,7 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
     else:
         pts, values, name = ((pts_a, marg_a, "alpha") if cfg.qmode == "marginal-a"
                              else (pts_b, marg_b, "beta"))
-        if float(values.min()) < -1e-12:
+        if float(values.min()) < -_NEGATIVITY_TOL:
             raise ValueError(
                 f"Q reached {float(values.min()):.3e}; term set does not "
                 "describe a state"

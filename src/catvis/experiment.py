@@ -13,7 +13,7 @@ by fitting detection rate against the readout phase theta.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .fock import (
 )
 from .heisenberg import contrast_report
 from .operators import (
+    _LEAK_TOL,
     BeamSplitter,
     TwoModeState,
     _sector_cutoff_b,
@@ -35,14 +36,12 @@ from .operators import (
     phase_shift_fock_a,
 )
 from .phase_space import (
-    QGrid,
     integrate_q_term,
     post_selected_terms,
-    visibility_analytic,
+    visibility_closed_form,
 )
 
 __all__ = [
-    "Tolerances",
     "ExperimentParams",
     "OverlapWarning",
     "TruncationError",
@@ -50,7 +49,6 @@ __all__ = [
     "FringeFit",
     "fringe_scan",
     "fit_fringe",
-    "extract_visibility",
     "environment_overlap_oracle",
     "q_integral_visibility",
     "fock_brute_force_visibility",
@@ -67,55 +65,27 @@ class TruncationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Numerical guard rails for one experiment run.
-
-    tail: admissible coherent-state mass in the top cutoff band.
-    leakage: admissible probability lost pushing a state through the splitter.
-    component_overlap: |<+|->| above which branch-disjointness warnings fire.
-    boundary_ratio: admissible edge-to-peak ratio of a quadrature grid.
-    """
-
-    tail: float = 1e-12
-    leakage: float = 1e-8
-    component_overlap: float = 1e-3
-    boundary_ratio: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("tail", "leakage", "component_overlap", "boundary_ratio"):
-            val = float(getattr(self, name))
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, val)
-
-
-@dataclass(frozen=True)
 class ExperimentParams:
     """Everything one run of the interferometer needs.
 
     alpha0 may carry a phase; closed-form results depend on it only through
-    |alpha0|.  ``theta`` is the readout phase of the final projection (the
-    fringe variable); routes that scan theta ignore the stored value.
-    Cutoffs and grid are optional overrides for the Fock and phase-space
-    routes; ``None`` means size-to-fit defaults.
+    |alpha0|.  The readout phase theta is not a parameter: the fringe scan
+    applies it exactly to integrals taken at theta = 0.  The cutoffs are
+    optional overrides for the Fock route; ``None`` means size-to-fit.
     """
 
     alpha0: complex
     phi: float
     r: float
-    theta: float = 0.0
     cutoff_a: int | None = None
     cutoff_b: int | None = None
-    grid: QGrid | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         object.__setattr__(self, "phi", float(self.phi))
-        object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "r", float(self.r))
-        if not (np.isfinite(self.phi) and np.isfinite(self.theta)):
-            raise ValueError("phi and theta must be finite")
+        if not np.isfinite(self.phi):
+            raise ValueError("phi must be finite")
         if not np.isfinite(self.alpha0):
             raise ValueError("alpha0 must be finite")
         BeamSplitter(self.r)  # validates the reflectivity range
@@ -160,9 +130,13 @@ class ExperimentParams:
         return default_cutoff(self.r * abs(self.alpha0))
 
 
+# |<+|->| from which the cat's branches count as not disjoint
+_OVERLAP_WARN = 1e-3
+
+
 def _warn_if_components_overlap(params: ExperimentParams) -> None:
     ov = abs(coherent_overlap(params.component_plus, params.component_minus))
-    if ov >= params.tolerances.component_overlap:
+    if ov >= _OVERLAP_WARN:
         warnings.warn(
             f"cat components overlap at |<+|->| = {ov:.3e}; the interfering "
             "branches are not mutually orthogonal, so visibility readings "
@@ -189,12 +163,8 @@ def environment_overlap_oracle(params: ExperimentParams) -> complex:
 
 def _term_integrals(params: ExperimentParams) -> dict:
     """Grid integrals of the four post-selected terms at theta = 0."""
-    base = replace(params, theta=0.0)
-    out = {}
-    for term in post_selected_terms(base):
-        grid = params.grid if params.grid is not None else QGrid.for_term(term)
-        out[term.phase_tag] = integrate_q_term(term, grid, params)
-    return out
+    return {term.phase_tag: integrate_q_term(term)
+            for term in post_selected_terms(params)}
 
 
 def q_integral_visibility(params: ExperimentParams) -> float:
@@ -208,8 +178,6 @@ def q_integral_visibility(params: ExperimentParams) -> float:
     _warn_if_components_overlap(params)
     vals = _term_integrals(params)
     diag = vals[("+", "+")].real + vals[("-", "-")].real
-    if diag <= 0.0:
-        raise ValueError("diagonal Q integrals are not positive; bad grid")
     return float(2.0 * abs(vals[("+", "-")]) / diag)
 
 
@@ -332,9 +300,8 @@ def _dominant_period(thetas: np.ndarray, rates: np.ndarray) -> float:
     return window / k
 
 
-def extract_visibility(scan: FringeScan) -> float:
-    """Fringe visibility from a scan, as a bare number."""
-    return fit_fringe(scan).visibility
+# top-band mass of mode A's Fock vector the brute force accepts
+_TAIL_TOL = 1e-12
 
 
 def fock_brute_force_visibility(params: ExperimentParams) -> float:
@@ -342,29 +309,30 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
 
     Each cat component crosses the splitter as an explicit two-mode array,
     picks up its readout rotation, and the interference contrast is the
-    overlap of the two branches over their norms.  Raises
-    :class:`TruncationError` when the splitter step loses more probability
-    than ``tolerances.leakage``, with the smallest ``cutoff_b`` whose
-    binomial tail meets that budget (mode A cannot leak: the splitter never
-    adds photons to it).
+    overlap of the two branches over their norms.  Raises ``ValueError``
+    when a cutoff leaves tail mass of 1e-12 or more in the top tenth of
+    mode A's levels, and :class:`TruncationError` when the splitter loses
+    more probability than the leakage threshold 1e-10 at which
+    :func:`bs_fock_apply` warns, with the smallest ``cutoff_b`` whose
+    binomial tail meets it (mode A cannot leak: the splitter never adds
+    photons to it).
     """
     _warn_if_components_overlap(params)
     na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
-    tol = params.tolerances
     bs = params.beam_splitter
     branches = {}
     for sign, label, readout in (
         ("+", params.component_plus, -params.phi),
         ("-", params.component_minus, +params.phi),
     ):
-        mode_a = coherent_fock(label, cutoff=na, tail_tol=tol.tail)
+        mode_a = coherent_fock(label, cutoff=na, tail_tol=_TAIL_TOL)
         two = TwoModeState.from_product(mode_a, vacuum_fock(nb))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # leakage is re-judged just below
+            warnings.simplefilter("ignore")  # a leak is raised just below
             out = bs_fock_apply(bs, two)
         leak = abs(out.squared_norm - two.squared_norm)
-        if leak > tol.leakage:
-            need = _sector_cutoff_b(bs, mode_a.amplitudes, tol.leakage)
+        if leak > _LEAK_TOL:
+            need = _sector_cutoff_b(bs, mode_a.amplitudes)
             raise TruncationError(
                 f"splitter propagation leaked {leak:.3e} probability at "
                 f"cutoffs ({na}, {nb}); retry with cutoff_b >= {need}"
@@ -415,7 +383,9 @@ def sweep(
                 row["R"], row["abs_alpha0"], row["phi"] = float(r), float(a0), float(phi)
                 try:
                     params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                    row["nu_analytic"] = visibility_analytic(params)
+                    row["nu_analytic"] = visibility_closed_form(
+                        params.r, abs(params.alpha0), params.phi
+                    )
                     row["nu_oracle"] = abs(environment_overlap_oracle(params))
                     report = contrast_report(params)
                     row["T"] = report.t
@@ -424,9 +394,9 @@ def sweep(
                     if include_brute:
                         row["nu_brute"] = fock_brute_force_visibility(params)
                     if include_fringe:
-                        row["nu_fringe"] = extract_visibility(
+                        row["nu_fringe"] = fit_fringe(
                             fringe_scan(params, n_theta=n_theta)
-                        )
+                        ).visibility
                 except (ValueError, TruncationError) as exc:
                     row["error"] = str(exc)
                 rows.append(row)

@@ -18,7 +18,8 @@ dropped.  A general two-mode input goes through the factored form
 read right to left.  Both exchange generators conserve total photon number,
 so each power series terminates on the truncated array; amplitude pushed
 past a cutoff is dropped.  On either path the loss surfaces as a norm
-change.
+change, and one leakage threshold, 1e-10 of squared norm, judges it: the
+splitter warns above it and the brute-force route refuses above it.
 """
 
 import math
@@ -32,11 +33,8 @@ from .fock import CoherentLabel, ModeState, TruncationWarning, _NORM_SLACK
 __all__ = [
     "BeamSplitter",
     "TwoModeState",
-    "bs_coherent_map",
     "bs_label_pair_map",
     "bs_fock_apply",
-    "phase_shift_label",
-    "phase_shift_fock",
     "phase_shift_fock_a",
     "interference_reduced_a",
 ]
@@ -115,19 +113,13 @@ class TwoModeState:
         return cls(np.outer(mode_a.amplitudes, mode_b.amplitudes))
 
 
-def bs_coherent_map(bs: BeamSplitter, alpha: CoherentLabel) -> tuple[complex, complex]:
-    """Coherent label map for ``|alpha>_A (x) |0>_B``: ``(t alpha, i r alpha)``."""
-    alpha = complex(alpha)
-    return (bs.t * alpha, 1j * bs.r * alpha)
-
-
 def bs_label_pair_map(
     bs: BeamSplitter, alpha: CoherentLabel, beta: CoherentLabel
 ) -> tuple[complex, complex]:
-    """General coherent-product label map ``(t a + i r b, i r a + t b)``.
+    """Coherent-product label map ``(t a + i r b, i r a + t b)``.
 
-    Passive linear optics sends coherent products to coherent products; this
-    is the two-input version of :func:`bs_coherent_map`.
+    Passive linear optics sends coherent products to coherent products; with
+    vacuum in B (``beta = 0``) the labels leave as ``(t alpha, i r alpha)``.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -167,6 +159,11 @@ def _exchange_series(amps: np.ndarray, coupling: complex, raise_a: bool) -> np.n
     return total
 
 
+# squared norm the splitter may lose past the cutoffs; the brute force
+# refuses at the same threshold
+_LEAK_TOL = 1e-10
+
+
 def _sector_window(column: np.ndarray, nb: int) -> np.ndarray:
     """``[m, k] = column[m + k]`` for ``m < column.size, k < nb``, zero past
     the end: on the vacuum-port path, output ``|m, k>`` is fed by input
@@ -190,20 +187,18 @@ def _sector_magnitudes(bs: BeamSplitter, na: int, nb: int) -> np.ndarray:
     return np.cumprod(steps, axis=0, out=steps)
 
 
-def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray, budget: float) -> int:
+def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray) -> int:
     """Smallest ``cutoff_b`` at which the vacuum-port path drops at most
-    ``budget`` of squared norm from input ``column (x) |0>``: the binomial
+    ``_LEAK_TOL`` of squared norm from input ``column (x) |0>``: the binomial
     tail ``sum_n |column_n|^2 P(k >= cutoff_b | n)``."""
     na = column.size
     weights = _sector_magnitudes(bs, na, na) ** 2
     weights *= _sector_window(np.abs(column) ** 2, na)
     tail = np.cumsum(weights.sum(axis=0)[::-1])[::-1]  # mass at k >= index
-    return int(np.count_nonzero(tail > budget))
+    return int(np.count_nonzero(tail > _LEAK_TOL))
 
 
-def bs_fock_apply(
-    bs: BeamSplitter, state: TwoModeState, leak_tol: float = 1e-10
-) -> TwoModeState:
+def bs_fock_apply(bs: BeamSplitter, state: TwoModeState) -> TwoModeState:
     """Run a two-mode Fock state through the beam splitter's unitary.
 
     With vacuum in mode B (``amplitudes[:, 1:]`` all zero) it takes the
@@ -213,9 +208,9 @@ def bs_fock_apply(
     through the factored exchange series, exact (to rounding) on every
     fixed-total-photon sector that fits inside both cutoffs.
 
-    Amplitude pushed past a cutoff is dropped: a norm change beyond
-    ``leak_tol`` emits :class:`TruncationWarning`, and a norm blown past 1
-    raises, since the series path's diagonal factor can amplify stranded
+    Amplitude pushed past a cutoff is dropped: a norm change beyond the
+    leakage threshold 1e-10 emits :class:`TruncationWarning`, and a norm
+    blown past 1 raises, since the series path's diagonal factor can amplify stranded
     high-occupancy amplitudes.
     """
     amps = state.amplitudes
@@ -236,7 +231,7 @@ def bs_fock_apply(
             f"truncation during beam-splitter application inflated the squared "
             f"norm to {out2:.6g}; raise the cutoffs (see default_cutoff)"
         )
-    if abs(out2 - in2) > leak_tol:
+    if abs(out2 - in2) > _LEAK_TOL:
         warnings.warn(
             f"beam splitter leaked {abs(out2 - in2):.3e} of squared norm past "
             f"the cutoffs ({na}, {nb})",
@@ -244,17 +239,6 @@ def bs_fock_apply(
             stacklevel=2,
         )
     return TwoModeState(out)
-
-
-def phase_shift_label(alpha: CoherentLabel, chi: float) -> complex:
-    """Phase shifter on a coherent label: ``alpha -> e^{i chi} alpha``."""
-    return complex(np.exp(1j * chi) * alpha)
-
-
-def phase_shift_fock(state: ModeState, chi: float) -> ModeState:
-    """Diagonal phase ``e^{i chi n}`` on the number basis."""
-    ns = np.arange(state.cutoff)
-    return ModeState(state.amplitudes * np.exp(1j * chi * ns))
 
 
 def phase_shift_fock_a(state: TwoModeState, chi: float) -> TwoModeState:

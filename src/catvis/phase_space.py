@@ -42,9 +42,7 @@ __all__ = [
     "q_full",
     "q_marginal",
     "integrate_q_term",
-    "integrate_q_full",
     "visibility_closed_form",
-    "visibility_analytic",
 ]
 
 PhaseTag = tuple[str, str]
@@ -217,10 +215,12 @@ def postselect_term(term: BranchTerm, theta: float, phi: float) -> BranchTerm:
 
 
 def post_selected_terms(params: "ExperimentParams") -> list[BranchTerm]:
-    """Initial cat terms, through the splitter, with post-selection applied."""
+    """Initial cat terms, through the splitter, post-selected at readout
+    phase theta = 0 (any other theta only rephases the off-diagonal terms,
+    see :func:`postselect_term`)."""
     bs = params.beam_splitter
     return [
-        postselect_term(beam_split_term(t, bs), params.theta, params.phi)
+        postselect_term(beam_split_term(t, bs), 0.0, params.phi)
         for t in initial_cat_terms(params.alpha0, params.phi)
     ]
 
@@ -276,18 +276,17 @@ def _require_hermitian_set(terms: Sequence[BranchTerm]) -> None:
             )
 
 
-def q_full(
-    terms: Sequence[BranchTerm],
-    alpha_p,
-    beta_p,
-    negativity_tol: float = 1e-12,
-):
+# how far below zero rounding may leave a Q value; a Husimi function of an
+# actual state is never negative, so anything lower is a broken term set
+_NEGATIVITY_TOL = 1e-12
+
+
+def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     """Total Q of a Hermitian term set at one or many phase-space points.
 
     Returns the real value(s); raises if the set is not Hermitian, if the
     imaginary residue is out of line with rounding, or if Q dips below
-    ``-negativity_tol`` (a Husimi function of an actual state never does, so
-    that signals a broken term set).
+    ``-1e-12``.
     """
     _require_hermitian_set(terms)
     total = sum(q_branch(t, alpha_p, beta_p) for t in terms)
@@ -296,9 +295,9 @@ def q_full(
     if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-10 * max(scale, 1e-30):
         raise ValueError("Q came out complex; term set is inconsistent")
     values = total.real
-    if values.size and float(np.min(values)) < -negativity_tol:
+    if values.size and float(np.min(values)) < -_NEGATIVITY_TOL:
         raise ValueError(
-            f"Q reached {float(np.min(values)):.3e} < -{negativity_tol:.1e}; "
+            f"Q reached {float(np.min(values)):.3e} < -{_NEGATIVITY_TOL:.1e}; "
             "term set does not describe a state"
         )
     if values.ndim == 0:
@@ -322,8 +321,12 @@ def _edge_ratio(vals: np.ndarray) -> float:
     return edge / peak
 
 
-def _check_boundary(ratio: float, which: str, tol: float) -> None:
-    if ratio > tol:
+# edge-to-peak ratio of a plane's samples above which its grid is too small
+_BOUNDARY_RATIO = 1e-10
+
+
+def _check_boundary(ratio: float, which: str) -> None:
+    if ratio > _BOUNDARY_RATIO:
         if math.isinf(ratio):
             what = "samples all underflow, so the grid misses the integrand"
         else:
@@ -384,11 +387,7 @@ def _plane_sum(
     return scale * complex(fx.sum()) * complex(fy.sum()), ratio
 
 
-def integrate_q_term(
-    term: BranchTerm,
-    grid: QGrid | None = None,
-    params: "ExperimentParams | None" = None,
-) -> complex:
+def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
     """Phase-space integral of one term's Q by factorized midpoint quadrature.
 
     The term's Q factors exactly into plane profiles, and each plane
@@ -397,20 +396,17 @@ def integrate_q_term(
     ``n x n`` plane sum is exactly the product of two ``n``-point sums.
     With no grid given, each plane is centered between its ket and bra
     labels.  Warns when boundary samples exceed 1e-10 of the peak, or when
-    every sample of a plane underflows (under-covered support); the exact value of the integral is
-    ``w <bra_a|ket_a> <bra_b|ket_b>``, which the tests hold this quadrature
-    against.
+    every sample of a plane underflows (under-covered support); the exact
+    value of the integral is ``w <bra_a|ket_a> <bra_b|ket_b>``, which the
+    tests hold this quadrature against.
     """
     if grid is None:
         grid = QGrid.for_term(term)
-    boundary_tol = 1e-10
-    if params is not None and getattr(params, "tolerances", None) is not None:
-        boundary_tol = params.tolerances.boundary_ratio
     offsets = grid._offsets()
     sa, ratio_a = _plane_sum(grid.center_a, offsets, term.ket_a, term.bra_a)
     sb, ratio_b = _plane_sum(grid.center_b, offsets, term.ket_b, term.bra_b)
-    _check_boundary(ratio_a, "A", boundary_tol)
-    _check_boundary(ratio_b, "B", boundary_tol)
+    _check_boundary(ratio_a, "A")
+    _check_boundary(ratio_b, "B")
     return complex(
         (term.weight / np.pi**2)
         * (sa * grid.cell)
@@ -423,17 +419,6 @@ def _default_common_grid(terms: Iterable[BranchTerm]) -> QGrid:
     ca = np.mean([0.5 * (t.ket_a + t.bra_a) for t in terms])
     cb = np.mean([0.5 * (t.ket_b + t.bra_b) for t in terms])
     return QGrid(center_a=complex(ca), center_b=complex(cb))
-
-
-def integrate_q_full(terms: Sequence[BranchTerm], grid: QGrid | None = None) -> float:
-    """Grid integral of the full Q of a Hermitian term set (1 for unit trace)."""
-    _require_hermitian_set(terms)
-    if grid is None:
-        grid = _default_common_grid(terms)
-    total = sum(integrate_q_term(t, grid) for t in terms)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total)):
-        raise ValueError("Q integral came out complex; term set is inconsistent")
-    return float(total.real)
 
 
 def q_marginal(
@@ -481,8 +466,3 @@ def visibility_closed_form(r, abs_alpha0, phi):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def visibility_analytic(params: "ExperimentParams") -> float:
-    """Closed-form fringe visibility for the experiment's parameters."""
-    return float(visibility_closed_form(params.r, abs(params.alpha0), params.phi))

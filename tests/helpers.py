@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 import catvis
-from catvis import BranchTerm, bs_coherent_map, coherent_overlap
+from catvis import BranchTerm, bs_label_pair_map, coherent_overlap
 
 
 def child_env() -> dict:
@@ -67,9 +67,9 @@ def annihilation(n: int) -> np.ndarray:
     return a
 
 
-def x_moments(state, order: int = 4) -> list[float]:
-    """``Tr(rho x^k) / Tr(rho)`` for k = 1..order, with the dense matrix
-    ``x = (a + a+)/2`` built from :func:`annihilation`.
+def x_mean_var(state) -> tuple[float, float]:
+    """Mean and variance of ``x = (a + a+)/2`` from ``Tr(rho x^k) / Tr(rho)``
+    for k = 1, 2, with the dense matrix ``x`` built from :func:`annihilation`.
 
     ``state`` is a density matrix, or an amplitude vector taken as
     ``|psi><psi|``.
@@ -82,12 +82,9 @@ def x_moments(state, order: int = 4) -> list[float]:
         raise ValueError("state must have positive trace")
     a = annihilation(rho.shape[0])
     x = 0.5 * (a + a.conj().T)
-    moments = []
-    power = np.eye(rho.shape[0])
-    for _ in range(order):
-        power = power @ x
-        moments.append(float(np.trace(rho @ power).real) / tr)
-    return moments
+    m1 = float(np.trace(rho @ x).real) / tr
+    m2 = float(np.trace(rho @ x @ x).real) / tr
+    return m1, m2 - m1 * m1
 
 
 def dense_bs_unitary(r: float, na: int, nb: int) -> np.ndarray:
@@ -278,14 +275,12 @@ def check_boundary_2d(vals, which, tol):
         )
 
 
-def integrate_q_term_2d(term, grid=None, params=None):
+def integrate_q_term_2d(term, grid=None):
     from catvis.phase_space import QGrid, _plane_profile
 
     if grid is None:
         grid = QGrid.for_term(term)
     boundary_tol = 1e-10
-    if params is not None and getattr(params, "tolerances", None) is not None:
-        boundary_tol = params.tolerances.boundary_ratio
     ga = _plane_profile(grid.plane("a"), term.ket_a, term.bra_a)
     gb = _plane_profile(grid.plane("b"), term.ket_b, term.bra_b)
     check_boundary_2d(ga, "A", boundary_tol)
@@ -304,7 +299,7 @@ def integrate_q_term_2d(term, grid=None, params=None):
 
 def _branch_amplitude(alpha_p, beta_p, params: "ExperimentParams", sign: float):
     rot = np.exp(1j * sign * params.phi)
-    out_a, out_b = bs_coherent_map(params.beam_splitter, rot * params.alpha0)
+    out_a, out_b = bs_label_pair_map(params.beam_splitter, rot * params.alpha0, 0)
     return coherent_overlap(rot * alpha_p, out_a) * coherent_overlap(beta_p, out_b)
 
 

@@ -19,25 +19,21 @@ from catvis import (
     ExperimentParams,
     OverlapWarning,
     TwoModeState,
-    bs_coherent_map,
     bs_fock_apply,
+    bs_label_pair_map,
     coherent_fock,
     coherent_overlap,
     coherent_product_term,
     environment_overlap_oracle,
-    extract_visibility,
     fit_fringe,
     fock_brute_force_visibility,
     fringe_scan,
     initial_cat_terms,
-    integrate_q_full,
     integrate_q_term,
-    phase_shift_fock,
-    phase_shift_label,
+    phase_shift_fock_a,
     post_selected_terms,
     q_full,
     vacuum_fock,
-    visibility_analytic,
     visibility_closed_form,
 )
 from catvis.cli import RunConfig, _COMMANDS, main
@@ -75,7 +71,7 @@ def test_acceptance_1_three_route_visibility_grid():
                 for a0 in ALPHA0_GRID:
                     for phi in PHI_GRID:
                         params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                        nu = visibility_analytic(params)
+                        nu = visibility_closed_form(r, a0, phi)
                         oracle = abs(environment_overlap_oracle(params))
                         brute = fock_brute_force_visibility(params)
                         assert abs(oracle - nu) <= 1e-12 * nu, (r, a0, phi)
@@ -95,7 +91,7 @@ def test_acceptance_2_interference_integral_route():
                             t for t in post_selected_terms(params)
                             if t.phase_tag == ("+", "-")
                         )
-                        got = abs(integrate_q_term(cross, params=params))
+                        got = abs(integrate_q_term(cross))
                         got /= params.norm_const**2
                         want = visibility_closed_form(r, a0, phi)
                         assert abs(got - want) <= 2e-4, (r, a0, phi)
@@ -108,11 +104,9 @@ def test_acceptance_3_fringe_route():
                 for a0 in (0.5, 1.0, 2.0):
                     for phi in PHI_GRID:
                         params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                        scan = fringe_scan(params, n_theta=16)
-                        nu = extract_visibility(scan)
+                        fit = fit_fringe(fringe_scan(params, n_theta=16))
                         want = visibility_closed_form(r, a0, phi)
-                        assert abs(nu - want) <= 2e-4, (r, a0, phi)
-                        fit = fit_fringe(scan)
+                        assert abs(fit.visibility - want) <= 2e-4, (r, a0, phi)
                         assert fit.residual_rms < 1e-8 * fit.amplitude, (r, a0, phi)
 
 
@@ -122,14 +116,14 @@ def test_acceptance_4_weak_tap_contrast_headline():
         t = params.t
         assert round(t, 6) == 0.994987
         assert 0.0049 < 1.0 - t < 0.0051  # the half-percent moment change
-        nu_closed = visibility_analytic(params)
+        nu_closed = visibility_closed_form(params.r, abs(params.alpha0), params.phi)
         nu_oracle = abs(environment_overlap_oracle(params))
         assert nu_closed == pytest.approx(math.exp(-8.0), rel=1e-9)
         assert nu_oracle == pytest.approx(math.exp(-8.0), rel=1e-9)
         assert float(f"{nu_closed:.6g}") == 3.35463e-4
         # the truncated-Fock route refuses here by design: its default
         # cutoffs (570, 30) cannot hold a 400-photon pulse to the 1e-12
-        # tail the tolerances demand, and honest refusal beats a silently
+        # tail the guard demands, and honest refusal beats a silently
         # truncated number; explicit cutoffs (650, 40) do reproduce e^-8
         with pytest.raises(ValueError, match="tail"):
             fock_brute_force_visibility(params)
@@ -139,8 +133,7 @@ def test_acceptance_5_q_function_sanity():
     rng = np.random.default_rng(51)
 
     def check(terms):
-        with quiet():
-            total = integrate_q_full(terms)
+        total = sum(integrate_q_term(t) for t in terms)
         assert abs(total - 1.0) <= 1e-4
         za = rng.uniform(-4, 4, 64) + 1j * rng.uniform(-4, 4, 64)
         zb = rng.uniform(-4, 4, 64) + 1j * rng.uniform(-4, 4, 64)
@@ -173,7 +166,7 @@ def test_acceptance_6_splitter_unitarity_and_coherent_fidelity():
                     coherent_fock(alpha, cutoff=35), vacuum_fock(30)
                 )
                 out = bs_fock_apply(bs, state)
-                ta, rb = bs_coherent_map(bs, alpha)
+                ta, rb = bs_label_pair_map(bs, alpha, 0)
                 want = TwoModeState.from_product(
                     coherent_fock(ta, cutoff=35), coherent_fock(rb, cutoff=30)
                 )
@@ -198,8 +191,11 @@ def test_acceptance_7_property_suite():
             spun = ExperimentParams(
                 alpha0=1.7 * np.exp(1j * chi), phi=0.9, r=0.35
             )
-            assert visibility_analytic(spun) == pytest.approx(
-                visibility_analytic(base), rel=1e-14
+            assert visibility_closed_form(
+                spun.r, abs(spun.alpha0), spun.phi
+            ) == pytest.approx(
+                visibility_closed_form(base.r, abs(base.alpha0), base.phi),
+                rel=1e-14,
             )
             assert abs(environment_overlap_oracle(spun)) == pytest.approx(
                 abs(environment_overlap_oracle(base)), rel=1e-14
@@ -216,11 +212,10 @@ def test_acceptance_7_property_suite():
         assert np.all(np.diff(seq_a) < 0)
 
         # opposite number-dependent phase plates cancel exactly
-        assert phase_shift_label(phase_shift_label(1.3 - 0.2j, 0.7), -0.7) == (
-            pytest.approx(1.3 - 0.2j)
+        state = TwoModeState.from_product(
+            coherent_fock(1.2 + 0.8j, cutoff=25), vacuum_fock(2)
         )
-        state = coherent_fock(1.2 + 0.8j, cutoff=25)
-        back = phase_shift_fock(phase_shift_fock(state, 0.6), -0.6)
+        back = phase_shift_fock_a(phase_shift_fock_a(state, 0.6), -0.6)
         np.testing.assert_allclose(
             back.amplitudes, state.amplitudes, atol=1e-15
         )

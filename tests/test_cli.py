@@ -503,6 +503,25 @@ class TestFailureModes:
         assert err.startswith(f"catvis: error: cannot write output file {path!r}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
+    def test_non_finite_theta_is_a_reported_error(self, sub, capsys):
+        code, out, err = run_cli([sub, "--theta", "nan"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "catvis: error: phi and theta must be finite\n"
+
+    @pytest.mark.parametrize("flag,bad", [
+        ("--R-values", "abc"), ("--alpha0-values", ","), ("--phi-values", "1,x"),
+    ])
+    def test_bad_list_flag_is_a_usage_error(self, flag, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, bad])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert err.splitlines()[-1] == (
+            f"catvis sweep: error: argument {flag}: not a comma-separated "
+            f"list of numbers: {bad!r}"
+        )
+
     def test_negative_magnitude(self, capsys):
         code, _, err = run_cli(["visibility", "--alpha0", "-2"], capsys)
         assert code == 1

@@ -15,37 +15,26 @@ from catvis import (
     FringeScan,
     OverlapWarning,
     QGrid,
-    Tolerances,
     TruncationError,
+    TruncationWarning,
+    TwoModeState,
+    bs_fock_apply,
     cat_norm_constant,
+    coherent_fock,
     environment_overlap_oracle,
-    extract_visibility,
     fit_fringe,
     fock_brute_force_visibility,
     fringe_scan,
+    integrate_q_term,
+    post_selected_terms,
     q_integral_visibility,
     sweep,
-    visibility_analytic,
+    vacuum_fock,
     visibility_closed_form,
 )
 from catvis.fock import default_cutoff
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestTolerances:
-    def test_defaults_are_positive(self):
-        tol = Tolerances()
-        assert tol.tail > 0 and tol.leakage > 0
-        assert tol.component_overlap > 0 and tol.boundary_ratio > 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"tail": 0.0}, {"leakage": -1e-9}, {"component_overlap": 0.0}],
-    )
-    def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerances(**kwargs)
 
 
 class TestExperimentParams:
@@ -113,19 +102,22 @@ class TestQIntegralRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error", OverlapWarning)
             nu = q_integral_visibility(params)
-        assert nu == pytest.approx(visibility_analytic(params), abs=2e-4)
-
-    def test_off_support_grid_raises(self):
-        params = ExperimentParams(
-            alpha0=3.0,
-            phi=np.pi / 2,
-            r=0.2,
-            grid=QGrid(center_a=50.0 + 0.0j, center_b=50.0 + 0.0j),
+        assert nu == pytest.approx(
+            visibility_closed_form(params.r, abs(params.alpha0), params.phi), abs=2e-4
         )
-        with pytest.warns(CoverageWarning, match="underflow"), pytest.raises(
-            ValueError, match="not positive"
-        ):
-            q_integral_visibility(params)
+
+    def test_off_support_grid_warns_that_both_planes_underflow(self):
+        params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.2)
+        grid = QGrid(center_a=50.0 + 0.0j, center_b=50.0 + 0.0j)
+        for term in post_selected_terms(params):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert integrate_q_term(term, grid) == 0
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (CoverageWarning, f"plane {p} samples all underflow, so the "
+                 "grid misses the integrand; widen the grid extent")
+                for p in "AB"
+            ]
 
 
 class TestDomainCorner:
@@ -136,7 +128,7 @@ class TestDomainCorner:
     @pytest.mark.parametrize("r", [0.1, 0.99])
     def test_quadrature_routes_neither_overflow_nor_go_invalid(self, r):
         params = ExperimentParams(alpha0=20.0, phi=np.pi / 2, r=r)
-        want = visibility_analytic(params)
+        want = visibility_closed_form(params.r, abs(params.alpha0), params.phi)
         with np.errstate(over="raise", invalid="raise"):
             fit = fit_fringe(fringe_scan(params))
             nu_q = q_integral_visibility(params)
@@ -153,13 +145,6 @@ class TestFringeScan:
             scan.thetas, np.linspace(0.0, TWO_PI, 16, endpoint=False)
         )
         assert float(scan.rates.min()) >= 0.0
-
-    def test_readout_phase_in_params_is_irrelevant(self):
-        a = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3, theta=0.0)
-        b = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3, theta=1.3)
-        np.testing.assert_array_equal(
-            fringe_scan(a).rates, fringe_scan(b).rates
-        )
 
     def test_too_few_points(self):
         params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3)
@@ -249,13 +234,12 @@ class TestFringePhysics:
             scan = fringe_scan(params, n_theta=32)
         fit = fit_fringe(scan)
         cn2 = params.norm_const**2
+        nu = visibility_closed_form(params.r, abs(params.alpha0), params.phi)
         delta = 0.09 * 2.25 * math.sin(np.pi / 2)
         assert fit.offset == pytest.approx(0.5 * cn2, rel=1e-9)
         assert fit.phase == pytest.approx(delta, abs=1e-9)
-        assert fit.amplitude == pytest.approx(
-            0.5 * cn2 * visibility_analytic(params), rel=1e-6
-        )
-        assert fit.visibility == pytest.approx(visibility_analytic(params), abs=2e-4)
+        assert fit.amplitude == pytest.approx(0.5 * cn2 * nu, rel=1e-6)
+        assert fit.visibility == pytest.approx(nu, abs=2e-4)
         assert fit.residual_rms < 1e-8 * fit.amplitude
 
     def test_symmetric_fringe_for_odd_cat(self):
@@ -263,11 +247,6 @@ class TestFringePhysics:
         params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3)
         rates = fringe_scan(params, n_theta=16).rates
         np.testing.assert_allclose(rates[1:], rates[1:][::-1], rtol=1e-10)
-
-    def test_extract_visibility_shortcut(self):
-        params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.2)
-        scan = fringe_scan(params)
-        assert extract_visibility(scan) == fit_fringe(scan).visibility
 
 
 class TestBruteForce:
@@ -317,12 +296,26 @@ class TestBruteForce:
             alpha0=10.0, phi=0.7, r=r, cutoff_a=240, cutoff_b=cutoff_b
         )
         nu = fock_brute_force_visibility(params)
-        assert nu == pytest.approx(visibility_analytic(params), abs=1e-12)
+        assert nu == pytest.approx(visibility_closed_form(r, 10.0, 0.7), abs=1e-12)
 
     def test_starved_cutoff_raises_with_retry_advice(self):
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=4)
         with pytest.warns(OverlapWarning):
-            with pytest.raises(TruncationError, match=r"retry with cutoff_b >= 12$"):
+            with pytest.raises(TruncationError, match=r"retry with cutoff_b >= 13$"):
+                fock_brute_force_visibility(params)
+
+    def test_refuses_every_leak_the_splitter_warns_about(self):
+        # at cutoff_b 12 each branch leaks 8.3e-10, above the one leakage
+        # threshold 1e-10
+        params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=12)
+        state = TwoModeState.from_product(
+            coherent_fock(params.component_plus, cutoff=params.resolved_cutoff_a),
+            vacuum_fock(12),
+        )
+        with pytest.warns(TruncationWarning, match="leaked 8.316e-10"):
+            bs_fock_apply(params.beam_splitter, state)
+        with pytest.warns(OverlapWarning):
+            with pytest.raises(TruncationError, match="leaked 8.316e-10"):
                 fock_brute_force_visibility(params)
 
     @pytest.mark.parametrize("alpha0,r,cutoff_b", [
@@ -345,7 +338,9 @@ class TestBruteForce:
             with pytest.raises(TruncationError):
                 fock_brute_force_visibility(replace(params, cutoff_b=need - 1))
             nu = fock_brute_force_visibility(replace(params, cutoff_b=need))
-        assert nu == pytest.approx(visibility_analytic(params), abs=1e-6)
+        assert nu == pytest.approx(
+            visibility_closed_form(r, alpha0, np.pi / 4), abs=1e-6
+        )
 
 
 @settings(deadline=None)
@@ -364,7 +359,7 @@ def test_brute_force_matches_the_closed_form_over_the_domain(r, a, phi):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OverlapWarning)
         nu = fock_brute_force_visibility(params)
-    assert abs(nu - visibility_analytic(params)) <= 1e-13
+    assert abs(nu - visibility_closed_form(r, a, phi)) <= 1e-13
 
 
 class TestSweep:

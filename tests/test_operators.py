@@ -11,15 +11,12 @@ from catvis import (
     BeamSplitter,
     TruncationWarning,
     TwoModeState,
-    bs_coherent_map,
     bs_fock_apply,
     bs_label_pair_map,
     coherent_fock,
     coherent_overlap,
     interference_reduced_a,
-    phase_shift_fock,
     phase_shift_fock_a,
-    phase_shift_label,
     vacuum_fock,
 )
 from helpers import (
@@ -28,7 +25,7 @@ from helpers import (
     random_mode,
     random_two_mode,
     two_mode_vec,
-    x_moments,
+    x_mean_var,
 )
 
 SQRT_3_4 = 0.8660254037844386  # sqrt(0.75)
@@ -80,15 +77,16 @@ class TestTwoModeState:
 
 def test_coherent_label_map():
     bs = BeamSplitter(0.6, 0.8)
-    out_a, out_b = bs_coherent_map(bs, 2.0)
+    out_a, out_b = bs_label_pair_map(bs, 2.0, 0)
     assert out_a == pytest.approx(1.6)
     assert out_b == pytest.approx(1.2j)
 
 
 def test_pair_label_map_reduces_to_single():
+    # vacuum in B: the labels leave as (t alpha, i r alpha)
     bs = BeamSplitter(0.3)
     assert bs_label_pair_map(bs, 1.5j, 0.0) == pytest.approx(
-        bs_coherent_map(bs, 1.5j)
+        (bs.t * 1.5j, 1j * bs.r * 1.5j)
     )
 
 
@@ -146,7 +144,7 @@ def test_coherent_product_passes_through_exactly():
     alpha = 2.0
     state = TwoModeState.from_product(coherent_fock(alpha, cutoff=35), vacuum_fock(25))
     out = bs_fock_apply(bs, state)
-    la, lb = bs_coherent_map(bs, alpha)
+    la, lb = bs_label_pair_map(bs, alpha, 0)
     want = TwoModeState.from_product(
         coherent_fock(la, cutoff=35), coherent_fock(lb, cutoff=25)
     )
@@ -218,14 +216,15 @@ def test_norm_inflation_raises():
         bs_fock_apply(BeamSplitter(0.6), TwoModeState(amps))
 
 
-def test_phase_shift_label():
-    assert phase_shift_label(2.0, np.pi / 2) == pytest.approx(2.0j)
-
-
 def test_phase_shift_fock_tracks_coherent_label():
     alpha, chi = 1.3 - 0.4j, 0.8
-    shifted = phase_shift_fock(coherent_fock(alpha, cutoff=30), chi)
-    want = coherent_fock(phase_shift_label(alpha, chi), cutoff=30)
+    vac = vacuum_fock(3)
+    shifted = phase_shift_fock_a(
+        TwoModeState.from_product(coherent_fock(alpha, cutoff=30), vac), chi
+    )
+    want = TwoModeState.from_product(
+        coherent_fock(np.exp(1j * chi) * alpha, cutoff=30), vac
+    )
     np.testing.assert_allclose(shifted.amplitudes, want.amplitudes, atol=1e-13)
 
 
@@ -241,14 +240,9 @@ def test_phase_shift_fock_a_only_touches_mode_a():
 
 def test_phase_shift_roundtrip_is_identity():
     rng = np.random.default_rng(8)
-    state = random_mode(rng, 9, 9)
-    back = phase_shift_fock(phase_shift_fock(state, 0.9), -0.9)
+    state = random_two_mode(rng, 9, 9, 9)
+    back = phase_shift_fock_a(phase_shift_fock_a(state, 0.9), -0.9)
     np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-14)
-
-
-def mean_var(state):
-    m1, m2 = x_moments(state, order=2)
-    return m1, m2 - m1 * m1
 
 
 class TestQuadratures:
@@ -256,24 +250,24 @@ class TestQuadratures:
     # forms, so the moment tests that rest on it are evidence
     def test_coherent_moments(self):
         for alpha in (0.5, 1.5 - 0.5j, 2.0j):
-            mean, var = mean_var(coherent_fock(alpha).amplitudes)
+            mean, var = x_mean_var(coherent_fock(alpha).amplitudes)
             assert mean == pytest.approx(complex(alpha).real, abs=1e-10)
             assert var == pytest.approx(0.25, abs=1e-10)
 
     def test_number_state_moments(self):
         amps = np.zeros(10)
         amps[3] = 1.0
-        mean, var = mean_var(amps)
+        mean, var = x_mean_var(amps)
         assert mean == pytest.approx(0.0, abs=1e-14)
         assert var == pytest.approx((2 * 3 + 1) / 4.0)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            x_moments(np.zeros(3))
+            x_mean_var(np.zeros(3))
 
     def test_subnormalized_states_use_normalized_moments(self):
         amps = 0.5 * coherent_fock(1.0, cutoff=25).amplitudes
-        mean, var = mean_var(amps)
+        mean, var = x_mean_var(amps)
         assert mean == pytest.approx(1.0, abs=1e-10)
         assert var == pytest.approx(0.25, abs=1e-10)
 

@@ -17,15 +17,14 @@ from catvis import (
     cat_norm_constant,
     coherent_overlap,
     coherent_product_term,
+    contrast_report,
     initial_cat_terms,
-    integrate_q_full,
     integrate_q_term,
     post_selected_terms,
     postselect_term,
     q_branch,
     q_full,
     q_marginal,
-    visibility_analytic,
     visibility_closed_form,
 )
 from catvis.phase_space import _edge_ratio, _plane_profile, _plane_sum
@@ -130,12 +129,25 @@ def test_postselect_term_readout_rule():
     assert cross.bra_b == pytest.approx(1j * bs.r * alpha0 * np.exp(-1j * phi))
 
 
+def _selected_at(params, theta):
+    """Post-selected terms at readout phase ``theta``."""
+    return [
+        postselect_term(beam_split_term(t, params.beam_splitter), theta, params.phi)
+        for t in initial_cat_terms(params.alpha0, params.phi)
+    ]
+
+
+def test_post_selected_terms_are_taken_at_theta_zero():
+    params = ExperimentParams(alpha0=1.5, phi=np.pi / 4, r=0.3)
+    assert post_selected_terms(params) == _selected_at(params, 0.0)
+
+
 def test_q_term_equals_generic_branch_q():
-    params = ExperimentParams(alpha0=1.5, phi=np.pi / 4, r=0.3, theta=0.6)
+    params = ExperimentParams(alpha0=1.5, phi=np.pi / 4, r=0.3)
     rng = np.random.default_rng(21)
     pts_a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     pts_b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    for term in post_selected_terms(params):
+    for term in _selected_at(params, 0.6):
         got = q_term(term, pts_a, pts_b, params)
         want = q_branch(term, pts_a, pts_b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -146,11 +158,10 @@ def test_interference_q_matches_reconstructed_closed_form():
     #   exp(t(conj(a') a0 + conj(a0) a'))
     #   exp(i r e^{i phi}(conj(b') a0 - conj(a0) b'))
     rng = np.random.default_rng(22)
-    params = ExperimentParams(
-        alpha0=1.1 * np.exp(0.5j), phi=0.8, r=0.35, theta=1.3
-    )
+    params = ExperimentParams(alpha0=1.1 * np.exp(0.5j), phi=0.8, r=0.35)
+    theta = 1.3
     term = next(
-        t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
+        t for t in _selected_at(params, theta) if t.phase_tag == ("+", "-")
     )
     a0 = params.alpha0
     t, r, phi = params.t, params.r, params.phi
@@ -159,7 +170,7 @@ def test_interference_q_matches_reconstructed_closed_form():
         ap = complex(*rng.standard_normal(2))
         bp = complex(*rng.standard_normal(2))
         want = (
-            (cn2 * np.exp(-1j * params.theta) / np.pi**2)
+            (cn2 * np.exp(-1j * theta) / np.pi**2)
             * np.exp(-(abs(a0) ** 2 + abs(ap) ** 2 + abs(bp) ** 2))
             * np.exp(t * (np.conjugate(ap) * a0 + np.conjugate(a0) * ap))
             * np.exp(
@@ -345,14 +356,13 @@ def test_factored_edge_ratio_matches_the_2d_profile(kind):
 
 
 def test_integrate_q_full_unit_trace():
+    # the full Q integrates term by term
     for build in (
         [coherent_product_term(0.0)],
         [coherent_product_term(1.0 - 0.5j, 0.3)],
         initial_cat_terms(2.0, np.pi / 3),
     ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CoverageWarning)
-            total = integrate_q_full(build)
+        total = sum(integrate_q_term(t) for t in build)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -395,11 +405,11 @@ def test_visibility_closed_form_edge_cases():
 
 
 def test_visibility_analytic_ignores_alpha0_phase():
-    base = ExperimentParams(alpha0=2.0, phi=0.9, r=0.25)
-    spun = ExperimentParams(alpha0=2.0 * np.exp(1.1j), phi=0.9, r=0.25)
-    assert visibility_analytic(base) == pytest.approx(
-        visibility_analytic(spun), rel=1e-15
+    base = contrast_report(ExperimentParams(alpha0=2.0, phi=0.9, r=0.25))
+    spun = contrast_report(
+        ExperimentParams(alpha0=2.0 * np.exp(1.1j), phi=0.9, r=0.25)
     )
+    assert spun.visibility == pytest.approx(base.visibility, rel=1e-15)
 
 
 def test_interference_integral_magnitude_example():
@@ -409,7 +419,7 @@ def test_interference_integral_magnitude_example():
     term = next(
         t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
     )
-    got = abs(integrate_q_term(term, params=params)) / params.norm_const**2
+    got = abs(integrate_q_term(term)) / params.norm_const**2
     assert got == pytest.approx(0.6976763260710304, abs=2e-4)
 
 
@@ -419,5 +429,5 @@ def test_zero_reflectivity_keeps_full_interference():
     term = next(
         t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
     )
-    got = integrate_q_term(term, params=params)
+    got = integrate_q_term(term)
     assert got == pytest.approx(params.norm_const**2, rel=1e-9)
