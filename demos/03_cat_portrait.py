@@ -31,7 +31,7 @@ def main() -> None:
     after = [beam_split_term(t, bs) for t in before]
 
     for name, terms in (("before", before), ("after", after)):
-        pts, vals = q_marginal(terms, grid, plane="a")
+        (pts, vals), _ = q_marginal(terms, grid)
         hi, lo = lobe_positions(pts, vals)
         mass = float(vals.sum()) * grid.cell
         print(f"{name} the splitter (transmitted mode):")
@@ -48,7 +48,7 @@ def main() -> None:
         print("matplotlib not installed; skipping the heatmap")
         return
 
-    pts, vals = q_marginal(after, grid, plane="a")
+    (pts, vals), _ = q_marginal(after, grid)
     extent = [pts.real.min(), pts.real.max(), pts.imag.min(), pts.imag.max()]
     fig, ax = plt.subplots(figsize=(5, 4))
     im = ax.imshow(vals.T, origin="lower", extent=extent, cmap="magma")

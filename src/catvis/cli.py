@@ -35,7 +35,6 @@ from .experiment import (
 )
 from .heisenberg import contrast_report
 from .phase_space import (
-    _NEGATIVITY_TOL,
     CoverageWarning,
     QGrid,
     _edge_ratio,
@@ -65,7 +64,6 @@ class RunConfig:
     alpha0_phase: float = 0.0
     phi: float = np.pi / 2.0
     r: float = 0.1
-    theta: float = 0.0
     cutoff_a: int | None = None
     cutoff_b: int | None = None
     brute_force: bool = False
@@ -98,9 +96,6 @@ class RunConfig:
             raise ValueError("n-theta must be at least 8")
 
     def to_params(self) -> ExperimentParams:
-        # theta is only echoed; fringe scans every readout phase itself
-        if not (math.isfinite(self.phi) and math.isfinite(self.theta)):
-            raise ValueError("phi and theta must be finite")
         label = self.alpha0 * complex(math.cos(self.alpha0_phase),
                                       math.sin(self.alpha0_phase))
         return ExperimentParams(alpha0=label, phi=self.phi, r=self.r,
@@ -118,8 +113,8 @@ class _Flag(NamedTuple):
     ``"angle"`` (a float that ``--degrees`` converts), ``"floats"`` or
     ``"angles"`` (comma-separated lists, read by :func:`_float_list`).
     ``field`` names the :class:`RunConfig` field where it is not the dest.
-    ``echo`` lists the subcommands whose ``params:`` record the value,
-    where that is not every one in ``commands``.
+    ``echo`` is false for the output flags, which no ``params:`` record
+    shows.
     """
 
     opts: tuple
@@ -129,7 +124,7 @@ class _Flag(NamedTuple):
     field: str = ""
     choices: tuple | None = None
     metavar: str | None = None
-    echo: tuple | None = None
+    echo: bool = True
 
     @property
     def dest(self) -> str:
@@ -160,17 +155,14 @@ _FLAGS = (
           "half-angle between the cat components (default pi/2)"),
     _Flag(("--R",), float, _POINT,
           "beam splitter reflectivity in [0, 1) (default 0.1)", field="r"),
-    _Flag(("--theta",), "angle", _POINT,
-          "readout phase of the final projection (default 0)",
-          echo=("visibility",)),
     _Flag(("--format",), str, _EVERY, "output format (default csv)",
-          choices=("csv", "json"), echo=()),
+          choices=("csv", "json"), echo=False),
     _Flag(("--output",), str, _EVERY, "write to this file instead of stdout",
-          metavar="PATH", echo=()),
+          metavar="PATH", echo=False),
     _Flag(("--degrees",), "switch", _EVERY,
-          "supplied angles are degrees instead of radians", echo=()),
+          "supplied angles are degrees instead of radians", echo=False),
     _Flag(("-v", "--verbose"), "switch", _EVERY,
-          "echo the resolved configuration to stderr", echo=()),
+          "echo the resolved configuration to stderr", echo=False),
     _Flag(("--R-values",), "floats", ("sweep",),
           "comma-separated reflectivities", field="r_values"),
     _Flag(("--alpha0-values",), "floats", ("sweep",),
@@ -191,7 +183,7 @@ _FLAGS = (
           "before or after the splitter (default after-bs)",
           choices=("initial", "after-bs")),
     _Flag(("--extent",), float, ("qfunction",),
-          "grid half-width (default 6, or 3 for full)"),
+          "grid half-width (default 6, or 5 for full)"),
     _Flag(("--spacing",), float, ("qfunction",),
           "grid step (default 0.1, or 0.5 for full)"),
     _Flag(("--n-theta",), int, ("fringe", "sweep"),
@@ -266,7 +258,7 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
     return {
         flag.dest: getattr(cfg, flag.key)
         for flag in _FLAGS
-        if cfg.subcommand in (flag.commands if flag.echo is None else flag.echo)
+        if flag.echo and cfg.subcommand in flag.commands
     } | resolved
 
 
@@ -480,7 +472,7 @@ def _cmd_visibility(cfg: RunConfig) -> None:
 def _cmd_qfunction(cfg: RunConfig) -> None:
     params = cfg.to_params()
     full = cfg.qmode == "full"
-    extent = cfg.extent if cfg.extent is not None else (3.0 if full else 6.0)
+    extent = cfg.extent if cfg.extent is not None else (5.0 if full else 6.0)
     spacing = cfg.spacing if cfg.spacing is not None else (0.5 if full else 0.1)
     grid = QGrid(extent=extent, spacing=spacing)
     n = grid.points_per_axis
@@ -495,10 +487,9 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
         bs = params.beam_splitter
         terms = [beam_split_term(t, bs) for t in terms]
 
-    # marginals come out of the factorized per-term sums either way; they
-    # also carry the coverage check for the full mode
-    pts_a, marg_a = q_marginal(terms, grid, plane="a")
-    pts_b, marg_b = q_marginal(terms, grid, plane="b")
+    # both marginals come out of one pass over the terms; they also carry
+    # the coverage check for the full mode
+    (pts_a, marg_a), (pts_b, marg_b) = q_marginal(terms, grid)
     for label, marg in (("A", marg_a), ("B", marg_b)):
         if _edge_ratio(marg) > _EMIT_EDGE_RATIO:
             warnings.warn(
@@ -517,11 +508,6 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
     else:
         pts, values, name = ((pts_a, marg_a, "alpha") if cfg.qmode == "marginal-a"
                              else (pts_b, marg_b, "beta"))
-        if float(values.min()) < -_NEGATIVITY_TOL:
-            raise ValueError(
-                f"Q reached {float(values.min()):.3e}; term set does not "
-                "describe a state"
-            )
         planes = (pts,)
         normalization = float(values.sum()) * grid.cell
         header = (f"re_{name}", f"im_{name}", "q")

@@ -12,6 +12,7 @@ plus the fringe-scan route that recovers it the way a measurement would,
 by fitting detection rate against the readout phase theta.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
+    ModeState,
     _cat_components,
-    cat_norm_constant,
     coherent_fock,
     coherent_overlap,
     default_cutoff,
@@ -35,11 +36,7 @@ from .operators import (
     bs_fock_apply,
     phase_shift_fock_a,
 )
-from .phase_space import (
-    integrate_q_term,
-    post_selected_terms,
-    visibility_closed_form,
-)
+from .phase_space import integrate_q_term, post_selected_terms
 
 __all__ = [
     "ExperimentParams",
@@ -100,14 +97,6 @@ class ExperimentParams:
     @property
     def beam_splitter(self) -> BeamSplitter:
         return BeamSplitter(self.r)
-
-    @property
-    def t(self) -> float:
-        return self.beam_splitter.t
-
-    @property
-    def norm_const(self) -> float:
-        return cat_norm_constant(self.alpha0, self.phi)
 
     @property
     def component_plus(self) -> complex:
@@ -304,6 +293,22 @@ def _dominant_period(thetas: np.ndarray, rates: np.ndarray) -> float:
 _TAIL_TOL = 1e-12
 
 
+def _require_tail(state: ModeState, alpha: complex) -> None:
+    """Refuse ``state``, mode A's truncated ``|alpha>``, when the mass in
+    the top tenth of its levels reaches ``_TAIL_TOL``."""
+    band = max(1, math.ceil(state.cutoff * 0.1))
+    tail = state.amplitudes[state.cutoff - band:]
+    mass = float(np.vdot(tail, tail).real)
+    if mass >= _TAIL_TOL:
+        # when the default sizing itself fails (very large |alpha|), the
+        # suggestion must still exceed what was tried
+        suggest = max(default_cutoff(alpha), int(1.15 * state.cutoff) + 5)
+        raise ValueError(
+            f"cutoff {state.cutoff} leaves tail mass {mass:.3e} >= {_TAIL_TOL:.1e} "
+            f"for |alpha| = {abs(alpha):.3g}; retry with cutoff >= {suggest}"
+        )
+
+
 def fock_brute_force_visibility(params: ExperimentParams) -> float:
     """Visibility by truncated Fock propagation, no coherent-label shortcuts.
 
@@ -325,7 +330,8 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
         ("+", params.component_plus, -params.phi),
         ("-", params.component_minus, +params.phi),
     ):
-        mode_a = coherent_fock(label, cutoff=na, tail_tol=_TAIL_TOL)
+        mode_a = coherent_fock(label, cutoff=na)
+        _require_tail(mode_a, label)
         two = TwoModeState.from_product(mode_a, vacuum_fock(nb))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a leak is raised just below
@@ -383,11 +389,9 @@ def sweep(
                 row["R"], row["abs_alpha0"], row["phi"] = float(r), float(a0), float(phi)
                 try:
                     params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                    row["nu_analytic"] = visibility_closed_form(
-                        params.r, abs(params.alpha0), params.phi
-                    )
-                    row["nu_oracle"] = abs(environment_overlap_oracle(params))
                     report = contrast_report(params)
+                    row["nu_analytic"] = report.visibility
+                    row["nu_oracle"] = abs(environment_overlap_oracle(params))
                     row["T"] = report.t
                     row["mean_ratio"] = report.mean_ratio
                     row["var_out"] = report.var_out

@@ -95,12 +95,6 @@ class ModeState:
             raise ValueError("states must share a cutoff")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def top_band_mass(self, fraction: float = 0.1) -> float:
-        """Amplitude mass sitting in the top ``fraction`` of the index range."""
-        band = max(1, math.ceil(self.cutoff * fraction))
-        tail = self.amplitudes[self.cutoff - band :]
-        return float(np.vdot(tail, tail).real)
-
 
 def vacuum_fock(cutoff: int) -> ModeState:
     """The vacuum state |0> on ``cutoff`` levels."""
@@ -111,34 +105,13 @@ def vacuum_fock(cutoff: int) -> ModeState:
     return ModeState(amps)
 
 
-def _require_tail(state: ModeState, tol: float, alpha: CoherentLabel) -> None:
-    mass = state.top_band_mass()
-    if mass >= tol:
-        # when the default sizing itself fails (very large |alpha|), the
-        # suggestion must still exceed what was tried
-        suggest = max(default_cutoff(alpha), int(1.15 * state.cutoff) + 5)
-        raise ValueError(
-            f"cutoff {state.cutoff} leaves tail mass {mass:.3e} >= {tol:.1e} "
-            f"for |alpha| = {abs(alpha):.3g}; retry with cutoff >= {suggest}"
-        )
+def coherent_fock(alpha: CoherentLabel, cutoff: int | None = None) -> ModeState:
+    """Truncated coherent state ``exp(-|alpha|^2/2) sum alpha^n/sqrt(n!) |n>``
+    on ``cutoff`` levels (default ``default_cutoff(alpha)``).
 
-
-def coherent_fock(
-    alpha: CoherentLabel,
-    cutoff: int | None = None,
-    tail_tol: float | None = None,
-) -> ModeState:
-    """Truncated coherent state ``exp(-|alpha|^2/2) sum alpha^n/sqrt(n!) |n>``.
-
-    Parameters
-    ----------
-    alpha:
-        Complex coherent label.
-    cutoff:
-        Number of Fock levels.  Defaults to ``default_cutoff(alpha)``.
-    tail_tol:
-        When given, reject the cutoff if the squared amplitude mass in the
-        top 10% of the index range reaches this value.
+    Nothing here judges the cutoff: the norm deficit is exactly the
+    discarded tail mass, and the brute-force route applies its own tail
+    guard to the states it builds.
     """
     if cutoff is None:
         cutoff = default_cutoff(alpha)
@@ -149,10 +122,7 @@ def coherent_fock(
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    state = ModeState(amps)
-    if tail_tol is not None:
-        _require_tail(state, tail_tol, alpha)
-    return state
+    return ModeState(amps)
 
 
 def coherent_overlap(alpha, beta):
@@ -190,10 +160,7 @@ def cat_norm_constant(alpha0: CoherentLabel, phi: float) -> float:
 
 
 def cat_fock(
-    alpha0: CoherentLabel,
-    phi: float,
-    cutoff: int | None = None,
-    tail_tol: float | None = None,
+    alpha0: CoherentLabel, phi: float, cutoff: int | None = None
 ) -> ModeState:
     """Truncated cat ``c (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``.
 
@@ -205,7 +172,7 @@ def cat_fock(
     if cutoff is None:
         cutoff = default_cutoff(alpha0)
     plus, minus = (
-        coherent_fock(label, cutoff, tail_tol)
+        coherent_fock(label, cutoff)
         for label in _cat_components(alpha0, phi)
     )
     norm_const = cat_norm_constant(alpha0, phi)

@@ -24,7 +24,7 @@ splitter warns above it and the brute-force route refuses above it.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,26 +42,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Lossless two-mode coupler with real ``(r, t)``, ``r^2 + t^2 = 1``.
+    """Lossless two-mode coupler with real reflectivity ``r`` in [0, 1).
 
-    ``t`` is filled in as ``sqrt(1 - r^2)`` when omitted.  ``r`` lives in
-    [0, 1) so that ``t > 0`` and the factored form above stays well defined.
+    The transmissivity ``t = sqrt(1 - r^2)`` is derived, never passed, so
+    ``r^2 + t^2 = 1`` and ``t > 0`` keep the factored form above well
+    defined.
     """
 
     r: float
-    t: float | None = None
+    t: float = field(init=False)
 
     def __post_init__(self) -> None:
         r = float(self.r)
-        t = math.sqrt(max(0.0, 1.0 - r * r)) if self.t is None else float(self.t)
         if not 0.0 <= r < 1.0:
             raise ValueError("reflectivity must lie in [0, 1)")
-        if not 0.0 < t <= 1.0:
-            raise ValueError("transmissivity must lie in (0, 1]")
-        if abs(r * r + t * t - 1.0) > 1e-12:
-            raise ValueError("r^2 + t^2 must equal 1 within 1e-12")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", math.sqrt(1.0 - r * r))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -135,13 +135,10 @@ class QGrid:
         return center + offs[:, None] + 1j * offs[None, :]
 
     @classmethod
-    def for_term(
-        cls, term: BranchTerm, extent: float = 6.0, spacing: float = 0.1
-    ) -> "QGrid":
-        """Grid centered between each plane's ket and bra labels."""
+    def for_term(cls, term: BranchTerm) -> "QGrid":
+        """Default-sized grid centered between each plane's ket and bra
+        labels."""
         return cls(
-            extent=extent,
-            spacing=spacing,
             center_a=0.5 * (term.ket_a + term.bra_a),
             center_b=0.5 * (term.ket_b + term.bra_b),
         )
@@ -281,6 +278,23 @@ def _require_hermitian_set(terms: Sequence[BranchTerm]) -> None:
 _NEGATIVITY_TOL = 1e-12
 
 
+def _state_values(total, what: str):
+    """Real part of a summed Q (or marginal) ``total``; raises if the
+    imaginary residue is out of line with rounding, or if a value dips below
+    ``-1e-12``."""
+    total = np.asarray(total)
+    scale = float(np.max(np.abs(total))) if total.size else 0.0
+    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-10 * max(scale, 1e-30):
+        raise ValueError(f"{what} came out complex; term set is inconsistent")
+    values = total.real
+    if values.size and float(np.min(values)) < -_NEGATIVITY_TOL:
+        raise ValueError(
+            f"{what} reached {float(np.min(values)):.3e} < -{_NEGATIVITY_TOL:.1e}; "
+            "term set does not describe a state"
+        )
+    return values
+
+
 def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     """Total Q of a Hermitian term set at one or many phase-space points.
 
@@ -289,17 +303,7 @@ def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     ``-1e-12``.
     """
     _require_hermitian_set(terms)
-    total = sum(q_branch(t, alpha_p, beta_p) for t in terms)
-    total = np.asarray(total)
-    scale = float(np.max(np.abs(total))) if total.size else 0.0
-    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-10 * max(scale, 1e-30):
-        raise ValueError("Q came out complex; term set is inconsistent")
-    values = total.real
-    if values.size and float(np.min(values)) < -_NEGATIVITY_TOL:
-        raise ValueError(
-            f"Q reached {float(np.min(values)):.3e} < -{_NEGATIVITY_TOL:.1e}; "
-            "term set does not describe a state"
-        )
+    values = _state_values(sum(q_branch(t, alpha_p, beta_p) for t in terms), "Q")
     if values.ndim == 0:
         return float(values)
     return values
@@ -414,44 +418,29 @@ def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
     )
 
 
-def _default_common_grid(terms: Iterable[BranchTerm]) -> QGrid:
-    terms = list(terms)
-    ca = np.mean([0.5 * (t.ket_a + t.bra_a) for t in terms])
-    cb = np.mean([0.5 * (t.ket_b + t.bra_b) for t in terms])
-    return QGrid(center_a=complex(ca), center_b=complex(cb))
-
-
 def q_marginal(
-    terms: Sequence[BranchTerm],
-    grid: QGrid | None = None,
-    plane: str = "a",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal Q of one mode, the other plane integrated out term by term.
+    terms: Sequence[BranchTerm], grid: QGrid
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Marginal Q of each mode, the other plane integrated out term by term.
 
-    Returns ``(points, values)``: the kept plane's complex samples and the
-    real marginal on them.  Integrates to 1 (times the trace) with weight
-    ``spacing^2``.
+    Returns ``((points_a, values_a), (points_b, values_b))``: each plane's
+    complex samples and the real marginal on them, from one pass over the
+    terms.  Each integrates to 1 (times the trace) with weight
+    ``spacing^2``.  Raises as :func:`q_full` does on a set that is not
+    Hermitian, or on a marginal that comes out complex or negative.
     """
-    if plane not in ("a", "b"):
-        raise ValueError("plane must be 'a' or 'b'")
     _require_hermitian_set(terms)
-    if grid is None:
-        grid = _default_common_grid(terms)
     za = grid.plane("a")
     zb = grid.plane("b")
-    total = np.zeros(za.shape if plane == "a" else zb.shape, dtype=complex)
+    total_a = np.zeros(za.shape, dtype=complex)
+    total_b = np.zeros(zb.shape, dtype=complex)
     for t in terms:
         ga = _plane_profile(za, t.ket_a, t.bra_a)
         gb = _plane_profile(zb, t.ket_b, t.bra_b)
-        if plane == "a":
-            total += (t.weight / np.pi**2) * ga * (gb.sum() * grid.cell)
-        else:
-            total += (t.weight / np.pi**2) * gb * (ga.sum() * grid.cell)
-    scale = float(np.max(np.abs(total)))
-    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-10 * scale:
-        raise ValueError("marginal came out complex; term set is inconsistent")
-    points = za if plane == "a" else zb
-    return points, total.real
+        total_a += (t.weight / np.pi**2) * ga * (gb.sum() * grid.cell)
+        total_b += (t.weight / np.pi**2) * gb * (ga.sum() * grid.cell)
+    return ((za, _state_values(total_a, "marginal")),
+            (zb, _state_values(total_b, "marginal")))
 
 
 def visibility_closed_form(r, abs_alpha0, phi):

@@ -21,6 +21,7 @@ from catvis import (
     TwoModeState,
     bs_fock_apply,
     bs_label_pair_map,
+    cat_norm_constant,
     coherent_fock,
     coherent_overlap,
     coherent_product_term,
@@ -92,7 +93,7 @@ def test_acceptance_2_interference_integral_route():
                             if t.phase_tag == ("+", "-")
                         )
                         got = abs(integrate_q_term(cross))
-                        got /= params.norm_const**2
+                        got /= cat_norm_constant(params.alpha0, params.phi) ** 2
                         want = visibility_closed_form(r, a0, phi)
                         assert abs(got - want) <= 2e-4, (r, a0, phi)
 
@@ -113,7 +114,7 @@ def test_acceptance_3_fringe_route():
 def test_acceptance_4_weak_tap_contrast_headline():
     with criterion(4, "weak tap on a large cat"):
         params = ExperimentParams(alpha0=20.0, phi=np.pi / 2, r=0.1)
-        t = params.t
+        t = params.beam_splitter.t
         assert round(t, 6) == 0.994987
         assert 0.0049 < 1.0 - t < 0.0051  # the half-percent moment change
         nu_closed = visibility_closed_form(params.r, abs(params.alpha0), params.phi)

@@ -147,6 +147,20 @@ class TestQFunction:
             peak = half[np.argmax(half[:, 2])]
             assert math.hypot(peak[0], peak[1] - sign * lobe) <= 0.1 * math.sqrt(2.0)
 
+    @pytest.mark.parametrize("stage", ["initial", "after-bs"])
+    def test_full_grid_default_covers_the_default_cat(self, stage, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["qfunction", "--qmode", "full", "--stage", stage], capsys
+            )
+        assert (code, err) == (0, "")
+        comments, _, rows = parse_csv(out)
+        assert len(rows) == 20**4
+        assert "extent=5" in comments[2]
+        norm_line = next(c for c in comments if c.startswith("# normalization:"))
+        assert abs(float(norm_line.split(":")[1]) - 1.0) <= 1e-4
+
     def test_row_cap_guards_full_grids(self, capsys):
         code, out, err = run_cli(
             ["qfunction", "--qmode", "full", "--spacing", "0.1"], capsys
@@ -324,8 +338,6 @@ FLAGS = {
             "CATVIS_PHI"),
     "R": ("--R", "r", "0.25", "0.25", "0.15", "0.15", "0.25", "half",
           "CATVIS_R"),
-    "theta": ("--theta", "theta", "1.3", "1.3", "0.2", "0.2", "1.3", "t",
-              "CATVIS_THETA"),
     "format": ("--format", "format", "json", "json", "csv", "csv", "json",
                "xml", "CATVIS_FORMAT"),
     "output": ("--output", "output", "{tmp}/env.out", "{tmp}/env.out",
@@ -361,7 +373,7 @@ FLAGS = {
                 "CATVIS_N_THETA"),
 }
 COMMON = ["format", "output", "degrees", "verbose"]
-POINT = ["alpha0", "alpha0_phase", "phi", "R", "theta"]
+POINT = ["alpha0", "alpha0_phase", "phi", "R"]
 SUBCOMMAND_FLAGS = {
     "visibility": POINT + COMMON + ["brute_force", "cutoff_a", "cutoff_b"],
     "qfunction": POINT + COMMON + ["qmode", "stage", "extent", "spacing"],
@@ -372,9 +384,11 @@ SUBCOMMAND_FLAGS = {
 # keeps sweep to one row unless the list under test is the variable
 SWEEP_BASE = {"R_values": "0.1", "alpha0_values": "1", "phi_values": "0.8"}
 PAIRS = [(sub, dest) for sub, dests in SUBCOMMAND_FLAGS.items() for dest in dests]
+# a variable no subcommand reads: its flag, --theta, changed no number
+RETIRED = {"theta": "abc"}
 FOREIGN = [
     (sub, dest) for sub, dests in SUBCOMMAND_FLAGS.items()
-    for dest in FLAGS if dest not in dests
+    for dest in [*FLAGS, *RETIRED] if dest not in dests
 ]
 
 
@@ -435,14 +449,15 @@ class TestFlagVariables:
     def test_variable_of_another_subcommand_is_ignored(self, sub, dest, capsys,
                                                        monkeypatch):
         unset = run_cli(_argv(sub, dest), capsys)
-        monkeypatch.setenv(f"CATVIS_{dest.upper()}", FLAGS[dest][7])
+        bad = RETIRED[dest] if dest in RETIRED else FLAGS[dest][7]
+        monkeypatch.setenv(f"CATVIS_{dest.upper()}", bad)
         assert run_cli(_argv(sub, dest), capsys) == unset
         assert unset[0] == 0
 
     @pytest.mark.parametrize("sub,echoed", [
         ("visibility", "R=0.1 alpha0=1 alpha0_phase=0 brute_force=false "
-         "cutoff_a=auto cutoff_b=auto phi=1.57079632679 theta=0"),
-        # theta is taken but not echoed; extent and spacing as resolved
+         "cutoff_a=auto cutoff_b=auto phi=1.57079632679"),
+        # extent and spacing as resolved
         ("qfunction", "R=0.1 alpha0=1 alpha0_phase=0 extent=6 phi=1.57079632679 "
          "qmode=marginal-a spacing=0.1 stage=after-bs"),
         ("fringe", "R=0.1 alpha0=1 alpha0_phase=0 n_theta=16 phi=1.57079632679"),
@@ -504,10 +519,20 @@ class TestFailureModes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
-    def test_non_finite_theta_is_a_reported_error(self, sub, capsys):
-        code, out, err = run_cli([sub, "--theta", "nan"], capsys)
+    def test_non_finite_phi_is_a_reported_error(self, sub, capsys):
+        code, out, err = run_cli([sub, "--phi", "nan"], capsys)
         assert (code, out) == (1, "")
-        assert err == "catvis: error: phi and theta must be finite\n"
+        assert err == "catvis: error: phi must be finite\n"
+
+    @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
+    def test_theta_is_a_usage_error(self, sub, capsys):
+        # no route reads a readout phase; fringe scans it itself
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--theta", "0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --theta 0" in err
 
     @pytest.mark.parametrize("flag,bad", [
         ("--R-values", "abc"), ("--alpha0-values", ","), ("--phi-values", "1,x"),

@@ -40,8 +40,7 @@ TWO_PI = 2.0 * math.pi
 class TestExperimentParams:
     def test_derived_quantities(self):
         params = ExperimentParams(alpha0=2.0, phi=0.7, r=0.6)
-        assert params.t == pytest.approx(0.8)
-        assert params.norm_const == pytest.approx(cat_norm_constant(2.0, 0.7))
+        assert params.beam_splitter.t == pytest.approx(0.8)
         assert params.component_plus == pytest.approx(2.0 * np.exp(0.7j))
         assert params.component_minus == pytest.approx(2.0 * np.exp(-0.7j))
 
@@ -233,7 +232,7 @@ class TestFringePhysics:
         with pytest.warns(OverlapWarning):
             scan = fringe_scan(params, n_theta=32)
         fit = fit_fringe(scan)
-        cn2 = params.norm_const**2
+        cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
         nu = visibility_closed_form(params.r, abs(params.alpha0), params.phi)
         delta = 0.09 * 2.25 * math.sin(np.pi / 2)
         assert fit.offset == pytest.approx(0.5 * cn2, rel=1e-9)

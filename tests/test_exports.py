@@ -1,10 +1,15 @@
-"""The package namespace is exactly the concatenation of its modules' lists."""
+"""The package namespace is exactly the concatenation of its modules' lists,
+and its option surface is pinned: a new defaulted parameter or CLI flag
+shows up as a one-line diff here."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import catvis
+from catvis.cli import _FLAGS
 
 MODULES = ("fock", "operators", "phase_space", "heisenberg", "experiment")
 
@@ -28,3 +33,64 @@ def test_package_list_resolves_once_and_is_public():
     for name in names:
         assert not name.startswith("_")
         assert hasattr(catvis, name)
+
+
+def _defaulted(name, obj):
+    """``(name, parameter)`` for each defaulted parameter of a public
+    function, of a dataclass's fields and of a class's public methods."""
+    if not inspect.isclass(obj):
+        return {
+            (name, p.name)
+            for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty
+        }
+    pairs = set()
+    if dataclasses.is_dataclass(obj):
+        pairs |= {
+            (name, f.name) for f in dataclasses.fields(obj)
+            if f.init and (f.default is not dataclasses.MISSING
+                           or f.default_factory is not dataclasses.MISSING)
+        }
+    for attr, value in vars(obj).items():
+        value = getattr(value, "__func__", value)  # class and static methods
+        if not attr.startswith("_") and inspect.isfunction(value):
+            pairs |= _defaulted(f"{name}.{attr}", value)
+    return pairs
+
+
+def test_defaulted_parameters_are_pinned():
+    found = set()
+    for name in catvis.__all__:
+        obj = getattr(catvis, name)
+        if callable(obj):
+            found |= _defaulted(name, obj)
+    assert found == {
+        ("BranchTerm", "phase_tag"),
+        ("ExperimentParams", "cutoff_a"),
+        ("ExperimentParams", "cutoff_b"),
+        ("QGrid", "center_a"),
+        ("QGrid", "center_b"),
+        ("QGrid", "extent"),
+        ("QGrid", "spacing"),
+        ("cat_fock", "cutoff"),
+        ("coherent_fock", "cutoff"),
+        ("coherent_product_term", "beta"),
+        ("coherent_product_term", "phase_tag"),
+        ("coherent_product_term", "weight"),
+        ("fringe_scan", "n_theta"),
+        ("integrate_q_term", "grid"),
+        ("sweep", "include_brute"),
+        ("sweep", "include_fringe"),
+        ("sweep", "n_theta"),
+    }
+
+
+def test_cli_flags_are_pinned():
+    assert [flag.opts for flag in _FLAGS] == [
+        ("--alpha0",), ("--alpha0-phase",), ("--phi",), ("--R",),
+        ("--format",), ("--output",), ("--degrees",), ("-v", "--verbose"),
+        ("--R-values",), ("--alpha0-values",), ("--phi-values",),
+        ("--brute-force",), ("--fringe",), ("--cutoff-a",), ("--cutoff-b",),
+        ("--qmode",), ("--stage",), ("--extent",), ("--spacing",),
+        ("--n-theta",),
+    ]

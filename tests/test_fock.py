@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from catvis import (
+    ExperimentParams,
     ModeState,
     cat_fock,
     cat_norm_constant,
     coherent_fock,
     coherent_overlap,
     default_cutoff,
+    fock_brute_force_visibility,
     vacuum_fock,
 )
+from catvis.experiment import _require_tail
 from catvis.fock import _cat_components
 from helpers import coherent_amplitudes_direct, poisson_mass
 
@@ -112,14 +115,22 @@ def test_inner_requires_common_cutoff():
         vacuum_fock(4).inner(vacuum_fock(5))
 
 
+# The tail guard lives in catvis.experiment beside its threshold; the
+# brute force applies it to each truncated coherent state it builds.
+
+
 def test_tail_guard_raises_on_small_cutoff():
-    with pytest.raises(ValueError, match="cutoff"):
-        coherent_fock(3.0, cutoff=12, tail_tol=1e-12)
+    with pytest.raises(ValueError) as exc:
+        _require_tail(coherent_fock(3.0, cutoff=12), 3.0)
+    assert str(exc.value) == (
+        "cutoff 12 leaves tail mass 2.156e-01 >= 1.0e-12 for |alpha| = 3; "
+        "retry with cutoff >= 43"
+    )
 
 
 def test_tail_guard_passes_at_default_cutoff():
-    coherent_fock(3.0, tail_tol=1e-12)
-    coherent_fock(2.0, tail_tol=1e-12)
+    _require_tail(coherent_fock(3.0), 3.0)
+    _require_tail(coherent_fock(2.0), 2.0)
 
 
 def test_state_validation():
@@ -140,12 +151,18 @@ def test_amplitudes_are_read_only():
 
 
 def test_top_band_mass_hand_value():
+    # on ten levels the top tenth is level 9 alone, holding 0.6^2
     amps = np.zeros(10)
     amps[0] = 0.8
     amps[9] = 0.6
-    state = ModeState(amps)
-    assert state.top_band_mass() == pytest.approx(0.36)
-    assert state.top_band_mass(fraction=1.0) == pytest.approx(1.0)
+    with pytest.raises(ValueError) as exc:
+        _require_tail(ModeState(amps), 0.0)
+    assert str(exc.value) == (
+        "cutoff 10 leaves tail mass 3.600e-01 >= 1.0e-12 for |alpha| = 0; "
+        "retry with cutoff >= 16"
+    )
+    amps[8], amps[9] = 0.6, 0.0
+    _require_tail(ModeState(amps), 0.0)  # level 8 lies below the band
 
 
 def test_cat_norm_constant_orthogonal_components():
@@ -190,5 +207,7 @@ def test_cat_spec_components():
 
 
 def test_cat_tail_guard():
-    with pytest.raises(ValueError):
-        cat_fock(3.0, np.pi / 4, cutoff=12, tail_tol=1e-12)
+    # the brute force guards each component of the cat it propagates
+    params = ExperimentParams(alpha0=3.0, phi=np.pi / 4, r=0.3, cutoff_a=12)
+    with pytest.raises(ValueError, match=r"^cutoff 12 leaves tail mass 2\.156e-01"):
+        fock_brute_force_visibility(params)

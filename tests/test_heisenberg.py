@@ -43,7 +43,7 @@ class TestOutputStats:
 
     def test_hand_computed_example(self):
         stats = QuadratureStats(0.5, 0.4)
-        out = output_quadrature_stats(stats, BeamSplitter(0.6, 0.8))
+        out = output_quadrature_stats(stats, BeamSplitter(0.6))
         assert out.mean_x == pytest.approx(0.4)
         assert out.var_x == pytest.approx(0.346)
 

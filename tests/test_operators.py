@@ -37,7 +37,8 @@ class TestBeamSplitter:
         assert BeamSplitter(0.0).t == 1.0
 
     def test_explicit_pair(self):
-        bs = BeamSplitter(0.6, 0.8)
+        # the transmissivity is derived, and exact on a Pythagorean pair
+        bs = BeamSplitter(0.6)
         assert (bs.r, bs.t) == (0.6, 0.8)
 
     @pytest.mark.parametrize("r", [1.0, -0.1, 1.5])
@@ -46,8 +47,11 @@ class TestBeamSplitter:
             BeamSplitter(r)
 
     def test_inconsistent_pair(self):
-        with pytest.raises(ValueError):
+        # no transmissivity can be passed, so no pair can break r^2 + t^2 = 1
+        with pytest.raises(TypeError):
             BeamSplitter(0.6, 0.9)
+        with pytest.raises(TypeError):
+            BeamSplitter(0.6, t=0.8)
 
 
 class TestTwoModeState:
@@ -76,7 +80,7 @@ class TestTwoModeState:
 
 
 def test_coherent_label_map():
-    bs = BeamSplitter(0.6, 0.8)
+    bs = BeamSplitter(0.6)
     out_a, out_b = bs_label_pair_map(bs, 2.0, 0)
     assert out_a == pytest.approx(1.6)
     assert out_b == pytest.approx(1.2j)
@@ -118,7 +122,7 @@ def test_fock_apply_identity_at_zero_reflectivity():
 
 
 def test_single_photon_splits():
-    bs = BeamSplitter(0.6, 0.8)
+    bs = BeamSplitter(0.6)
     amps = np.zeros((3, 3))
     amps[1, 0] = 1.0
     out = bs_fock_apply(bs, TwoModeState(amps)).amplitudes

@@ -102,7 +102,7 @@ def test_initial_cat_terms_structure():
 
 
 def test_beam_split_term_moves_labels():
-    bs = BeamSplitter(0.6, 0.8)
+    bs = BeamSplitter(0.6)
     term = coherent_product_term(2.0, 0.5j)
     out = beam_split_term(term, bs)
     assert out.ket_a == pytest.approx(0.8 * 2.0 + 0.6j * 0.5j)
@@ -164,8 +164,8 @@ def test_interference_q_matches_reconstructed_closed_form():
         t for t in _selected_at(params, theta) if t.phase_tag == ("+", "-")
     )
     a0 = params.alpha0
-    t, r, phi = params.t, params.r, params.phi
-    cn2 = params.norm_const**2
+    t, r, phi = params.beam_splitter.t, params.r, params.phi
+    cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
     for _ in range(12):
         ap = complex(*rng.standard_normal(2))
         bp = complex(*rng.standard_normal(2))
@@ -369,18 +369,29 @@ def test_integrate_q_full_unit_trace():
 def test_q_marginal_normalization_and_positivity():
     terms = initial_cat_terms(1.5, np.pi / 2)
     grid = QGrid()
-    for plane in ("a", "b"):
-        pts, vals = q_marginal(terms, grid, plane=plane)
+    for pts, vals in q_marginal(terms, grid):
         assert pts.shape == vals.shape
         assert float(vals.min()) >= -1e-12
         assert float(vals.sum()) * grid.cell == pytest.approx(1.0, abs=1e-6)
+
+
+def test_q_marginal_planes_are_q_full_summed_over_the_other_plane():
+    bs = BeamSplitter(0.5)
+    terms = [beam_split_term(t, bs) for t in initial_cat_terms(1.5, 0.7)]
+    grid = QGrid(extent=4.0, spacing=0.25)
+    (pts_a, marg_a), (pts_b, marg_b) = q_marginal(terms, grid)
+    full = q_full(terms, pts_a[:, :, None, None], pts_b[None, None])
+    for marg, axes in ((marg_a, (2, 3)), (marg_b, (0, 1))):
+        want = full.sum(axis=axes) * grid.cell
+        np.testing.assert_allclose(marg, want, rtol=1e-12,
+                                   atol=1e-12 * float(want.max()))
 
 
 def test_q_marginal_lobes_sit_at_component_labels():
     alpha0, phi = 2.0, np.pi / 2
     terms = initial_cat_terms(alpha0, phi)
     grid = QGrid()
-    pts, vals = q_marginal(terms, grid, plane="a")
+    (pts, vals), _ = q_marginal(terms, grid)
     upper = vals * (pts.imag > 0)
     lower = vals * (pts.imag < 0)
     for half, center in ((upper, 2.0j), (lower, -2.0j)):
@@ -419,7 +430,8 @@ def test_interference_integral_magnitude_example():
     term = next(
         t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
     )
-    got = abs(integrate_q_term(term)) / params.norm_const**2
+    cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
+    got = abs(integrate_q_term(term)) / cn2
     assert got == pytest.approx(0.6976763260710304, abs=2e-4)
 
 
@@ -430,4 +442,5 @@ def test_zero_reflectivity_keeps_full_interference():
         t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
     )
     got = integrate_q_term(term)
-    assert got == pytest.approx(params.norm_const**2, rel=1e-9)
+    cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
+    assert got == pytest.approx(cn2, rel=1e-9)
