@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .experiment import (
     ExperimentParams,
-    TruncationError,
     environment_overlap_oracle,
     fit_fringe,
     fock_brute_force_visibility,
@@ -34,6 +33,7 @@ from .experiment import (
     _SWEEP_KEYS,
 )
 from .heisenberg import contrast_report
+from .operators import TruncationError
 from .phase_space import (
     CoverageWarning,
     QGrid,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TruncationWarning",
     "ModeState",
     "default_cutoff",
     "vacuum_fock",
@@ -35,10 +34,6 @@ __all__ = [
 CoherentLabel = complex
 
 _NORM_SLACK = 1e-12
-
-
-class TruncationWarning(UserWarning):
-    """Photon-number truncation is discarding more amplitude than tolerated."""
 
 
 def default_cutoff(alpha: CoherentLabel) -> int:

@@ -5,32 +5,27 @@ Conventions
 The beam splitter has real reflectivity ``r`` and transmissivity ``t`` with
 ``r^2 + t^2 = 1``.  Reflection carries the factor i, so a coherent input
 ``|alpha>_A`` with vacuum in B leaves as ``|t alpha>_A (x) |i r alpha>_B``.
-On the number basis the unitary takes one of two paths.  With vacuum in
-mode B it is the closed binomial map over photon-number sectors
+On the number basis the splitter acts on vacuum-port input only, the one
+input the pipeline sends, by the closed binomial map over photon-number
+sectors
 
     U |n, 0> = sum_k sqrt(C(n, k)) t^(n-k) (i r)^k |n-k, k>,
 
-exact to rounding; amplitude that would land at ``k >= cutoff_b`` is
-dropped.  A general two-mode input goes through the factored form
-
-    exp(i (r/t) a b+) . t^(n_a - n_b) . exp(i (r/t) a+ b)
-
-read right to left.  Both exchange generators conserve total photon number,
-so each power series terminates on the truncated array; amplitude pushed
-past a cutoff is dropped.  On either path the loss surfaces as a norm
-change, and one leakage threshold, 1e-10 of squared norm, judges it: the
-splitter warns above it and the brute-force route refuses above it.
+exact to rounding.  Amplitude that would land at ``k >= cutoff_b`` is
+dropped and surfaces as a norm loss; one leakage threshold, 1e-10 of
+squared norm, judges it, and the splitter refuses above it with
+:class:`TruncationError`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import CoherentLabel, ModeState, TruncationWarning, _NORM_SLACK
+from .fock import CoherentLabel, ModeState, _NORM_SLACK
 
 __all__ = [
+    "TruncationError",
     "BeamSplitter",
     "TwoModeState",
     "bs_label_pair_map",
@@ -45,8 +40,7 @@ class BeamSplitter:
     """Lossless two-mode coupler with real reflectivity ``r`` in [0, 1).
 
     The transmissivity ``t = sqrt(1 - r^2)`` is derived, never passed, so
-    ``r^2 + t^2 = 1`` and ``t > 0`` keep the factored form above well
-    defined.
+    ``r^2 + t^2 = 1`` holds by construction.
     """
 
     r: float
@@ -122,41 +116,11 @@ def bs_label_pair_map(
     return (bs.t * alpha + 1j * bs.r * beta, 1j * bs.r * alpha + bs.t * beta)
 
 
-def _exchange_series(amps: np.ndarray, coupling: complex, raise_a: bool) -> np.ndarray:
-    """Apply ``exp(coupling * a+ b)`` (raise_a) or ``exp(coupling * a b+)``.
-
-    Straight power series; each application moves one photon between the
-    modes, so the series is finite on the truncated array.  Amplitude that
-    would land past either cutoff is dropped silently here; the caller audits
-    the composite norm.
-    """
-    na, nb = amps.shape
-    sa = np.sqrt(np.arange(na))
-    sb = np.sqrt(np.arange(nb))
-    total = amps.astype(complex, copy=True)
-    term = total.copy()
-    for j in range(1, na + nb + 1):
-        nxt = np.zeros_like(term)
-        if raise_a:
-            # (a+ b psi)[m, k] = sqrt(m) sqrt(k+1) psi[m-1, k+1]
-            nxt[1:, : nb - 1] = term[: na - 1, 1:] * sa[1:, None] * sb[None, 1:]
-        else:
-            # (a b+ psi)[m, k] = sqrt(m+1) sqrt(k) psi[m+1, k-1]
-            nxt[: na - 1, 1:] = term[1:, : nb - 1] * sa[1:, None] * sb[None, 1:]
-        term = nxt * (coupling / j)
-        tnorm = float(np.vdot(term, term).real)
-        if tnorm == 0.0:
-            break
-        total += term
-        # relative to the running total, whose norm can be far below 1
-        # after the diagonal factor t^(n_a - n_b)
-        if tnorm < 1e-34 * float(np.vdot(total, total).real):
-            break
-    return total
+class TruncationError(RuntimeError):
+    """A truncated Fock computation lost more probability than allowed."""
 
 
-# squared norm the splitter may lose past the cutoffs; the brute force
-# refuses at the same threshold
+# squared norm the splitter may lose past cutoff_b before it refuses
 _LEAK_TOL = 1e-10
 
 
@@ -195,44 +159,29 @@ def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray) -> int:
 
 
 def bs_fock_apply(bs: BeamSplitter, state: TwoModeState) -> TwoModeState:
-    """Run a two-mode Fock state through the beam splitter's unitary.
+    """Run ``psi (x) |0>`` through the beam splitter's unitary.
 
-    With vacuum in mode B (``amplitudes[:, 1:]`` all zero) it takes the
-    binomial sector map: column ``k`` of the output is the input shifted down
-    by ``k`` rows times ``sqrt(C(n, k)) t^(n-k) (i r)^k``.  Mode A never gains
-    photons there, so only ``cutoff_b`` can leak.  Any other input goes
-    through the factored exchange series, exact (to rounding) on every
-    fixed-total-photon sector that fits inside both cutoffs.
-
-    Amplitude pushed past a cutoff is dropped: a norm change beyond the
-    leakage threshold 1e-10 emits :class:`TruncationWarning`, and a norm
-    blown past 1 raises, since the series path's diagonal factor can amplify stranded
-    high-occupancy amplitudes.
+    Mode B must be vacuum (``amplitudes[:, 1:]`` all zero), else
+    ``ValueError``.  Column ``k`` of the output is the input shifted down by
+    ``k`` rows times ``sqrt(C(n, k)) t^(n-k) (i r)^k``.  Mode A never gains
+    photons, so only ``cutoff_b`` can leak: a squared-norm loss above the
+    leakage threshold 1e-10 raises :class:`TruncationError`, naming the
+    smallest ``cutoff_b`` whose binomial tail meets the threshold.
     """
     amps = state.amplitudes
     na, nb = amps.shape
-    if not amps[:, 1:].any():
-        i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
-        out = _sector_magnitudes(bs, na, nb) * i_to_k
-        out *= _sector_window(amps[:, 0], nb)
-    else:
-        coupling = 1j * bs.r / bs.t
-        out = _exchange_series(amps, coupling, raise_a=True)
-        out *= bs.t ** (np.arange(na)[:, None] - np.arange(nb)[None, :])
-        out = _exchange_series(out, coupling, raise_a=False)
-    in2 = state.squared_norm
-    out2 = float(np.vdot(out, out).real)
-    if out2 > 1.0 + _NORM_SLACK:
-        raise ValueError(
-            f"truncation during beam-splitter application inflated the squared "
-            f"norm to {out2:.6g}; raise the cutoffs (see default_cutoff)"
-        )
-    if abs(out2 - in2) > _LEAK_TOL:
-        warnings.warn(
-            f"beam splitter leaked {abs(out2 - in2):.3e} of squared norm past "
-            f"the cutoffs ({na}, {nb})",
-            TruncationWarning,
-            stacklevel=2,
+    if amps[:, 1:].any():
+        raise ValueError("bs_fock_apply takes vacuum in mode B: "
+                         "amplitudes[:, 1:] must be zero")
+    i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
+    out = _sector_magnitudes(bs, na, nb) * i_to_k
+    out *= _sector_window(amps[:, 0], nb)
+    leak = abs(float(np.vdot(out, out).real) - state.squared_norm)
+    if leak > _LEAK_TOL:
+        raise TruncationError(
+            f"splitter propagation leaked {leak:.3e} probability at "
+            f"cutoffs ({na}, {nb}); retry with cutoff_b >= "
+            f"{_sector_cutoff_b(bs, amps[:, 0])}"
         )
     return TwoModeState(out)
 

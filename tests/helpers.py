@@ -155,9 +155,9 @@ def _exchange_series(amps, coupling, raise_a):
 def bs_fock_apply_series(bs, state) -> np.ndarray:
     """The splitter as the factored exponential
     ``exp(i (r/t) a b+) . t^(n_a - n_b) . exp(i (r/t) a+ b)``, two exchange
-    power series and a diagonal factor: the body ``bs_fock_apply`` ran on
-    every input before it gained the vacuum-port sector path, kept as that
-    path's oracle.  Returns the output amplitudes, unaudited."""
+    power series and a diagonal factor, for any two-mode input: the body
+    ``bs_fock_apply`` ran before the vacuum-port sector map replaced it,
+    kept as that map's oracle.  Returns the output amplitudes, unaudited."""
     amps = state.amplitudes
     coupling = 1j * bs.r / bs.t
     out = _exchange_series(amps, coupling, raise_a=True)

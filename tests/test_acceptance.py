@@ -39,7 +39,7 @@ from catvis import (
 )
 from catvis.cli import RunConfig, _COMMANDS, main
 
-from helpers import random_two_mode
+from helpers import random_mode
 
 R_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 ALPHA0_GRID = (0.5, 1.0, 2.0, 3.0)
@@ -156,7 +156,9 @@ def test_acceptance_6_splitter_unitarity_and_coherent_fidelity():
         for r in (0.2, 0.5, 0.8):
             bs = BeamSplitter(r)
             for _ in range(6):
-                state = random_two_mode(rng, 16, 16, support=8)
+                state = TwoModeState.from_product(
+                    random_mode(rng, 16, 8), vacuum_fock(16)
+                )
                 out = bs_fock_apply(bs, state)
                 assert abs(out.squared_norm - state.squared_norm) <= 1e-10
 

@@ -599,6 +599,27 @@ class TestDeterminism:
 
 
 class TestSubprocess:
+    def test_brute_force_sweep_prints_each_warning_once(self):
+        # both R rows of one |alpha0| raise the same overlap warning; a fresh
+        # interpreter prints it once per call site, as Python's default
+        # filter does, not once per row
+        proc = subprocess.run(
+            [sys.executable, "-m", "catvis", "sweep", "--brute-force",
+             "--alpha0-values", "0.5,0.6", "--R-values", "0.3,0.5",
+             "--phi-values", "0.7"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0
+        rows = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert len(rows) == 1 + 4  # column header and one row per point
+        tail = ("; the interfering branches are not mutually orthogonal, so "
+                "visibility readings mix component distinguishability with "
+                "environment overlap\n")
+        assert proc.stderr == (
+            f"catvis: warning: cat components overlap at |<+|->| = 8.126e-01{tail}"
+            f"catvis: warning: cat components overlap at |<+|->| = 7.417e-01{tail}"
+        )
+
     def test_module_entry_point_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "catvis", "--version"],

@@ -1,5 +1,6 @@
 """End-to-end visibility routes and their mutual agreement."""
 
+import cmath
 import math
 import warnings
 from dataclasses import replace
@@ -16,7 +17,6 @@ from catvis import (
     OverlapWarning,
     QGrid,
     TruncationError,
-    TruncationWarning,
     TwoModeState,
     bs_fock_apply,
     cat_norm_constant,
@@ -241,6 +241,27 @@ class TestFringePhysics:
         assert fit.visibility == pytest.approx(nu, abs=2e-4)
         assert fit.residual_rms < 1e-8 * fit.amplitude
 
+    def test_phase_is_nan_when_the_fringe_is_below_its_misfit(self):
+        # visibility 2.3e-16: the fitted cosine is rounding noise, smaller
+        # than the residual, so it carries no phase
+        params = ExperimentParams(alpha0=5.4286, phi=1.5149, r=0.7802)
+        fit = fit_fringe(fringe_scan(params))
+        assert fit.amplitude <= fit.residual_rms
+        assert math.isnan(fit.phase)
+        # visibility 7.7e-16, just past the cut: a phase is reported, off the
+        # oracle's argument by no more than residual / amplitude
+        near = replace(params, alpha0=5.35)
+        fit = fit_fringe(fringe_scan(near))
+        assert 1.0 < fit.amplitude / fit.residual_rms < 3.0
+        want = cmath.phase(environment_overlap_oracle(near))
+        assert abs(fit.phase - want) <= fit.residual_rms / fit.amplitude
+        # visibility 3.7e-9 still resolves: the phase is the oracle's argument
+        params = replace(params, alpha0=4.0)
+        fit = fit_fringe(fringe_scan(params))
+        assert fit.amplitude > fit.residual_rms
+        want = cmath.phase(environment_overlap_oracle(params))
+        assert fit.phase == pytest.approx(want, abs=1e-6)
+
     def test_symmetric_fringe_for_odd_cat(self):
         # sin(2 phi) = 0 at phi = pi/2, so the fringe has no offset phase
         params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3)
@@ -287,10 +308,9 @@ class TestBruteForce:
         assert nu == pytest.approx(math.exp(-8.0), rel=1e-9)
 
     @pytest.mark.parametrize("r,cutoff_b", [(0.95, 187), (0.99, 198)])
-    def test_exchange_series_runs_on_a_subnormal_state(self, r, cutoff_b):
-        # the diagonal factor t^(n_a - n_b) leaves a state of squared norm
-        # near t^(2 |alpha0|^2); a series stop judged against max(1, norm)
-        # ended the second exchange series at once and leaked it all
+    def test_high_reflectivity_large_cat(self, r, cutoff_b):
+        # points where the retired exchange-series splitter once ended early
+        # on its subnormal intermediate state and leaked everything
         params = ExperimentParams(
             alpha0=10.0, phi=0.7, r=r, cutoff_a=240, cutoff_b=cutoff_b
         )
@@ -303,18 +323,20 @@ class TestBruteForce:
             with pytest.raises(TruncationError, match=r"retry with cutoff_b >= 13$"):
                 fock_brute_force_visibility(params)
 
-    def test_refuses_every_leak_the_splitter_warns_about(self):
+    def test_refuses_every_leak_above_the_threshold(self):
         # at cutoff_b 12 each branch leaks 8.3e-10, above the one leakage
-        # threshold 1e-10
+        # threshold 1e-10; the splitter's refusal reaches the caller as is
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=12)
         state = TwoModeState.from_product(
             coherent_fock(params.component_plus, cutoff=params.resolved_cutoff_a),
             vacuum_fock(12),
         )
-        with pytest.warns(TruncationWarning, match="leaked 8.316e-10"):
+        message = (r"^splitter propagation leaked 8\.316e-10 probability at "
+                   r"cutoffs \(30, 12\); retry with cutoff_b >= 13$")
+        with pytest.raises(TruncationError, match=message):
             bs_fock_apply(params.beam_splitter, state)
         with pytest.warns(OverlapWarning):
-            with pytest.raises(TruncationError, match="leaked 8.316e-10"):
+            with pytest.raises(TruncationError, match=message):
                 fock_brute_force_visibility(params)
 
     @pytest.mark.parametrize("alpha0,r,cutoff_b", [

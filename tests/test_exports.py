@@ -1,6 +1,6 @@
 """The package namespace is exactly the concatenation of its modules' lists,
-and its option surface is pinned: a new defaulted parameter or CLI flag
-shows up as a one-line diff here."""
+and its surface is pinned: a new public name, defaulted parameter or CLI
+flag shows up as a one-line diff here."""
 
 import dataclasses
 import importlib
@@ -33,6 +33,53 @@ def test_package_list_resolves_once_and_is_public():
     for name in names:
         assert not name.startswith("_")
         assert hasattr(catvis, name)
+
+
+def test_package_names_are_pinned():
+    assert sorted(catvis.__all__) == [
+        "BeamSplitter",
+        "BranchTerm",
+        "ContrastReport",
+        "CoverageWarning",
+        "ExperimentParams",
+        "FringeFit",
+        "FringeScan",
+        "ModeState",
+        "OverlapWarning",
+        "QGrid",
+        "QuadratureStats",
+        "TruncationError",
+        "TwoModeState",
+        "beam_split_term",
+        "bs_fock_apply",
+        "bs_label_pair_map",
+        "cat_fock",
+        "cat_norm_constant",
+        "cat_quadrature_stats",
+        "coherent_fock",
+        "coherent_overlap",
+        "coherent_product_term",
+        "contrast_report",
+        "default_cutoff",
+        "environment_overlap_oracle",
+        "fit_fringe",
+        "fock_brute_force_visibility",
+        "fringe_scan",
+        "initial_cat_terms",
+        "integrate_q_term",
+        "interference_reduced_a",
+        "output_quadrature_stats",
+        "phase_shift_fock_a",
+        "post_selected_terms",
+        "postselect_term",
+        "q_branch",
+        "q_full",
+        "q_integral_visibility",
+        "q_marginal",
+        "sweep",
+        "vacuum_fock",
+        "visibility_closed_form",
+    ]
 
 
 def _defaulted(name, obj):

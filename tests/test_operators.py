@@ -2,14 +2,13 @@
 dense quadrature-moment oracle the moment tests rest on."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from catvis import (
     BeamSplitter,
-    TruncationWarning,
+    TruncationError,
     TwoModeState,
     bs_fock_apply,
     bs_label_pair_map,
@@ -107,16 +106,23 @@ def test_pair_label_map_conserves_energy():
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.85])
 def test_fock_apply_matches_dense_exponential(r):
+    # general two-mode input: the exchange-series oracle against the dense
+    # unitary, so the oracle the sector map is held to stays validated
     rng = np.random.default_rng(int(r * 100))
     state = random_two_mode(rng, 12, 12, 4)
     want = dense_bs_unitary(r, 12, 12) @ two_mode_vec(state)
-    got = two_mode_vec(bs_fock_apply(BeamSplitter(r), state))
+    got = bs_fock_apply_series(BeamSplitter(r), state).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def vacuum_port_state(seed: int) -> TwoModeState:
+    """A random mode-A state on 8 of 16 levels, vacuum in mode B."""
+    rng = np.random.default_rng(seed)
+    return TwoModeState.from_product(random_mode(rng, 16, 8), vacuum_fock(16))
+
+
 def test_fock_apply_identity_at_zero_reflectivity():
-    rng = np.random.default_rng(5)
-    state = random_two_mode(rng, 6, 6, 3)
+    state = vacuum_port_state(5)
     out = bs_fock_apply(BeamSplitter(0.0), state)
     np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -129,18 +135,25 @@ def test_single_photon_splits():
     assert out[1, 0] == pytest.approx(0.8)
     assert out[0, 1] == pytest.approx(0.6j)
 
+    # a photon in mode B: the exchange-series oracle
     amps = np.zeros((3, 3))
     amps[0, 1] = 1.0
-    out = bs_fock_apply(bs, TwoModeState(amps)).amplitudes
+    out = bs_fock_apply_series(bs, TwoModeState(amps))
     assert out[0, 1] == pytest.approx(0.8)
     assert out[1, 0] == pytest.approx(0.6j)
 
 
 def test_norm_preserved_below_truncation_band():
-    rng = np.random.default_rng(6)
-    state = random_two_mode(rng, 16, 16, 5)
+    state = vacuum_port_state(6)
     out = bs_fock_apply(BeamSplitter(0.6), state)
     assert abs(out.squared_norm - state.squared_norm) < 1e-12
+
+
+def test_photons_in_mode_b_are_refused():
+    amps = np.zeros((3, 3))
+    amps[1, 1] = 1.0
+    with pytest.raises(ValueError, match="vacuum in mode B"):
+        bs_fock_apply(BeamSplitter(0.6), TwoModeState(amps))
 
 
 def test_coherent_product_passes_through_exactly():
@@ -158,7 +171,8 @@ def test_coherent_product_passes_through_exactly():
 
 
 class TestVacuumPortSectors:
-    """``psi (x) |0>`` takes the binomial sector map, not the exchange series."""
+    """The binomial sector map on ``psi (x) |0>``, held to the dense unitary
+    and to the exchange-series oracle."""
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.99])
     def test_matches_dense_exponential(self, r):
@@ -185,39 +199,44 @@ class TestVacuumPortSectors:
             coherent_fock(alpha * np.exp(0.7j), cutoff=na), vacuum_fock(nb)
         )
         bs = BeamSplitter(r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            got = bs_fock_apply(bs, state)
+        got = bs_fock_apply(bs, state)  # no TruncationError: nothing leaks
         want = bs_fock_apply_series(bs, state)
         assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
         assert abs(got.squared_norm - state.squared_norm) <= 1e-13
 
     def test_leak_is_the_binomial_tail(self):
-        amps = np.zeros((8, 3))
-        amps[6, 0] = 1.0
         bs = BeamSplitter(0.6)
-        with pytest.warns(TruncationWarning):
-            out = bs_fock_apply(bs, TwoModeState(amps))
-        kept = sum(
-            math.comb(6, k) * bs.r ** (2 * k) * bs.t ** (2 * (6 - k)) for k in range(3)
+        # untruncated (cutoff_b 7 holds every k <= 6): each output column
+        # carries exactly its binomial weight
+        amps = np.zeros((8, 7))
+        amps[6, 0] = 1.0
+        out = bs_fock_apply(bs, TwoModeState(amps)).amplitudes
+        for k in range(7):
+            weight = math.comb(6, k) * bs.r ** (2 * k) * bs.t ** (2 * (6 - k))
+            assert np.vdot(out[:, k], out[:, k]).real == pytest.approx(
+                weight, rel=1e-14
+            )
+        # mode A never gains photons
+        assert not out[7:].any()
+        # truncated at cutoff_b 3, the binomial tail k >= 3 is the leak, and
+        # only cutoff_b 7 keeps it under the threshold
+        leak = sum(
+            math.comb(6, k) * bs.r ** (2 * k) * bs.t ** (2 * (6 - k))
+            for k in range(3, 7)
         )
-        assert out.squared_norm == pytest.approx(kept, rel=1e-14)
-        # mode A never gains photons on this path
-        assert not out.amplitudes[7:].any()
+        with pytest.raises(TruncationError) as exc:
+            bs_fock_apply(bs, TwoModeState(amps[:, :3]))
+        assert str(exc.value) == (
+            f"splitter propagation leaked {leak:.3e} probability at cutoffs "
+            "(8, 3); retry with cutoff_b >= 7"
+        )
 
 
-def test_leakage_warns():
+def test_leakage_raises_with_cutoff_b_advice():
     state = TwoModeState.from_product(coherent_fock(2.0, cutoff=30), vacuum_fock(4))
-    with pytest.warns(TruncationWarning):
+    with pytest.raises(TruncationError, match=r"cutoffs \(30, 4\); retry with "
+                       r"cutoff_b >= \d+$"):
         bs_fock_apply(BeamSplitter(0.5), state)
-
-
-def test_norm_inflation_raises():
-    # stranded high-occupancy amplitude gets amplified by the diagonal factor
-    amps = np.zeros((2, 10))
-    amps[1, 9] = 1.0
-    with pytest.raises(ValueError, match="inflated"):
-        bs_fock_apply(BeamSplitter(0.6), TwoModeState(amps))
 
 
 def test_phase_shift_fock_tracks_coherent_label():
