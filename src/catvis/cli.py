@@ -451,10 +451,7 @@ def _cmd_visibility(cfg: RunConfig) -> None:
     params = cfg.to_params()
     report = contrast_report(params)
     nu_brute = fock_brute_force_visibility(params) if cfg.brute_force else None
-    header = (
-        "R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
-        "T", "mean_ratio", "var_out",
-    )
+    header = tuple(k for k in _SWEEP_KEYS if k not in ("nu_fringe", "error"))
     row = (
         cfg.r,
         cfg.alpha0,
@@ -462,7 +459,7 @@ def _cmd_visibility(cfg: RunConfig) -> None:
         report.visibility,
         abs(environment_overlap_oracle(params)),
         nu_brute,
-        report.t,
+        report.mean_ratio,
         report.mean_ratio,
         report.var_out,
     )
@@ -597,15 +594,18 @@ def main(argv=None) -> int:
     # Warnings that reach Python's stock writer print as one catvis line;
     # only the formatter is swapped, so callers recording warnings with
     # ``warnings.catch_warnings(record=True)`` still record every one.
+    # Entering ``catch_warnings`` resets Python's once-per-location registry,
+    # so each call prints its warnings whatever earlier calls printed.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _render_warning
     try:
-        cfg = resolve_config(ns)
-        if cfg.verbose:
-            pairs = " ".join(f"{k}={_echo_value(getattr(cfg, k))}"
-                             for k in sorted(vars(cfg)))
-            print(f"catvis config: {pairs}", file=sys.stderr)
-        _COMMANDS[cfg.subcommand](cfg)
+        with warnings.catch_warnings():
+            cfg = resolve_config(ns)
+            if cfg.verbose:
+                pairs = " ".join(f"{k}={_echo_value(getattr(cfg, k))}"
+                                 for k in sorted(vars(cfg)))
+                print(f"catvis config: {pairs}", file=sys.stderr)
+            _COMMANDS[cfg.subcommand](cfg)
     except (ValueError, TruncationError) as exc:
         print(f"catvis: error: {exc}", file=sys.stderr)
         return 1

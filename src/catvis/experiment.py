@@ -195,9 +195,6 @@ class FringeScan:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "rates", rates)
 
-    def __len__(self) -> int:
-        return int(self.thetas.size)
-
 
 @dataclass(frozen=True)
 class FringeFit:
@@ -381,8 +378,7 @@ def sweep(
                     report = contrast_report(params)
                     row["nu_analytic"] = report.visibility
                     row["nu_oracle"] = abs(environment_overlap_oracle(params))
-                    row["T"] = report.t
-                    row["mean_ratio"] = report.mean_ratio
+                    row["T"] = row["mean_ratio"] = report.mean_ratio
                     row["var_out"] = report.var_out
                     if include_brute:
                         row["nu_brute"] = fock_brute_force_visibility(params)

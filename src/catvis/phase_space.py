@@ -33,12 +33,9 @@ __all__ = [
     "CoverageWarning",
     "BranchTerm",
     "QGrid",
-    "coherent_product_term",
     "initial_cat_terms",
     "beam_split_term",
-    "postselect_term",
     "post_selected_terms",
-    "q_branch",
     "q_full",
     "q_marginal",
     "integrate_q_term",
@@ -144,19 +141,6 @@ class QGrid:
         )
 
 
-def coherent_product_term(
-    alpha: complex,
-    beta: complex = 0j,
-    weight: complex = 1.0,
-    phase_tag: PhaseTag = ("+", "+"),
-) -> BranchTerm:
-    """Diagonal term for the pure product ``|alpha, beta><alpha, beta|``."""
-    return BranchTerm(
-        weight=weight, ket_a=alpha, ket_b=beta, bra_a=alpha, bra_b=beta,
-        phase_tag=phase_tag,
-    )
-
-
 def initial_cat_terms(alpha0: complex, phi: float) -> list[BranchTerm]:
     """The four outer-product terms of cat (x) vacuum, each weighted ``c^2``.
 
@@ -187,7 +171,7 @@ def beam_split_term(term: BranchTerm, bs: BeamSplitter) -> BranchTerm:
     return replace(term, ket_a=ket_a, ket_b=ket_b, bra_a=bra_a, bra_b=bra_b)
 
 
-def postselect_term(term: BranchTerm, theta: float, phi: float) -> BranchTerm:
+def _postselect_term(term: BranchTerm, theta: float, phi: float) -> BranchTerm:
     """Keep the interferometer branch whose Kerr phase cancels each side's tag.
 
     The ket side descending from the ``s`` component picks the ``e^{-i s phi n}``
@@ -214,10 +198,10 @@ def postselect_term(term: BranchTerm, theta: float, phi: float) -> BranchTerm:
 def post_selected_terms(params: "ExperimentParams") -> list[BranchTerm]:
     """Initial cat terms, through the splitter, post-selected at readout
     phase theta = 0 (any other theta only rephases the off-diagonal terms,
-    see :func:`postselect_term`)."""
+    see :func:`_postselect_term`)."""
     bs = params.beam_splitter
     return [
-        postselect_term(beam_split_term(t, bs), 0.0, params.phi)
+        _postselect_term(beam_split_term(t, bs), 0.0, params.phi)
         for t in initial_cat_terms(params.alpha0, params.phi)
     ]
 
@@ -226,7 +210,7 @@ def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
     return coherent_overlap(z, ket) * np.conjugate(coherent_overlap(z, bra))
 
 
-def q_branch(term: BranchTerm, alpha_p, beta_p):
+def _q_branch(term: BranchTerm, alpha_p, beta_p):
     """Pointwise Q of one coherent outer-product term, from its labels alone.
 
     ``(w/pi^2) <alpha'|ket_a><beta'|ket_b> conj(<alpha'|bra_a><beta'|bra_b>)``.
@@ -303,7 +287,7 @@ def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     ``-1e-12``.
     """
     _require_hermitian_set(terms)
-    values = _state_values(sum(q_branch(t, alpha_p, beta_p) for t in terms), "Q")
+    values = _state_values(sum(_q_branch(t, alpha_p, beta_p) for t in terms), "Q")
     if values.ndim == 0:
         return float(values)
     return values

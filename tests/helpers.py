@@ -35,6 +35,14 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
+def coherent_product_term(alpha, beta=0j, weight=1.0, phase_tag=("+", "+")):
+    """Diagonal term for the pure product ``|alpha, beta><alpha, beta|``."""
+    return BranchTerm(
+        weight=weight, ket_a=alpha, ket_b=beta, bra_a=alpha, bra_b=beta,
+        phase_tag=phase_tag,
+    )
+
+
 def coherent_amplitudes_direct(alpha, cutoff: int) -> np.ndarray:
     """``e^{-|a|^2/2} a^n / sqrt(n!)`` evaluated per term in log space."""
     alpha = complex(alpha)
@@ -293,7 +301,7 @@ def integrate_q_term_2d(term, grid=None):
 
 
 # ---------------------------------------------------------------------------
-# derivation route for q_branch: the branch amplitudes f+ and f- of the
+# derivation route for _q_branch: the branch amplitudes f+ and f- of the
 # analytic derivation, whose products give each post-selected term's Q
 
 
@@ -337,7 +345,7 @@ def q_term(term: BranchTerm, alpha_p, beta_p, params: "ExperimentParams"):
     ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
     ``(w/pi^2) |f|^2`` with no theta factor and (+,-) gives
     ``(c^2 e^{-i theta}/pi^2) f_plus conj(f_minus)`` (the weight carries
-    ``c^2 e^{-i theta}``).  Agrees pointwise with :func:`q_branch` on the
+    ``c^2 e^{-i theta}``).  Agrees pointwise with ``_q_branch`` on the
     same term; this route exists because it mirrors the analytic derivation.
     """
     sk, sb = term.phase_tag

@@ -24,7 +24,6 @@ from catvis import (
     cat_norm_constant,
     coherent_fock,
     coherent_overlap,
-    coherent_product_term,
     environment_overlap_oracle,
     fit_fringe,
     fock_brute_force_visibility,
@@ -39,7 +38,7 @@ from catvis import (
 )
 from catvis.cli import RunConfig, _COMMANDS, main
 
-from helpers import random_mode
+from helpers import coherent_product_term, random_mode
 
 R_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 ALPHA0_GRID = (0.5, 1.0, 2.0, 3.0)

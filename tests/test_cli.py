@@ -277,6 +277,19 @@ class TestWarningRendering:
             for line in self.LINES
         ]
 
+    def test_each_call_prints_its_warnings(self, capsys):
+        # Python's default filter prints a warning once per source location
+        # and process; a second in-process call must still print its own
+        argv = ["fringe", "--alpha0", "1", "--R", "0.3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _stock_showwarning
+            errs = [run_cli(argv, capsys)[2] for _ in range(2)]
+        assert errs[0].startswith(
+            "catvis: warning: cat components overlap at |<+|->| = 1.353e-01; "
+        )
+        assert errs[1] == errs[0]
+
     def test_interpreter_writes_the_same_lines(self):
         proc = subprocess.run(
             [sys.executable, "-m", "catvis", *self.ARGV],

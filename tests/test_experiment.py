@@ -139,7 +139,7 @@ class TestFringeScan:
     def test_uniform_theta_coverage(self):
         params = ExperimentParams(alpha0=3.0, phi=np.pi / 2, r=0.3)
         scan = fringe_scan(params, n_theta=16)
-        assert len(scan) == 16
+        assert scan.thetas.size == 16
         np.testing.assert_allclose(
             scan.thetas, np.linspace(0.0, TWO_PI, 16, endpoint=False)
         )

@@ -47,7 +47,6 @@ def test_package_names_are_pinned():
         "ModeState",
         "OverlapWarning",
         "QGrid",
-        "QuadratureStats",
         "TruncationError",
         "TwoModeState",
         "beam_split_term",
@@ -58,7 +57,6 @@ def test_package_names_are_pinned():
         "cat_quadrature_stats",
         "coherent_fock",
         "coherent_overlap",
-        "coherent_product_term",
         "contrast_report",
         "default_cutoff",
         "environment_overlap_oracle",
@@ -68,11 +66,8 @@ def test_package_names_are_pinned():
         "initial_cat_terms",
         "integrate_q_term",
         "interference_reduced_a",
-        "output_quadrature_stats",
         "phase_shift_fock_a",
         "post_selected_terms",
-        "postselect_term",
-        "q_branch",
         "q_full",
         "q_integral_visibility",
         "q_marginal",
@@ -121,9 +116,6 @@ def test_defaulted_parameters_are_pinned():
         ("QGrid", "spacing"),
         ("cat_fock", "cutoff"),
         ("coherent_fock", "cutoff"),
-        ("coherent_product_term", "beta"),
-        ("coherent_product_term", "phase_tag"),
-        ("coherent_product_term", "weight"),
         ("fringe_scan", "n_theta"),
         ("integrate_q_term", "grid"),
         ("sweep", "include_brute"),

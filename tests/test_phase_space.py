@@ -16,20 +16,23 @@ from catvis import (
     beam_split_term,
     cat_norm_constant,
     coherent_overlap,
-    coherent_product_term,
     contrast_report,
     initial_cat_terms,
     integrate_q_term,
     post_selected_terms,
-    postselect_term,
-    q_branch,
     q_full,
     q_marginal,
     visibility_closed_form,
 )
-from catvis.phase_space import _edge_ratio, _plane_profile, _plane_sum
+from catvis.phase_space import (
+    _edge_ratio,
+    _plane_profile,
+    _plane_sum,
+    _postselect_term,
+    _q_branch,
+)
 
-from helpers import integrate_q_term_2d, q_full_grid, q_term
+from helpers import coherent_product_term, integrate_q_term_2d, q_full_grid, q_term
 
 INV_PI_SQ = 0.10132118364233778  # 1/pi^2
 
@@ -114,7 +117,7 @@ def test_postselect_term_readout_rule():
     alpha0, phi, theta = 1.2, 0.7, 0.9
     bs = BeamSplitter(0.4)
     terms = [beam_split_term(t, bs) for t in initial_cat_terms(alpha0, phi)]
-    by_tag = {t.phase_tag: postselect_term(t, theta, phi) for t in terms}
+    by_tag = {t.phase_tag: _postselect_term(t, theta, phi) for t in terms}
     cn2 = cat_norm_constant(alpha0, phi) ** 2
 
     cross = by_tag[("+", "-")]
@@ -132,7 +135,7 @@ def test_postselect_term_readout_rule():
 def _selected_at(params, theta):
     """Post-selected terms at readout phase ``theta``."""
     return [
-        postselect_term(beam_split_term(t, params.beam_splitter), theta, params.phi)
+        _postselect_term(beam_split_term(t, params.beam_splitter), theta, params.phi)
         for t in initial_cat_terms(params.alpha0, params.phi)
     ]
 
@@ -149,7 +152,7 @@ def test_q_term_equals_generic_branch_q():
     pts_b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     for term in _selected_at(params, 0.6):
         got = q_term(term, pts_a, pts_b, params)
-        want = q_branch(term, pts_a, pts_b)
+        want = _q_branch(term, pts_a, pts_b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
