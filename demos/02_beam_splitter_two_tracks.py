@@ -15,7 +15,6 @@ from catvis import (
     bs_fock_apply,
     bs_label_pair_map,
     coherent_fock,
-    vacuum_fock,
 )
 
 
@@ -26,8 +25,8 @@ def main() -> None:
     print(f"splitter r = {r}, t = {bs.t:.6f}")
     print(f"labels: ({alpha}, 0) -> ({out_a:.6f}, {out_b:.6f})")
 
-    state = TwoModeState.from_product(coherent_fock(alpha), vacuum_fock(25))
-    moved = bs_fock_apply(bs, state)
+    state = coherent_fock(alpha)
+    moved = bs_fock_apply(bs, state, 25)
     print(f"two-mode array {moved.cutoff_a} x {moved.cutoff_b} after the unitary")
     print(f"  norm change         {abs(moved.squared_norm - state.squared_norm):.3e}")
 

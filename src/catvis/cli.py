@@ -33,7 +33,6 @@ from .experiment import (
     _SWEEP_KEYS,
 )
 from .heisenberg import contrast_report
-from .operators import TruncationError
 from .phase_space import (
     CoverageWarning,
     QGrid,
@@ -183,7 +182,8 @@ _FLAGS = (
           "before or after the splitter (default after-bs)",
           choices=("initial", "after-bs")),
     _Flag(("--extent",), float, ("qfunction",),
-          "grid half-width (default 6, or 5 for full)"),
+          "grid half-width (default max(6, 1.25 alpha0 + 3.5), or 5 for "
+          "full)"),
     _Flag(("--spacing",), float, ("qfunction",),
           "grid step (default 0.1, or 0.5 for full)"),
     _Flag(("--n-theta",), int, ("fringe", "sweep"),
@@ -469,7 +469,9 @@ def _cmd_visibility(cfg: RunConfig) -> None:
 def _cmd_qfunction(cfg: RunConfig) -> None:
     params = cfg.to_params()
     full = cfg.qmode == "full"
-    extent = cfg.extent if cfg.extent is not None else (5.0 if full else 6.0)
+    # the marginals' default half-width follows the cat's lobes out past 6
+    default_extent = 5.0 if full else max(6.0, 1.25 * cfg.alpha0 + 3.5)
+    extent = cfg.extent if cfg.extent is not None else default_extent
     spacing = cfg.spacing if cfg.spacing is not None else (0.5 if full else 0.1)
     grid = QGrid(extent=extent, spacing=spacing)
     n = grid.points_per_axis
@@ -606,7 +608,7 @@ def main(argv=None) -> int:
                                  for k in sorted(vars(cfg)))
                 print(f"catvis config: {pairs}", file=sys.stderr)
             _COMMANDS[cfg.subcommand](cfg)
-    except (ValueError, TruncationError) as exc:
+    except ValueError as exc:
         print(f"catvis: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -25,13 +25,11 @@ from .fock import (
     coherent_fock,
     coherent_overlap,
     default_cutoff,
-    vacuum_fock,
 )
 from .heisenberg import contrast_report
 from .operators import (
     BeamSplitter,
     TruncationError,
-    TwoModeState,
     bs_fock_apply,
     phase_shift_fock_a,
 )
@@ -292,8 +290,9 @@ _TAIL_TOL = 1e-12
 
 
 def _require_tail(state: ModeState, alpha: complex) -> None:
-    """Refuse ``state``, mode A's truncated ``|alpha>``, when the mass in
-    the top tenth of its levels reaches ``_TAIL_TOL``."""
+    """Refuse ``state``, mode A's truncated ``|alpha>``, with
+    :class:`TruncationError` when the mass in the top tenth of its levels
+    reaches ``_TAIL_TOL``."""
     band = max(1, math.ceil(state.cutoff * 0.1))
     tail = state.amplitudes[state.cutoff - band:]
     mass = float(np.vdot(tail, tail).real)
@@ -301,7 +300,7 @@ def _require_tail(state: ModeState, alpha: complex) -> None:
         # when the default sizing itself fails (very large |alpha|), the
         # suggestion must still exceed what was tried
         suggest = max(default_cutoff(alpha), int(1.15 * state.cutoff) + 5)
-        raise ValueError(
+        raise TruncationError(
             f"cutoff {state.cutoff} leaves tail mass {mass:.3e} >= {_TAIL_TOL:.1e} "
             f"for |alpha| = {abs(alpha):.3g}; retry with cutoff >= {suggest}"
         )
@@ -312,11 +311,11 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
 
     Each cat component crosses the splitter as an explicit two-mode array,
     picks up its readout rotation, and the interference contrast is the
-    overlap of the two branches over their norms.  Raises ``ValueError``
-    when a cutoff leaves tail mass of 1e-12 or more in the top tenth of
-    mode A's levels; :func:`bs_fock_apply` raises :class:`TruncationError`
-    when the splitter leaks past ``cutoff_b`` (mode A cannot leak: the
-    splitter never adds photons to it).
+    overlap of the two branches over their norms.  Raises
+    :class:`TruncationError` when a cutoff leaves tail mass of 1e-12 or
+    more in the top tenth of mode A's levels, or when the splitter leaks
+    past ``cutoff_b`` (mode A cannot leak: the splitter never adds photons
+    to it).
     """
     _warn_if_components_overlap(params)
     na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
@@ -328,8 +327,7 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     ):
         mode_a = coherent_fock(label, cutoff=na)
         _require_tail(mode_a, label)
-        out = bs_fock_apply(bs, TwoModeState.from_product(mode_a, vacuum_fock(nb)))
-        branches[sign] = phase_shift_fock_a(out, readout)
+        branches[sign] = phase_shift_fock_a(bs_fock_apply(bs, mode_a, nb), readout)
     overlap = branches["-"].inner(branches["+"])
     denom = branches["+"].norm * branches["-"].norm
     if denom <= 0.0:
@@ -386,7 +384,7 @@ def sweep(
                         row["nu_fringe"] = fit_fringe(
                             fringe_scan(params, n_theta=n_theta)
                         ).visibility
-                except (ValueError, TruncationError) as exc:
+                except ValueError as exc:
                     row["error"] = str(exc)
                 rows.append(row)
     return rows

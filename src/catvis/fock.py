@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "ModeState",
     "default_cutoff",
-    "vacuum_fock",
     "coherent_fock",
     "coherent_overlap",
     "cat_norm_constant",
@@ -47,8 +46,8 @@ def default_cutoff(alpha: CoherentLabel) -> int:
 
 
 @dataclass(frozen=True)
-class ModeState:
-    """One bosonic mode as a truncated photon-number amplitude vector.
+class _FockState:
+    """A truncated photon-number amplitude array of ``ndim`` modes.
 
     Instances are immutable (the array is marked read-only) so they can be
     shared freely across threads; every operation returns a new state.
@@ -57,11 +56,12 @@ class ModeState:
     """
 
     amplitudes: np.ndarray
+    ndim = 0  # set by each subclass
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex, copy=True)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-D vector")
+        if amps.ndim != self.ndim or amps.size == 0:
+            raise ValueError(f"amplitudes must be a non-empty {self.ndim}-D array")
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         n2 = float(np.vdot(amps, amps).real)
@@ -73,10 +73,6 @@ class ModeState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def cutoff(self) -> int:
-        return self.amplitudes.size
-
-    @property
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -84,20 +80,21 @@ class ModeState:
     def norm(self) -> float:
         return math.sqrt(self.squared_norm)
 
-    def inner(self, other: "ModeState") -> complex:
-        """``<self|other>`` on a common cutoff."""
-        if other.cutoff != self.cutoff:
-            raise ValueError("states must share a cutoff")
+    def inner(self, other: "_FockState") -> complex:
+        """``<self|other>`` on common cutoffs."""
+        if other.amplitudes.shape != self.amplitudes.shape:
+            raise ValueError("states must share cutoffs")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def vacuum_fock(cutoff: int) -> ModeState:
-    """The vacuum state |0> on ``cutoff`` levels."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    return ModeState(amps)
+class ModeState(_FockState):
+    """One bosonic mode: ``amplitudes[n] = <n|psi>``."""
+
+    ndim = 1
+
+    @property
+    def cutoff(self) -> int:
+        return self.amplitudes.size
 
 
 def coherent_fock(alpha: CoherentLabel, cutoff: int | None = None) -> ModeState:

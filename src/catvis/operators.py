@@ -5,9 +5,9 @@ Conventions
 The beam splitter has real reflectivity ``r`` and transmissivity ``t`` with
 ``r^2 + t^2 = 1``.  Reflection carries the factor i, so a coherent input
 ``|alpha>_A`` with vacuum in B leaves as ``|t alpha>_A (x) |i r alpha>_B``.
-On the number basis the splitter acts on vacuum-port input only, the one
-input the pipeline sends, by the closed binomial map over photon-number
-sectors
+On the number basis the splitter takes mode A's state with vacuum in B,
+the one input the pipeline sends, and applies the closed binomial map over
+photon-number sectors
 
     U |n, 0> = sum_k sqrt(C(n, k)) t^(n-k) (i r)^k |n-k, k>,
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import CoherentLabel, ModeState, _NORM_SLACK
+from .fock import CoherentLabel, ModeState, _FockState
 
 __all__ = [
     "TruncationError",
@@ -54,28 +54,13 @@ class BeamSplitter:
         object.__setattr__(self, "t", math.sqrt(1.0 - r * r))
 
 
-@dataclass(frozen=True)
-class TwoModeState:
+class TwoModeState(_FockState):
     """Joint state of modes A (rows) and B (columns): ``amplitudes[n_a, n_b]``.
 
     Same immutability and norm contract as :class:`ModeState`.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex, copy=True)
-        if amps.ndim != 2 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 2-D array")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + _NORM_SLACK:
-            raise ValueError(
-                f"squared norm {n2:.6g} exceeds 1; states are at most unit norm"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+    ndim = 2
 
     @property
     def cutoff_a(self) -> int:
@@ -84,19 +69,6 @@ class TwoModeState:
     @property
     def cutoff_b(self) -> int:
         return self.amplitudes.shape[1]
-
-    @property
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.squared_norm)
-
-    def inner(self, other: "TwoModeState") -> complex:
-        if other.amplitudes.shape != self.amplitudes.shape:
-            raise ValueError("states must share cutoffs")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     @classmethod
     def from_product(cls, mode_a: ModeState, mode_b: ModeState) -> "TwoModeState":
@@ -116,7 +88,7 @@ def bs_label_pair_map(
     return (bs.t * alpha + 1j * bs.r * beta, 1j * bs.r * alpha + bs.t * beta)
 
 
-class TruncationError(RuntimeError):
+class TruncationError(ValueError):
     """A truncated Fock computation lost more probability than allowed."""
 
 
@@ -158,30 +130,29 @@ def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray) -> int:
     return int(np.count_nonzero(tail > _LEAK_TOL))
 
 
-def bs_fock_apply(bs: BeamSplitter, state: TwoModeState) -> TwoModeState:
-    """Run ``psi (x) |0>`` through the beam splitter's unitary.
+def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeState:
+    """Run ``state (x) |0>`` through the beam splitter's unitary, mode B on
+    ``cutoff_b`` levels.
 
-    Mode B must be vacuum (``amplitudes[:, 1:]`` all zero), else
-    ``ValueError``.  Column ``k`` of the output is the input shifted down by
-    ``k`` rows times ``sqrt(C(n, k)) t^(n-k) (i r)^k``.  Mode A never gains
-    photons, so only ``cutoff_b`` can leak: a squared-norm loss above the
-    leakage threshold 1e-10 raises :class:`TruncationError`, naming the
-    smallest ``cutoff_b`` whose binomial tail meets the threshold.
+    Column ``k`` of the output is ``state`` shifted down by ``k`` rows times
+    ``sqrt(C(n, k)) t^(n-k) (i r)^k``.  Mode A never gains photons, so only
+    ``cutoff_b`` can leak: a squared-norm loss above the leakage threshold
+    1e-10 raises :class:`TruncationError`, naming the smallest ``cutoff_b``
+    whose binomial tail meets the threshold.
     """
+    if cutoff_b < 1:
+        raise ValueError("cutoff_b must be positive")
     amps = state.amplitudes
-    na, nb = amps.shape
-    if amps[:, 1:].any():
-        raise ValueError("bs_fock_apply takes vacuum in mode B: "
-                         "amplitudes[:, 1:] must be zero")
-    i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
-    out = _sector_magnitudes(bs, na, nb) * i_to_k
-    out *= _sector_window(amps[:, 0], nb)
+    na = amps.size
+    i_to_k = np.array([1, 1j, -1, -1j])[np.arange(cutoff_b) % 4]
+    out = _sector_magnitudes(bs, na, cutoff_b) * i_to_k
+    out *= _sector_window(amps, cutoff_b)
     leak = abs(float(np.vdot(out, out).real) - state.squared_norm)
     if leak > _LEAK_TOL:
         raise TruncationError(
             f"splitter propagation leaked {leak:.3e} probability at "
-            f"cutoffs ({na}, {nb}); retry with cutoff_b >= "
-            f"{_sector_cutoff_b(bs, amps[:, 0])}"
+            f"cutoffs ({na}, {cutoff_b}); retry with cutoff_b >= "
+            f"{_sector_cutoff_b(bs, amps)}"
         )
     return TwoModeState(out)
 

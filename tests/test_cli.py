@@ -132,6 +132,20 @@ class TestQFunction:
         assert abs(float(norm_line.split(":")[1]) - 1.0) <= 1e-4
         assert min(float(r[2]) for r in rows) >= -1e-12
 
+    @pytest.mark.parametrize("stage", ["initial", "after-bs"])
+    def test_default_marginal_grid_follows_the_cat(self, capsys, stage):
+        # past |alpha0| 2 the default half-width grows as 1.25 |alpha0| + 3.5,
+        # so a run with its own defaults covers the lobes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(["qfunction", "--alpha0", "3", "--stage", stage],
+                                   capsys)
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, CoverageWarning)]
+        comments, _, rows = parse_csv(out)
+        assert "extent=7.25" in comments[2]
+        assert len(rows) == 145 * 145
+
     def test_marginal_lobes_at_split_components(self, capsys):
         # after the splitter the transmitted cat lobes sit at t alpha0 e^{+-i phi}
         code, out, _ = run_cli(

@@ -17,10 +17,10 @@ from catvis import (
     OverlapWarning,
     QGrid,
     TruncationError,
-    TwoModeState,
     bs_fock_apply,
     cat_norm_constant,
     coherent_fock,
+    contrast_report,
     environment_overlap_oracle,
     fit_fringe,
     fock_brute_force_visibility,
@@ -29,7 +29,6 @@ from catvis import (
     post_selected_terms,
     q_integral_visibility,
     sweep,
-    vacuum_fock,
     visibility_closed_form,
 )
 from catvis.fock import default_cutoff
@@ -327,17 +326,26 @@ class TestBruteForce:
         # at cutoff_b 12 each branch leaks 8.3e-10, above the one leakage
         # threshold 1e-10; the splitter's refusal reaches the caller as is
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=12)
-        state = TwoModeState.from_product(
-            coherent_fock(params.component_plus, cutoff=params.resolved_cutoff_a),
-            vacuum_fock(12),
-        )
+        mode = coherent_fock(params.component_plus, cutoff=params.resolved_cutoff_a)
         message = (r"^splitter propagation leaked 8\.316e-10 probability at "
                    r"cutoffs \(30, 12\); retry with cutoff_b >= 13$")
         with pytest.raises(TruncationError, match=message):
-            bs_fock_apply(params.beam_splitter, state)
+            bs_fock_apply(params.beam_splitter, mode, 12)
         with pytest.warns(OverlapWarning):
             with pytest.raises(TruncationError, match=message):
                 fock_brute_force_visibility(params)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha0=5.0, phi=1.0, r=0.3),  # tail guard
+        dict(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=4),  # splitter leak
+    ])
+    def test_both_refusals_are_truncation_errors(self, kwargs):
+        # one exception type, and a ValueError, so callers catch ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OverlapWarning)
+            with pytest.raises(TruncationError) as exc:
+                fock_brute_force_visibility(ExperimentParams(**kwargs))
+        assert isinstance(exc.value, ValueError)
 
     @pytest.mark.parametrize("alpha0,r,cutoff_b", [
         (2.0, 0.5, 4), (2.0, 0.5, 11), (6.0, 0.9, 10), (12.0, 0.3, 8),
@@ -419,6 +427,24 @@ class TestSweep:
         assert rows[0]["error"] is not None
         assert rows[0]["nu_analytic"] is None
         assert rows[0]["R"] == 1.5
+
+    def test_brute_force_refusal_is_recorded_in_its_row(self):
+        # the tail guard refuses this point at default cutoffs; the row keeps
+        # the closed-form cells and leaves both optional routes empty
+        rows = sweep([0.3], [5.0], [1.0], include_brute=True, include_fringe=True)
+        row = rows[0]
+        assert row["error"] == (
+            "cutoff 75 leaves tail mass 2.752e-12 >= 1.0e-12 for |alpha| = 5; "
+            "retry with cutoff >= 91"
+        )
+        assert row["nu_brute"] is None and row["nu_fringe"] is None
+        assert row["nu_analytic"] == pytest.approx(
+            visibility_closed_form(0.3, 5.0, 1.0), rel=1e-14
+        )
+        assert row["nu_oracle"] == pytest.approx(row["nu_analytic"], rel=1e-12)
+        assert row["T"] == row["mean_ratio"] == pytest.approx(math.sqrt(0.91))
+        report = contrast_report(ExperimentParams(alpha0=5.0, phi=1.0, r=0.3))
+        assert row["var_out"] == report.var_out
 
     def test_optional_routes_fill_their_columns(self):
         rows = sweep([0.3], [3.0], [np.pi / 2], include_brute=True, include_fringe=True)

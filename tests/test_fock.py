@@ -8,13 +8,13 @@ import pytest
 from catvis import (
     ExperimentParams,
     ModeState,
+    TruncationError,
     cat_fock,
     cat_norm_constant,
     coherent_fock,
     coherent_overlap,
     default_cutoff,
     fock_brute_force_visibility,
-    vacuum_fock,
 )
 from catvis.experiment import _require_tail
 from catvis.fock import _cat_components
@@ -37,7 +37,7 @@ def test_default_cutoff_monotone():
 
 
 def test_vacuum_state():
-    v = vacuum_fock(8)
+    v = coherent_fock(0.0, cutoff=8)
     assert v.cutoff == 8
     assert v.amplitudes[0] == 1.0
     assert np.all(v.amplitudes[1:] == 0.0)
@@ -46,7 +46,7 @@ def test_vacuum_state():
 
 def test_vacuum_requires_positive_cutoff():
     with pytest.raises(ValueError):
-        vacuum_fock(0)
+        coherent_fock(0.0, cutoff=0)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_coherent_norm_deficit_is_the_poisson_tail():
 
 def test_coherent_zero_is_vacuum():
     state = coherent_fock(0.0, cutoff=5)
-    np.testing.assert_array_equal(state.amplitudes, vacuum_fock(5).amplitudes)
+    np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0, 0])
 
 
 def test_coherent_explicit_cutoff():
@@ -112,7 +112,7 @@ def test_truncated_inner_approximates_overlap():
 
 def test_inner_requires_common_cutoff():
     with pytest.raises(ValueError):
-        vacuum_fock(4).inner(vacuum_fock(5))
+        coherent_fock(0.0, cutoff=4).inner(coherent_fock(0.0, cutoff=5))
 
 
 # The tail guard lives in catvis.experiment beside its threshold; the
@@ -120,7 +120,7 @@ def test_inner_requires_common_cutoff():
 
 
 def test_tail_guard_raises_on_small_cutoff():
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(TruncationError) as exc:
         _require_tail(coherent_fock(3.0, cutoff=12), 3.0)
     assert str(exc.value) == (
         "cutoff 12 leaves tail mass 2.156e-01 >= 1.0e-12 for |alpha| = 3; "
@@ -145,7 +145,7 @@ def test_state_validation():
 
 
 def test_amplitudes_are_read_only():
-    state = vacuum_fock(3)
+    state = coherent_fock(0.0, cutoff=3)
     with pytest.raises((ValueError, RuntimeError)):
         state.amplitudes[0] = 0.0
 
@@ -155,7 +155,7 @@ def test_top_band_mass_hand_value():
     amps = np.zeros(10)
     amps[0] = 0.8
     amps[9] = 0.6
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(TruncationError) as exc:
         _require_tail(ModeState(amps), 0.0)
     assert str(exc.value) == (
         "cutoff 10 leaves tail mass 3.600e-01 >= 1.0e-12 for |alpha| = 0; "

@@ -8,6 +8,7 @@ import pytest
 
 from catvis import (
     BeamSplitter,
+    ModeState,
     TruncationError,
     TwoModeState,
     bs_fock_apply,
@@ -16,7 +17,6 @@ from catvis import (
     coherent_overlap,
     interference_reduced_a,
     phase_shift_fock_a,
-    vacuum_fock,
 )
 from helpers import (
     bs_fock_apply_series,
@@ -56,7 +56,7 @@ class TestBeamSplitter:
 class TestTwoModeState:
     def test_from_product(self):
         a = coherent_fock(1.0, cutoff=6)
-        b = vacuum_fock(4)
+        b = coherent_fock(0.0, cutoff=4)
         st = TwoModeState.from_product(a, b)
         assert (st.cutoff_a, st.cutoff_b) == (6, 4)
         np.testing.assert_allclose(
@@ -115,23 +115,22 @@ def test_fock_apply_matches_dense_exponential(r):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def vacuum_port_state(seed: int) -> TwoModeState:
-    """A random mode-A state on 8 of 16 levels, vacuum in mode B."""
-    rng = np.random.default_rng(seed)
-    return TwoModeState.from_product(random_mode(rng, 16, 8), vacuum_fock(16))
+def with_vacuum_b(mode: ModeState, cutoff_b: int) -> TwoModeState:
+    """``mode (x) |0>``, the input the exchange-series oracle takes."""
+    return TwoModeState.from_product(mode, coherent_fock(0.0, cutoff=cutoff_b))
 
 
 def test_fock_apply_identity_at_zero_reflectivity():
-    state = vacuum_port_state(5)
-    out = bs_fock_apply(BeamSplitter(0.0), state)
-    np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+    mode = random_mode(np.random.default_rng(5), 16, 8)
+    out = bs_fock_apply(BeamSplitter(0.0), mode, 16)
+    np.testing.assert_allclose(
+        out.amplitudes, with_vacuum_b(mode, 16).amplitudes, atol=1e-15
+    )
 
 
 def test_single_photon_splits():
     bs = BeamSplitter(0.6)
-    amps = np.zeros((3, 3))
-    amps[1, 0] = 1.0
-    out = bs_fock_apply(bs, TwoModeState(amps)).amplitudes
+    out = bs_fock_apply(bs, ModeState([0, 1, 0]), 3).amplitudes
     assert out[1, 0] == pytest.approx(0.8)
     assert out[0, 1] == pytest.approx(0.6j)
 
@@ -144,23 +143,15 @@ def test_single_photon_splits():
 
 
 def test_norm_preserved_below_truncation_band():
-    state = vacuum_port_state(6)
-    out = bs_fock_apply(BeamSplitter(0.6), state)
-    assert abs(out.squared_norm - state.squared_norm) < 1e-12
-
-
-def test_photons_in_mode_b_are_refused():
-    amps = np.zeros((3, 3))
-    amps[1, 1] = 1.0
-    with pytest.raises(ValueError, match="vacuum in mode B"):
-        bs_fock_apply(BeamSplitter(0.6), TwoModeState(amps))
+    mode = random_mode(np.random.default_rng(6), 16, 8)
+    out = bs_fock_apply(BeamSplitter(0.6), mode, 16)
+    assert abs(out.squared_norm - mode.squared_norm) < 1e-12
 
 
 def test_coherent_product_passes_through_exactly():
     bs = BeamSplitter(0.5)
     alpha = 2.0
-    state = TwoModeState.from_product(coherent_fock(alpha, cutoff=35), vacuum_fock(25))
-    out = bs_fock_apply(bs, state)
+    out = bs_fock_apply(bs, coherent_fock(alpha, cutoff=35), 25)
     la, lb = bs_label_pair_map(bs, alpha, 0)
     want = TwoModeState.from_product(
         coherent_fock(la, cutoff=35), coherent_fock(lb, cutoff=25)
@@ -178,9 +169,9 @@ class TestVacuumPortSectors:
     def test_matches_dense_exponential(self, r):
         rng = np.random.default_rng(int(r * 100) + 20)
         # every input sector n < 10 fits inside both cutoffs
-        state = TwoModeState.from_product(random_mode(rng, 10, 10), vacuum_fock(12))
-        want = dense_bs_unitary(r, 10, 12) @ two_mode_vec(state)
-        got = bs_fock_apply(BeamSplitter(r), state)
+        mode = random_mode(rng, 10, 10)
+        want = dense_bs_unitary(r, 10, 12) @ two_mode_vec(with_vacuum_b(mode, 12))
+        got = bs_fock_apply(BeamSplitter(r), mode, 12)
         np.testing.assert_allclose(two_mode_vec(got), want, atol=1e-12)
 
     # (|alpha|, R, cutoff_a, cutoff_b): the subnormal-series points, the
@@ -195,22 +186,19 @@ class TestVacuumPortSectors:
 
     @pytest.mark.parametrize("alpha,r,na,nb", POINTS)
     def test_matches_the_exchange_series(self, alpha, r, na, nb):
-        state = TwoModeState.from_product(
-            coherent_fock(alpha * np.exp(0.7j), cutoff=na), vacuum_fock(nb)
-        )
+        mode = coherent_fock(alpha * np.exp(0.7j), cutoff=na)
         bs = BeamSplitter(r)
-        got = bs_fock_apply(bs, state)  # no TruncationError: nothing leaks
-        want = bs_fock_apply_series(bs, state)
+        got = bs_fock_apply(bs, mode, nb)  # no TruncationError: nothing leaks
+        want = bs_fock_apply_series(bs, with_vacuum_b(mode, nb))
         assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
-        assert abs(got.squared_norm - state.squared_norm) <= 1e-13
+        assert abs(got.squared_norm - mode.squared_norm) <= 1e-13
 
     def test_leak_is_the_binomial_tail(self):
         bs = BeamSplitter(0.6)
         # untruncated (cutoff_b 7 holds every k <= 6): each output column
         # carries exactly its binomial weight
-        amps = np.zeros((8, 7))
-        amps[6, 0] = 1.0
-        out = bs_fock_apply(bs, TwoModeState(amps)).amplitudes
+        mode = ModeState(np.eye(8)[6])
+        out = bs_fock_apply(bs, mode, 7).amplitudes
         for k in range(7):
             weight = math.comb(6, k) * bs.r ** (2 * k) * bs.t ** (2 * (6 - k))
             assert np.vdot(out[:, k], out[:, k]).real == pytest.approx(
@@ -225,7 +213,7 @@ class TestVacuumPortSectors:
             for k in range(3, 7)
         )
         with pytest.raises(TruncationError) as exc:
-            bs_fock_apply(bs, TwoModeState(amps[:, :3]))
+            bs_fock_apply(bs, mode, 3)
         assert str(exc.value) == (
             f"splitter propagation leaked {leak:.3e} probability at cutoffs "
             "(8, 3); retry with cutoff_b >= 7"
@@ -233,15 +221,20 @@ class TestVacuumPortSectors:
 
 
 def test_leakage_raises_with_cutoff_b_advice():
-    state = TwoModeState.from_product(coherent_fock(2.0, cutoff=30), vacuum_fock(4))
     with pytest.raises(TruncationError, match=r"cutoffs \(30, 4\); retry with "
                        r"cutoff_b >= \d+$"):
-        bs_fock_apply(BeamSplitter(0.5), state)
+        bs_fock_apply(BeamSplitter(0.5), coherent_fock(2.0, cutoff=30), 4)
+
+
+@pytest.mark.parametrize("cutoff_b", [0, -2])
+def test_cutoff_b_must_be_positive(cutoff_b):
+    with pytest.raises(ValueError, match="cutoff_b must be positive"):
+        bs_fock_apply(BeamSplitter(0.5), coherent_fock(1.0, cutoff=10), cutoff_b)
 
 
 def test_phase_shift_fock_tracks_coherent_label():
     alpha, chi = 1.3 - 0.4j, 0.8
-    vac = vacuum_fock(3)
+    vac = coherent_fock(0.0, cutoff=3)
     shifted = phase_shift_fock_a(
         TwoModeState.from_product(coherent_fock(alpha, cutoff=30), vac), chi
     )
