@@ -25,14 +25,13 @@ import numpy as np
 from . import __version__
 from .experiment import (
     ExperimentParams,
-    environment_overlap_oracle,
     fit_fringe,
     fock_brute_force_visibility,
     fringe_scan,
     sweep,
     _SWEEP_KEYS,
 )
-from .heisenberg import contrast_report
+from .heisenberg import _closed_form_columns
 from .phase_space import (
     CoverageWarning,
     QGrid,
@@ -91,6 +90,8 @@ class RunConfig:
             raise ValueError(
                 "alpha0 is a magnitude; use --alpha0-phase for the phase"
             )
+        if any(a < 0.0 for a in self.alpha0_values):
+            raise ValueError("alpha0-values are magnitudes and cannot be negative")
         if self.n_theta < 8:
             raise ValueError("n-theta must be at least 8")
 
@@ -449,20 +450,11 @@ def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
 
 def _cmd_visibility(cfg: RunConfig) -> None:
     params = cfg.to_params()
-    report = contrast_report(params)
+    nu, oracle, t, var_out = map(float, _closed_form_columns(
+        params.r, params.alpha0, params.phi))
     nu_brute = fock_brute_force_visibility(params) if cfg.brute_force else None
     header = tuple(k for k in _SWEEP_KEYS if k not in ("nu_fringe", "error"))
-    row = (
-        cfg.r,
-        cfg.alpha0,
-        cfg.phi,
-        report.visibility,
-        abs(environment_overlap_oracle(params)),
-        nu_brute,
-        report.mean_ratio,
-        report.mean_ratio,
-        report.var_out,
-    )
+    row = (cfg.r, cfg.alpha0, cfg.phi, nu, oracle, nu_brute, t, t, var_out)
     _emit(cfg, _echo(cfg), header, [row])
 
 
@@ -532,17 +524,10 @@ def _cmd_fringe(cfg: RunConfig) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig) -> None:
-    table = sweep(
-        cfg.r_values,
-        cfg.alpha0_values,
-        cfg.phi_values,
-        include_brute=cfg.brute_force,
-        include_fringe=cfg.include_fringe,
-        n_theta=cfg.n_theta,
-    )
-    rows = [tuple(rec[k] for k in _SWEEP_KEYS) for rec in table]
-    _emit(cfg, _echo(cfg), _SWEEP_KEYS, rows,
-          diagnostics={"n_rows": len(rows)})
+    rows = sweep(cfg.r_values, cfg.alpha0_values, cfg.phi_values,
+                 include_brute=cfg.brute_force, include_fringe=cfg.include_fringe,
+                 n_theta=cfg.n_theta)
+    _emit(cfg, _echo(cfg), _SWEEP_KEYS, rows, diagnostics={"n_rows": len(rows)})
 
 
 _COMMANDS = {
@@ -608,8 +593,14 @@ def main(argv=None) -> int:
                                  for k in sorted(vars(cfg)))
                 print(f"catvis config: {pairs}", file=sys.stderr)
             _COMMANDS[cfg.subcommand](cfg)
+            sys.stdout.flush()
     except ValueError as exc:
         print(f"catvis: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # a reader closed stdout early: per the SIGPIPE note in Python's
+        # ``signal`` docs, stdout goes to devnull so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
         warnings.formatwarning = formatwarning

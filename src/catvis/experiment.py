@@ -26,7 +26,7 @@ from .fock import (
     coherent_overlap,
     default_cutoff,
 )
-from .heisenberg import contrast_report
+from .heisenberg import _closed_form_columns
 from .operators import (
     BeamSplitter,
     TruncationError,
@@ -335,19 +335,8 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     return float(abs(overlap) / denom)
 
 
-_SWEEP_KEYS = (
-    "R",
-    "abs_alpha0",
-    "phi",
-    "nu_analytic",
-    "nu_oracle",
-    "nu_brute",
-    "nu_fringe",
-    "T",
-    "mean_ratio",
-    "var_out",
-    "error",
-)
+_SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
+               "nu_fringe", "T", "mean_ratio", "var_out", "error")
 
 
 def sweep(
@@ -357,34 +346,37 @@ def sweep(
     include_brute: bool = False,
     include_fringe: bool = False,
     n_theta: int = 16,
-) -> list[dict]:
-    """Visibility and moment table over a parameter grid, one dict per row.
+) -> list[tuple]:
+    """Visibility and moment table over a parameter grid, one tuple of cells
+    per row in ``_SWEEP_KEYS`` order.
 
-    Loop order: r outermost, then |alpha0|, then phi.  The closed form and
-    overlap oracle always run; the heavier Fock and fringe routes only when
-    asked.  A row that fails numerically keeps its parameters and carries
-    the message in ``error`` instead of aborting the sweep.
+    Loop order: r outermost, then |alpha0|, then phi.  The closed-form
+    columns are one array evaluation over the valid points; the heavier Fock
+    and fringe routes run point by point, only when asked.  A row that fails
+    keeps its parameters and carries the message in ``error`` instead of
+    aborting the sweep.
     """
+    axes = (np.asarray(v, dtype=float)
+            for v in (r_values, abs_alpha0_values, phi_values))
+    r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    # exactly the points ExperimentParams accepts
+    valid = np.isfinite(phi) & np.isfinite(a0) & (r >= 0.0) & (r < 1.0)
+    closed = zip(*(c.tolist() for c in
+                   _closed_form_columns(r[valid], a0[valid], phi[valid])))
     rows = []
-    for r in r_values:
-        for a0 in abs_alpha0_values:
-            for phi in phi_values:
-                row = dict.fromkeys(_SWEEP_KEYS)
-                row["R"], row["abs_alpha0"], row["phi"] = float(r), float(a0), float(phi)
-                try:
-                    params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                    report = contrast_report(params)
-                    row["nu_analytic"] = report.visibility
-                    row["nu_oracle"] = abs(environment_overlap_oracle(params))
-                    row["T"] = row["mean_ratio"] = report.mean_ratio
-                    row["var_out"] = report.var_out
-                    if include_brute:
-                        row["nu_brute"] = fock_brute_force_visibility(params)
-                    if include_fringe:
-                        row["nu_fringe"] = fit_fringe(
-                            fringe_scan(params, n_theta=n_theta)
-                        ).visibility
-                except ValueError as exc:
-                    row["error"] = str(exc)
-                rows.append(row)
+    for point, ok in zip(zip(r.tolist(), a0.tolist(), phi.tolist()), valid.tolist()):
+        cells, error = [None] * 7, None
+        try:
+            # an invalid point raises here, taking the message validation gives
+            if not ok or include_brute or include_fringe:
+                params = ExperimentParams(alpha0=point[1], phi=point[2], r=point[0])
+            nu, oracle, t, var_out = next(closed)
+            cells = [nu, oracle, None, None, t, t, var_out]
+            if include_brute:
+                cells[2] = fock_brute_force_visibility(params)
+            if include_fringe:
+                cells[3] = fit_fringe(fringe_scan(params, n_theta=n_theta)).visibility
+        except ValueError as exc:
+            error = str(exc)
+        rows.append((*point, *cells, error))
     return rows

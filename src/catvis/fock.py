@@ -14,7 +14,6 @@ conj(alpha) * beta)`` lives alongside the truncated vectors.  The two tracks
 are independent implementations; the test suite holds them together.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -126,18 +125,21 @@ def coherent_overlap(alpha, beta):
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
+    # np.square, not ``** 2``, which NumPy takes by ``pow`` on a scalar but
+    # multiplies on an array: a scalar equals an array element bit for bit
     out = np.exp(
-        -0.5 * (np.abs(alpha) ** 2 + np.abs(beta) ** 2) + np.conjugate(alpha) * beta
+        -0.5 * (np.square(np.abs(alpha)) + np.square(np.abs(beta)))
+        + np.conjugate(alpha) * beta
     )
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def _cat_components(alpha0: CoherentLabel, phi: float) -> tuple[complex, complex]:
-    """The cat's two coherent labels ``(e^{i phi} alpha0, e^{-i phi} alpha0)``."""
-    alpha0 = complex(alpha0)
-    return cmath.exp(1j * phi) * alpha0, cmath.exp(-1j * phi) * alpha0
+def _cat_components(alpha0, phi):
+    """The cat's two coherent labels ``(e^{i phi} alpha0, e^{-i phi} alpha0)``,
+    on scalars or broadcast arrays."""
+    return np.exp(1j * phi) * alpha0, np.exp(-1j * phi) * alpha0
 
 
 def cat_norm_constant(alpha0: CoherentLabel, phi: float) -> float:

@@ -10,9 +10,11 @@ put while the interference visibility of a cat collapses.
 Quadratures follow ``x = (a + a+)/2``, giving the vacuum variance 1/4.
 """
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .fock import _cat_components, coherent_overlap
 from .phase_space import visibility_closed_form
 
 __all__ = [
@@ -22,8 +24,9 @@ __all__ = [
 ]
 
 
-def cat_quadrature_stats(alpha0: complex, phi: float) -> tuple[float, float]:
-    """Exact ``(mean, variance)`` of x for the normalized two-component cat.
+def cat_quadrature_stats(alpha0, phi):
+    """Exact ``(mean, variance)`` of x for the normalized two-component cat,
+    on scalars or broadcast arrays.
 
     With components ``u, v = e^{+-i phi} alpha0`` the moments are taken about
     ``m = Re(alpha0) cos(phi)``, the components' mean real part, so nothing
@@ -40,24 +43,39 @@ def cat_quadrature_stats(alpha0: complex, phi: float) -> tuple[float, float]:
     The tests hold it against moments of the truncated Fock state and
     against 50-digit arithmetic.
     """
-    alpha0 = complex(alpha0)
-    sin_phi = math.sin(phi)
-    m = alpha0.real * math.cos(phi)
+    alpha0 = np.asarray(alpha0, dtype=complex)
+    sin_phi = np.sin(phi)
+    m = alpha0.real * np.cos(phi)
     d = alpha0.imag * sin_phi
     sigma = 2.0 * alpha0.real * sin_phi
     # ov = e^{x + iy}, from e^{-2i phi} - 1 = -2 sin^2(phi) - i sin(2 phi):
     # no cancellation at small phi, and the phase y, tens of radians where
     # ov still counts, takes the fewest roundings
-    abs2 = alpha0.real**2 + alpha0.imag**2
+    abs2 = alpha0.real * alpha0.real + alpha0.imag * alpha0.imag
     x = -2.0 * abs2 * sin_phi * sin_phi
-    y = -abs2 * math.sin(2.0 * phi)
-    re_ov, im_ov = math.exp(x) * math.cos(y), math.exp(x) * math.sin(y)
+    y = -abs2 * np.sin(2.0 * phi)
+    re_ov, im_ov = np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)
     # 1 + Re ov = 2 cos^2(y/2) + expm1(x) cos(y): where it nears 0 (cos y
     # near -1, x near 0) both terms are nonnegative
-    n2 = 0.5 / (2.0 * math.cos(0.5 * y) ** 2 + math.expm1(x) * math.cos(y))
+    n2 = 0.5 / (2.0 * np.square(np.cos(0.5 * y)) + np.expm1(x) * np.cos(y))
     shift = n2 * sigma * im_ov
     var = 0.25 + n2 * (2.0 * d * d - 0.5 * sigma * sigma * re_ov) - shift * shift
     return m + shift, var
+
+
+def _closed_form_columns(r, alpha0, phi):
+    """``(nu_analytic, nu_oracle, T, var_out)`` of valid parameters on broadcast
+    arrays, each by its own formula: the closed form, ``|<i r u-|i r u+>|``,
+    ``t`` and ``t^2 var + r^2/4``; moduli by np.hypot, as abs() of a complex."""
+    r, alpha0 = np.asarray(r, dtype=float), np.asarray(alpha0, dtype=complex)
+    t = np.sqrt(1.0 - r * r)
+    plus, minus = _cat_components(alpha0, phi)
+    ov = coherent_overlap(1j * r * minus, 1j * r * plus)
+    _, var_x = cat_quadrature_stats(alpha0, phi)
+    return (visibility_closed_form(r, np.hypot(alpha0.real, alpha0.imag), phi),
+            np.hypot(ov.real, ov.imag), t,
+            # vacuum enters port B with variance 1/4
+            t * t * var_x + r * r * 0.25)
 
 
 @dataclass(frozen=True)
@@ -77,12 +95,8 @@ class ContrastReport:
 
 
 def contrast_report(params) -> ContrastReport:
-    """Build the moments-versus-visibility contrast for one parameter set."""
-    bs = params.beam_splitter
-    _, var_x = cat_quadrature_stats(params.alpha0, params.phi)
-    return ContrastReport(
-        mean_ratio=bs.t,
-        # vacuum enters port B with variance 1/4
-        var_out=bs.t * bs.t * var_x + bs.r * bs.r * 0.25,
-        visibility=visibility_closed_form(params.r, abs(params.alpha0), params.phi),
-    )
+    """Build the moments-versus-visibility contrast for one parameter set:
+    the one-point case of the closed-form columns that ``sweep`` prints."""
+    nu, _, t, var_out = map(float, _closed_form_columns(params.r, params.alpha0,
+                                                        params.phi))
+    return ContrastReport(mean_ratio=t, var_out=var_out, visibility=nu)

@@ -435,7 +435,8 @@ def visibility_closed_form(r, abs_alpha0, phi):
     """
     r = np.asarray(r, dtype=float)
     abs_alpha0 = np.asarray(abs_alpha0, dtype=float)
-    out = np.exp(-2.0 * r**2 * np.sin(phi) ** 2 * abs_alpha0**2)
+    # np.square, as in coherent_overlap: a scalar equals an array element
+    out = np.exp(-2.0 * r**2 * np.square(np.sin(phi)) * abs_alpha0**2)
     if out.ndim == 0:
         return float(out)
     return out

@@ -238,6 +238,24 @@ class TestSweep:
             ("0.3", "0.5236"), ("0.3", "1.5708"),
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("r,alpha0,phi", [
+        ("0.3", "2", "0.7"), ("0.05", "17.5", "0.01"), ("0.9", "0.25", PI_HALF),
+    ])
+    def test_visibility_and_sweep_print_the_same_closed_form_cells(
+            self, r, alpha0, phi, fmt, capsys):
+        _, point, _ = run_cli(["visibility", "--R", r, "--alpha0", alpha0,
+                               "--phi", phi, "--format", fmt], capsys)
+        _, grid, _ = run_cli(["sweep", "--R-values", r, "--alpha0-values", alpha0,
+                              "--phi-values", phi, "--format", fmt], capsys)
+        if fmt == "json":
+            (point,), (grid,) = json.loads(point)["rows"], json.loads(grid)["rows"]
+        else:
+            point, grid = one_record(point), one_record(grid)
+        keys = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "T",
+                "mean_ratio", "var_out")
+        assert [point[k] for k in keys] == [grid[k] for k in keys]
+
     def test_csv_floats_round_trip_at_12_digits(self, capsys):
         _, out, _ = run_cli(
             ["sweep", "--R-values", "0.2", "--alpha0-values", "1,3",
@@ -579,6 +597,19 @@ class TestFailureModes:
         assert code == 1
         assert "magnitude" in err
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_negative_magnitude_in_the_sweep_list(self, source, capsys,
+                                                  monkeypatch):
+        argv = ["sweep", "--R-values", "0.1"]
+        if source == "flag":
+            argv.append("--alpha0-values=1,-2")
+        else:
+            monkeypatch.setenv("CATVIS_ALPHA0_VALUES", "1,-2")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == ("catvis: error: alpha0-values are magnitudes and cannot "
+                       "be negative\n")
+
     def test_unknown_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["visibility", "--no-such-flag"])
@@ -646,6 +677,25 @@ class TestSubprocess:
             f"catvis: warning: cat components overlap at |<+|->| = 8.126e-01{tail}"
             f"catvis: warning: cat components overlap at |<+|->| = 7.417e-01{tail}"
         )
+
+    def test_reader_closing_stdout_early_ends_quietly(self):
+        # about 600 kB of rows, far past what the pipe buffers, so the
+        # writer is still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catvis", "qfunction", "--alpha0", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == f"# catvis {__version__}\n".encode()
+        assert err == b""
+        assert code == 1
 
     def test_module_entry_point_version(self):
         proc = subprocess.run(

@@ -31,6 +31,7 @@ from catvis import (
     sweep,
     visibility_closed_form,
 )
+from catvis.experiment import _SWEEP_KEYS
 from catvis.fock import default_cutoff
 
 TWO_PI = 2.0 * math.pi
@@ -391,14 +392,20 @@ def test_brute_force_matches_the_closed_form_over_the_domain(r, a, phi):
     assert abs(nu - visibility_closed_form(r, a, phi)) <= 1e-13
 
 
+def _records(rows):
+    """Sweep rows, tuples of cells, as dicts keyed through ``_SWEEP_KEYS``."""
+    assert all(type(row) is tuple and len(row) == len(_SWEEP_KEYS) for row in rows)
+    return [dict(zip(_SWEEP_KEYS, row)) for row in rows]
+
+
 class TestSweep:
     def test_grid_order_and_columns(self):
-        rows = sweep([0.1, 0.2], [1.0, 2.0], [np.pi / 6, np.pi / 2])
+        rows = _records(sweep([0.1, 0.2], [1.0, 2.0], [np.pi / 6, np.pi / 2]))
         assert len(rows) == 8
         coords = [(row["R"], row["abs_alpha0"], row["phi"]) for row in rows]
         assert coords == sorted(coords)
         for row in rows:
-            assert tuple(row) == (
+            assert tuple(row) == _SWEEP_KEYS == (
                 "R",
                 "abs_alpha0",
                 "phi",
@@ -422,7 +429,7 @@ class TestSweep:
             assert row["mean_ratio"] == row["T"]
 
     def test_bad_row_is_recorded_not_raised(self):
-        rows = sweep([1.5], [1.0], [np.pi / 2])
+        rows = _records(sweep([1.5], [1.0], [np.pi / 2]))
         assert len(rows) == 1
         assert rows[0]["error"] is not None
         assert rows[0]["nu_analytic"] is None
@@ -431,7 +438,8 @@ class TestSweep:
     def test_brute_force_refusal_is_recorded_in_its_row(self):
         # the tail guard refuses this point at default cutoffs; the row keeps
         # the closed-form cells and leaves both optional routes empty
-        rows = sweep([0.3], [5.0], [1.0], include_brute=True, include_fringe=True)
+        rows = _records(
+            sweep([0.3], [5.0], [1.0], include_brute=True, include_fringe=True))
         row = rows[0]
         assert row["error"] == (
             "cutoff 75 leaves tail mass 2.752e-12 >= 1.0e-12 for |alpha| = 5; "
@@ -447,17 +455,93 @@ class TestSweep:
         assert row["var_out"] == report.var_out
 
     def test_optional_routes_fill_their_columns(self):
-        rows = sweep([0.3], [3.0], [np.pi / 2], include_brute=True, include_fringe=True)
+        rows = _records(
+            sweep([0.3], [3.0], [np.pi / 2], include_brute=True, include_fringe=True))
         row = rows[0]
         assert row["nu_brute"] == pytest.approx(row["nu_analytic"], abs=1e-6)
         assert row["nu_fringe"] == pytest.approx(row["nu_analytic"], abs=2e-4)
 
     def test_log_visibility_is_linear_in_squared_reflectivity(self):
         r_values = [0.05, 0.1, 0.2, 0.3, 0.5]
-        rows = sweep(r_values, [2.0], [np.pi / 4])
+        rows = _records(sweep(r_values, [2.0], [np.pi / 4]))
         x = np.array([row["R"] ** 2 for row in rows])
         y = np.array([-math.log(row["nu_oracle"]) for row in rows])
         slope, intercept = np.polyfit(x, y, 1)
         assert slope == pytest.approx(2.0 * 4.0 * math.sin(np.pi / 4) ** 2, rel=1e-10)
         assert abs(intercept) < 1e-10
         assert float(np.max(np.abs(y - (slope * x + intercept)))) < 1e-10
+
+
+def _scalar_cells(row):
+    """The closed-form cells of ``row`` from the per-point functions."""
+    params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"], r=row["R"])
+    report = contrast_report(params)
+    return (
+        visibility_closed_form(params.r, row["abs_alpha0"], params.phi),
+        abs(environment_overlap_oracle(params)),
+        report.mean_ratio,
+        report.var_out,
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    r=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6),
+    a=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6),
+    phi=st.lists(st.floats(0.0, math.pi / 2, exclude_min=True), min_size=1,
+                 max_size=6),
+)
+def test_sweep_cells_equal_the_per_point_functions_bit_for_bit(r, a, phi):
+    for row in _records(sweep(r, a, phi)):
+        assert row["error"] is None
+        assert (row["nu_analytic"], row["nu_oracle"], row["T"], row["var_out"]) \
+            == _scalar_cells(row)
+        assert row["mean_ratio"] == row["T"]
+
+
+@pytest.mark.parametrize("shape", [(20, 20, 20), (2, 2, 3000)])
+def test_dense_sweep_grid_equals_the_per_point_functions_bit_for_bit(shape):
+    # a NumPy scalar and an array element can round differently (``** 2`` is
+    # ``pow`` on one, a product on the other) for about one value in a
+    # thousand, which only this many distinct points and angles reliably show
+    rng = np.random.default_rng(13)
+    n_r, n_a, n_phi = shape
+    rows = _records(sweep(rng.uniform(0.0, 0.99, n_r), rng.uniform(0.0, 20.0, n_a),
+                          rng.uniform(1e-9, math.pi / 2, n_phi)))
+    got = [(row["nu_analytic"], row["nu_oracle"], row["T"], row["var_out"])
+           for row in rows]
+    assert got == [_scalar_cells(row) for row in rows]
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize("r,a,phi,message", [
+        (1.0, 2.0, 0.5, "reflectivity must lie in [0, 1)"),
+        (-0.1, 2.0, 0.5, "reflectivity must lie in [0, 1)"),
+        (math.nan, 2.0, 0.5, "reflectivity must lie in [0, 1)"),
+        (0.3, math.inf, 0.5, "alpha0 must be finite"),
+        (0.3, math.nan, 0.5, "alpha0 must be finite"),
+        (0.3, 2.0, math.nan, "phi must be finite"),
+        (0.3, 2.0, -math.inf, "phi must be finite"),
+        (math.nan, math.nan, math.nan, "phi must be finite"),
+    ])
+    def test_invalid_point_carries_the_validation_message(self, r, a, phi, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentParams(alpha0=a, phi=phi, r=r)
+        assert str(exc.value) == message
+        (row,) = _records(sweep([r], [a], [phi], include_brute=True,
+                                include_fringe=True))
+        assert row["error"] == message
+        assert all(row[k] is None for k in _SWEEP_KEYS[3:-1])
+        for key, want in zip(("R", "abs_alpha0", "phi"), (r, a, phi)):
+            assert row[key] == want or (math.isnan(row[key]) and math.isnan(want))
+
+    def test_invalid_rows_leave_the_valid_rows_of_the_grid_alone(self):
+        rows = _records(sweep([0.3, 1.0, 0.6], [2.0, math.inf], [math.nan, 0.5, 1.1]))
+        assert len(rows) == 18
+        for row in rows:
+            valid = row["R"] < 1.0 and math.isfinite(row["abs_alpha0"]) \
+                and math.isfinite(row["phi"])
+            assert (row["error"] is None) == valid
+            if valid:
+                assert (row["nu_analytic"], row["nu_oracle"], row["T"],
+                        row["var_out"]) == _scalar_cells(row)
