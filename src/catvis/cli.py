@@ -18,6 +18,8 @@ import os
 import sys
 import warnings
 import dataclasses
+import functools
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -269,7 +271,8 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # Floats print to 12 significant digits: a CSV cell as ``f"{x:.12g}"``, a JSON
 # value as the repr of the float that text parses to, which is what
 # ``json.dumps`` writes after rounding.  A cell costs one lookup on its exact
-# type; Q grids format each plane point once and, per row, only ``q``.
+# type, and a float column one format per distinct value; Q grids format each
+# plane point once and, per row, only ``q``.
 
 
 def _plain(v):
@@ -363,6 +366,24 @@ def _grid_blocks(planes, values, num):
             yield head, inner, qs.tolist()
 
 
+_BLOCK_ROWS = 1024  # JSON rows joined and written at a time
+
+
+def _column_texts(rows, table) -> list:
+    """Each column of ``rows`` as a list of cell texts through ``table``.  A
+    column of built-in floats only is encoded once per distinct bit pattern
+    (by value, 0.0 and -0.0 would merge), any other column cell by cell."""
+    cols = []
+    for col in zip(*rows):
+        if set(map(type, col)) == {float}:
+            bits, where = np.unique(np.array(col).view(np.int64), return_inverse=True)
+            texts = [table[float](x) for x in bits.view(float).tolist()]
+            cols.append([texts[i] for i in where.tolist()])
+        else:
+            cols.append([_cell_text(table, v) for v in col])
+    return cols
+
+
 def _json_row_template(header) -> str:
     """``str.format`` template of one row object, keys sorted and indented
     as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out in "rows";
@@ -385,7 +406,7 @@ def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     if grid is None:
-        writer.writerows([[_cell_text(_CSV_CELL, v) for v in row] for row in rows])
+        writer.writerows(zip(*_column_texts(rows, _CSV_CELL)))
     else:
         # numbers need no quoting, so the lines bypass the csv writer
         for head, tails, qs in _grid_blocks(*grid, "{:.12g}".format):
@@ -406,7 +427,8 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
     buf.write(text[:-2] + ',\n  "rows": [')
     row = _json_row_template(header).format
     if grid is None:
-        blocks = [[row(*[_cell_text(_JSON_CELL, v) for v in cells]) for cells in rows]]
+        cells = zip(*_column_texts(rows, _JSON_CELL))
+        blocks = iter(lambda: [row(*c) for c in islice(cells, _BLOCK_ROWS)], [])
     else:
         blocks = (
             [row(*head, *tail, _json_float(q)) for tail, q in zip(tails, qs)]
@@ -414,9 +436,8 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
         )
     sep = "\n"
     for block in blocks:
-        if block:
-            buf.write(sep + ",\n".join(block))
-            sep = ",\n"
+        buf.write(sep + ",\n".join(block))
+        sep = ",\n"
     buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
@@ -542,6 +563,7 @@ _COMMANDS = {
 # parser and entry point
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catvis",

@@ -53,6 +53,13 @@ class OverlapWarning(UserWarning):
     """The two cat components overlap appreciably; branches are not disjoint."""
 
 
+# largest |alpha0| accepted.  The oracle's exponent, -|a - b|^2/2 for the
+# reflected labels a, b, is summed from terms of size |r alpha0|^2 and errs by
+# up to ~7 ulps of them: under 8 here, so every closed-form column is finite,
+# while past ~2e9 the oracle can overflow
+_MAX_ALPHA0 = 1e8
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """Everything one run of the interferometer needs.
@@ -77,6 +84,8 @@ class ExperimentParams:
             raise ValueError("phi must be finite")
         if not np.isfinite(self.alpha0):
             raise ValueError("alpha0 must be finite")
+        if not np.abs(self.alpha0) <= _MAX_ALPHA0:
+            raise ValueError(f"|alpha0| must be at most {_MAX_ALPHA0:g}")
         BeamSplitter(self.r)  # validates the reflectivity range
         for name in ("cutoff_a", "cutoff_b"):
             val = getattr(self, name)
@@ -360,7 +369,7 @@ def sweep(
             for v in (r_values, abs_alpha0_values, phi_values))
     r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     # exactly the points ExperimentParams accepts
-    valid = np.isfinite(phi) & np.isfinite(a0) & (r >= 0.0) & (r < 1.0)
+    valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
     closed = zip(*(c.tolist() for c in
                    _closed_form_columns(r[valid], a0[valid], phi[valid])))
     rows = []

@@ -628,6 +628,54 @@ class TestFailureModes:
         assert out.strip() == f"catvis {__version__}"
 
 
+class TestAlpha0Bound:
+    # the largest |alpha0| ExperimentParams accepts, and the next float up
+    LARGEST = "1e8"
+    REFUSED = repr(math.nextafter(1e8, math.inf))
+    MESSAGE = "|alpha0| must be at most 1e+08"
+
+    @staticmethod
+    def _quiet_run(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert caught == []
+        return code, out, err
+
+    @pytest.mark.parametrize("phi", ["1e-300", "1e-10", "0.9", PI_HALF, "3"])
+    def test_largest_accepted_value_prints_finite_cells(self, phi, capsys):
+        code, out, err = self._quiet_run(
+            ["visibility", "--alpha0", self.LARGEST, "--R", "0.99",
+             "--phi", phi], capsys)
+        assert (code, err) == (0, "")
+        rec = one_record(out)
+        for key in ("nu_analytic", "nu_oracle", "T", "mean_ratio", "var_out"):
+            assert math.isfinite(float(rec[key])), key
+
+    def test_smallest_refused_value_is_one_error_line(self, capsys):
+        code, out, err = self._quiet_run(
+            ["visibility", "--alpha0", self.REFUSED], capsys)
+        assert (code, out, err) == (1, "", f"catvis: error: {self.MESSAGE}\n")
+
+    def test_sweep_rows_on_both_sides_of_the_bound(self, capsys):
+        code, out, err = self._quiet_run(
+            ["sweep", "--R-values", "0,0.5,0.99",
+             "--alpha0-values", f"{self.LARGEST},{self.REFUSED}",
+             "--phi-values", "1e-300,1e-10,0.9,3"], capsys)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 3 * 2 * 4
+        for row in (dict(zip(header, r)) for r in rows):
+            cells = [row[k] for k in ("nu_analytic", "nu_oracle", "T",
+                                      "mean_ratio", "var_out")]
+            if row["error"] == "":
+                assert all(math.isfinite(float(c)) for c in cells)
+            else:
+                assert row["error"] == self.MESSAGE
+                assert cells == [""] * 5
+        assert sum(row[-1] == "" for row in rows) == 3 * 4
+
+
 class TestDeterminism:
     CASES = [
         ["visibility", "--R", "0.3", "--alpha0", "2", "--phi", "0.7"],
@@ -696,6 +744,40 @@ class TestSubprocess:
         assert first == f"# catvis {__version__}\n".encode()
         assert err == b""
         assert code == 1
+
+    # one process reuses the parser across calls, exits included
+    INTERLEAVED = [
+        ["sweep", "--R-values", "0.1,0.3", "--alpha0-values", "1",
+         "--phi-values", "0.8"],
+        ["sweep", "--R-values", "abc"],
+        ["visibility", "--brute-force", "--alpha0", "2", "--R", "0.3"],
+        ["fringe", "--alpha0", "1", "--R", "0.3"],
+        ["--version"],
+    ]
+
+    def test_interleaved_calls_match_fresh_interpreters(self, capsys,
+                                                        monkeypatch):
+        # usage text wraps at the terminal width, which COLUMNS fixes
+        monkeypatch.setenv("COLUMNS", "80")
+        alone = []
+        for argv in self.INTERLEAVED:
+            proc = subprocess.run([sys.executable, "-m", "catvis", *argv],
+                                  capture_output=True, text=True,
+                                  env=child_env())
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        got = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _stock_showwarning
+            for argv in self.INTERLEAVED * 2:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+        assert [c[0] for c in alone] == [0, 2, 0, 0, 0]
+        assert "catvis: warning: cat components overlap" in alone[3][2]
+        assert got == alone * 2
 
     def test_module_entry_point_version(self):
         proc = subprocess.run(

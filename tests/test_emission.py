@@ -1,15 +1,19 @@
 """CLI emitters against the reference per-cell writers in ``helpers``.
 
-The CLI formats Q grids a plane point at a time and JSON rows from a
-template; these tests hold its text byte for byte to the original
-``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts.
+The CLI formats Q grids a plane point at a time, float columns once per
+distinct value and JSON rows from a template, written in blocks; these tests
+hold its text byte for byte to the original ``csv.writer`` + per-cell
+formatting and ``json.dumps`` of rounded dicts.
 """
 
 import io
+import math
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catvis.cli import RunConfig, _emit
 from catvis.phase_space import QGrid
@@ -104,6 +108,69 @@ def test_json_nonfinite_spelling():
     assert '"v": NaN' in got
     assert '"v": Infinity' in got
     assert '"v": -Infinity' in got
+
+
+# where ``.12g`` and ``repr`` switch between plain and exponent notation,
+# and where 12-digit rounding carries a value across a switch
+_SWITCHES = [1e-5, 1e-4, 1e12, 1e13, 1e14, 1e15, 1e16, 999999999999.5,
+             9.999999999995e-05]
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormal
+    st.builds(lambda x, k, sign: sign * x * (1.0 + k * 2.0**-52),
+              st.sampled_from(_SWITCHES), st.integers(-8, 8),
+              st.sampled_from([1.0, -1.0])),
+)
+
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns repeat a few values each, drawn from
+    built-in floats only or from every cell type, column by column."""
+    width = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(0, 25))
+    header = tuple(draw(st.lists(st.text(min_size=1, max_size=5),
+                                 min_size=width, max_size=width, unique=True)))
+    columns = []
+    for _ in range(width):
+        pool = draw(st.lists(draw(st.sampled_from([_FLOATS, _CELLS])),
+                             min_size=1, max_size=6))
+        columns.append(draw(st.lists(st.sampled_from(pool),
+                                     min_size=n_rows, max_size=n_rows)))
+    return header, list(zip(*columns))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_generated_tables_match_reference(table, fmt):
+    header, rows = table
+    got, want = _pair(fmt, header, rows, diagnostics={"n_rows": len(rows)})
+    assert got == want
+
+
+def _long_rows(n):
+    """``n`` rows: a float column with repeats, signed zeros and NaN, a
+    float column of distinct values, and a column of mixed cells."""
+    repeat = [0.0, -0.0, 0.5, math.nan, 1e16, -math.inf]
+    mixed = [None, 1.0, "x,y", np.float64(-0.0), 3, True]
+    return [(repeat[i % 6], i / 7.0, mixed[i % 6]) for i in range(n)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1023, 1024, 1025, 2049])
+def test_rows_across_block_boundaries(n, fmt):
+    got, want = _pair(fmt, ("a", "b", "c"), _long_rows(n))
+    assert_same_text(got, want)
 
 
 def _q_values(rng, shape):

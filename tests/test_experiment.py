@@ -520,6 +520,8 @@ class TestSweepValidation:
         (math.nan, 2.0, 0.5, "reflectivity must lie in [0, 1)"),
         (0.3, math.inf, 0.5, "alpha0 must be finite"),
         (0.3, math.nan, 0.5, "alpha0 must be finite"),
+        (0.3, math.nextafter(1e8, math.inf), 0.5, "|alpha0| must be at most 1e+08"),
+        (0.3, -1e200, 0.5, "|alpha0| must be at most 1e+08"),
         (0.3, 2.0, math.nan, "phi must be finite"),
         (0.3, 2.0, -math.inf, "phi must be finite"),
         (math.nan, math.nan, math.nan, "phi must be finite"),

@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catvis import (
@@ -20,6 +20,7 @@ from catvis import (
     contrast_report,
     interference_reduced_a,
 )
+from catvis.heisenberg import _closed_form_columns
 from helpers import x_mean_var
 
 
@@ -82,6 +83,25 @@ def test_moments_match_fifty_digit_arithmetic(abs_alpha0, arg, phi, r):
         want_var_out = (1 - mpmath.mpf(r) ** 2) * want_var + mpmath.mpf(r) ** 2 / 4
         assert abs(rep.var_out - want_var_out) <= 1e-14 * want_var_out
         assert abs(mean_x - want_mean) <= 1e-14 * max(1.0, abs(mean_x))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    abs_alpha0=st.one_of(st.just(1e8), st.floats(1e7, 1e8), st.floats(0.0, 1e8)),
+    arg=st.floats(-math.pi, math.pi),
+    phi=st.one_of(st.floats(0.0, 1e-3), st.floats(-1e300, 1e300)),
+    r=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_closed_form_columns_stay_finite_up_to_the_alpha0_bound(abs_alpha0, arg,
+                                                               phi, r):
+    # ExperimentParams refuses |alpha0| past 1e8 so that no column of an
+    # accepted point overflows or goes invalid
+    alpha0 = abs_alpha0 * cmath.exp(1j * arg)
+    assume(np.abs(alpha0) <= 1e8)
+    params = ExperimentParams(alpha0=alpha0, phi=phi, r=r)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cols = _closed_form_columns(params.r, params.alpha0, params.phi)
+    assert all(math.isfinite(c) for c in cols)
 
 
 class TestCatStats:
