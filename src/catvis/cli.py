@@ -19,7 +19,7 @@ import sys
 import warnings
 import dataclasses
 import functools
-from itertools import islice
+from itertools import islice, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -271,8 +271,8 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # Floats print to 12 significant digits: a CSV cell as ``f"{x:.12g}"``, a JSON
 # value as the repr of the float that text parses to, which is what
 # ``json.dumps`` writes after rounding.  A cell costs one lookup on its exact
-# type, and a float column one format per distinct value; Q grids format each
-# plane point once and, per row, only ``q``.
+# type, a float column one format per distinct value, and a Q grid block one
+# ``%`` on row templates that hold its plane points' text (see _grid_blocks).
 
 
 def _plain(v):
@@ -343,27 +343,28 @@ def _round_floats(obj):
     return obj
 
 
-def _grid_blocks(planes, values, num):
+def _grid_blocks(planes, values, num, line):
     """Rows of a Q table on the Cartesian product of ``planes`` (one or two
     2-D arrays of complex sample points, row-major, the first plane
     outermost), one block per row of ``values`` at a time.
 
-    Yields ``(head, tails, qs)``: ``head`` holds the ``num``-encoded
-    ``(re, im)`` of the outer plane's point (empty for one plane), ``tails``
-    those of the block's inner points and ``qs`` its Q values as floats.
+    Yields ``(head, lines, qs)``: ``head`` holds the ``num``-encoded
+    ``(re, im)`` of the outer plane's point (empty for one plane), ``lines``
+    ``line(re, im)`` of the block's inner points, made once per grid, and
+    ``qs`` its Q values as a tuple of floats (``"%.12g" % q`` is ``f"{q:.12g}"``).
     """
     cells = [
         list(zip(map(num, z.real.ravel().tolist()), map(num, z.imag.ravel().tolist())))
         for z in planes
     ]
+    lines = [line(*c) for c in cells[-1]]
     if len(cells) == 1:
         n = planes[0].shape[1]
         for i, qs in enumerate(values):
-            yield (), cells[0][i * n:(i + 1) * n], qs.tolist()
+            yield (), lines[i * n:(i + 1) * n], tuple(qs.tolist())
     else:
-        outer, inner = cells
-        for head, qs in zip(outer, values.reshape(len(outer), len(inner))):
-            yield head, inner, qs.tolist()
+        for head, qs in zip(cells[0], values.reshape(len(cells[0]), -1)):
+            yield head, lines, tuple(qs.tolist())
 
 
 _BLOCK_ROWS = 1024  # JSON rows joined and written at a time
@@ -409,10 +410,10 @@ def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
         writer.writerows(zip(*_column_texts(rows, _CSV_CELL)))
     else:
         # numbers need no quoting, so the lines bypass the csv writer
-        for head, tails, qs in _grid_blocks(*grid, "{:.12g}".format):
+        for head, lines, qs in _grid_blocks(*grid, "{:.12g}".format,
+                                            "{},{},%.12g\n".format):
             prefix = "{},{},".format(*head) if head else ""
-            buf.write("".join([f"{prefix}{x},{y},{q:.12g}\n"
-                               for (x, y), q in zip(tails, qs)]))
+            buf.write(prefix.join(["", *lines]) % qs)
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
@@ -428,15 +429,14 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
     row = _json_row_template(header).format
     if grid is None:
         cells = zip(*_column_texts(rows, _JSON_CELL))
-        blocks = iter(lambda: [row(*c) for c in islice(cells, _BLOCK_ROWS)], [])
+        blocks = iter(lambda: ",\n".join(starmap(row, islice(cells, _BLOCK_ROWS))), "")
     else:
-        blocks = (
-            [row(*head, *tail, _json_float(q)) for tail, q in zip(tails, qs)]
-            for head, tails, qs in _grid_blocks(*grid, _json_float)
-        )
+        blocks = (",\n".join([row(*head, *tail, "%s") for tail in tails])
+                  % tuple(map(_json_float, qs))
+                  for head, tails, qs in _grid_blocks(*grid, _json_float, lambda *c: c))
     sep = "\n"
     for block in blocks:
-        buf.write(sep + ",\n".join(block))
+        buf.write(sep + block)
         sep = ",\n"
     buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 

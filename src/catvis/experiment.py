@@ -297,6 +297,10 @@ def _dominant_period(thetas: np.ndarray, rates: np.ndarray) -> float:
 # top-band mass of mode A's Fock vector the brute force accepts
 _TAIL_TOL = 1e-12
 
+# largest cutoff_a * cutoff_b the brute force allocates: a two-mode array of
+# 2**24 complex128 amplitudes takes 268 MB
+_MAX_AMPLITUDES = 2**24
+
 
 def _require_tail(state: ModeState, alpha: complex) -> None:
     """Refuse ``state``, mode A's truncated ``|alpha>``, with
@@ -324,10 +328,13 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     :class:`TruncationError` when a cutoff leaves tail mass of 1e-12 or
     more in the top tenth of mode A's levels, or when the splitter leaks
     past ``cutoff_b`` (mode A cannot leak: the splitter never adds photons
-    to it).
+    to it), and ``ValueError``, before allocating, past ``_MAX_AMPLITUDES``.
     """
-    _warn_if_components_overlap(params)
     na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
+    if na * nb > _MAX_AMPLITUDES:
+        raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
+                         f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
+    _warn_if_components_overlap(params)
     bs = params.beam_splitter
     branches = {}
     for sign, label, readout in (

@@ -675,6 +675,29 @@ class TestAlpha0Bound:
                 assert cells == [""] * 5
         assert sum(row[-1] == "" for row in rows) == 3 * 4
 
+    # default cutoffs at the bound would hold 1e30 amplitudes; the brute
+    # force refuses past 2**24 before it allocates
+    CAP = "the cap is 16777216 (268 MB)"
+
+    def test_brute_force_at_the_bound_is_one_error_line(self, capsys):
+        code, out, err = self._quiet_run(
+            ["visibility", "--brute-force", "--alpha0", self.LARGEST], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("catvis: error: cutoffs (10000000800000010, "
+                       f"100000080000010) need 1e+30 amplitudes; {self.CAP}\n")
+
+    def test_brute_force_sweep_row_at_the_bound_carries_the_refusal(self, capsys):
+        code, out, err = self._quiet_run(
+            ["sweep", "--brute-force", "--R-values", "0.3",
+             "--alpha0-values", f"3,{self.LARGEST}", "--phi-values", PI_HALF],
+            capsys)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        small, large = (dict(zip(header, r)) for r in rows)
+        assert small["error"] == "" and math.isfinite(float(small["nu_brute"]))
+        assert large["nu_brute"] == "" and large["error"].endswith(self.CAP)
+        assert math.isfinite(float(large["nu_analytic"]))
+
 
 class TestDeterminism:
     CASES = [

@@ -1,9 +1,9 @@
 """CLI emitters against the reference per-cell writers in ``helpers``.
 
-The CLI formats Q grids a plane point at a time, float columns once per
-distinct value and JSON rows from a template, written in blocks; these tests
-hold its text byte for byte to the original ``csv.writer`` + per-cell
-formatting and ``json.dumps`` of rounded dicts.
+The CLI formats Q grids through row templates filled by one ``%`` per
+block, float columns once per distinct value and JSON rows from a template,
+written in blocks; these tests hold its text byte for byte to the original
+``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts.
 """
 
 import io
@@ -125,6 +125,14 @@ _FLOATS = st.one_of(
               st.sampled_from([1.0, -1.0])),
 )
 
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(x=_FLOATS)
+def test_percent_format_matches_format_spec(x):
+    # Q grids fill row templates with ``%``; their text must be the cells'
+    assert "%.12g" % x == f"{x:.12g}"
+
+
 _CELLS = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
@@ -174,10 +182,13 @@ def test_rows_across_block_boundaries(n, fmt):
 
 
 def _q_values(rng, shape):
-    """Real part of a complex array, as the CLI takes it, with special cells."""
+    """Real part of a complex array, as the CLI takes it, with special cells:
+    signed zeros, non-finite, subnormal and notation-switch values."""
     total = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     flat = total.reshape(-1)
-    flat[:4] = [0.0, -0.0, 1e-300, 1e20]
+    special = [0.0, -0.0, 1e-300, 1e20, math.nan, math.inf, -math.inf, 5e-324,
+               999999999999.5, 9.999999999995e-05]
+    flat[:len(special)] = special
     return total.real
 
 
@@ -212,3 +223,6 @@ def test_q_grid_matches_reference(grid, mode, fmt):
         diagnostics={"normalization": 0.999, "points_per_axis": n},
     )
     assert_same_text(got, want)
+    if fmt == "json":
+        assert '"q": NaN' in got and '"q": Infinity' in got
+        assert '"q": -Infinity' in got

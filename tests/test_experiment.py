@@ -373,6 +373,55 @@ class TestBruteForce:
         )
 
 
+class TestBruteForceAmplitudeCap:
+    # 2**24 amplitudes, the largest cutoff_a * cutoff_b the brute force holds
+    CAP = "the cap is 16777216 (268 MB)"
+
+    class Allocated(Exception):
+        pass
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        """Fail the first Fock state the brute force would build."""
+        def refuse(*args, **kwargs):
+            raise self.Allocated
+        monkeypatch.setattr("catvis.experiment.coherent_fock", refuse)
+
+    @pytest.mark.parametrize("cutoff_a,cutoff_b", [
+        (2**12 + 1, 2**12), (2**24 + 1, 1), (1, 2**24 + 1), (10**9, 10**9),
+    ])
+    def test_refused_before_allocating(self, no_allocation, cutoff_a, cutoff_b):
+        params = ExperimentParams(alpha0=3.0, phi=0.9, r=0.3,
+                                  cutoff_a=cutoff_a, cutoff_b=cutoff_b)
+        with pytest.raises(ValueError) as exc:
+            fock_brute_force_visibility(params)
+        assert not isinstance(exc.value, TruncationError)
+        assert str(exc.value) == (
+            f"cutoffs ({cutoff_a}, {cutoff_b}) need {cutoff_a * cutoff_b:.3g} "
+            f"amplitudes; {self.CAP}")
+
+    @pytest.mark.parametrize("cutoff_a,cutoff_b", [(2**12, 2**12), (2**24, 1)])
+    def test_cap_itself_is_allowed(self, no_allocation, cutoff_a, cutoff_b):
+        params = ExperimentParams(alpha0=3.0, phi=0.9, r=0.3,
+                                  cutoff_a=cutoff_a, cutoff_b=cutoff_b)
+        with pytest.raises(self.Allocated):
+            fock_brute_force_visibility(params)
+
+    @pytest.mark.parametrize("alpha0", [1e4, 1e8])
+    def test_default_cutoffs_of_a_huge_cat(self, no_allocation, alpha0):
+        params = ExperimentParams(alpha0=alpha0, phi=0.9, r=0.3)
+        na, nb = default_cutoff(alpha0), default_cutoff(0.3 * alpha0)
+        with pytest.raises(ValueError, match=rf"^cutoffs \({na}, {nb}\) need "):
+            fock_brute_force_visibility(params)
+
+    def test_sweep_row_carries_the_refusal(self):
+        rows = _records(sweep([0.3], [3.0, 1e8], [np.pi / 2], include_brute=True))
+        assert rows[0]["error"] is None and rows[0]["nu_brute"] is not None
+        assert rows[1]["error"].endswith(self.CAP)
+        assert rows[1]["nu_brute"] is None
+        assert rows[1]["nu_analytic"] == visibility_closed_form(0.3, 1e8, np.pi / 2)
+
+
 @settings(deadline=None)
 @given(
     r=st.floats(0.0, 0.99),
