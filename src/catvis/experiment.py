@@ -9,7 +9,11 @@ visibility:
 * brute-force truncated Fock propagation through the splitter.
 
 plus the fringe-scan route that recovers it the way a measurement would,
-by fitting detection rate against the readout phase theta.
+by fitting detection rate against the readout phase theta.  ``sweep`` runs
+the closed forms as one array pass and the fringe route as array passes over
+blocks of a fixed number of points, whose cells equal the one-point
+``fringe_scan`` and ``fit_fringe`` bit for bit; only the Fock route runs
+point by point.
 """
 
 import math
@@ -26,14 +30,14 @@ from .fock import (
     coherent_overlap,
     default_cutoff,
 )
-from .heisenberg import _closed_form_columns
+from .heisenberg import _closed_form_columns, _environment_overlap
 from .operators import (
     BeamSplitter,
     TruncationError,
     bs_fock_apply,
     phase_shift_fock_a,
 )
-from .phase_space import integrate_q_term, post_selected_terms
+from .phase_space import _check_boundary, _post_selected_integrals
 
 __all__ = [
     "ExperimentParams",
@@ -53,10 +57,8 @@ class OverlapWarning(UserWarning):
     """The two cat components overlap appreciably; branches are not disjoint."""
 
 
-# largest |alpha0| accepted.  The oracle's exponent, -|a - b|^2/2 for the
-# reflected labels a, b, is summed from terms of size |r alpha0|^2 and errs by
-# up to ~7 ulps of them: under 8 here, so every closed-form column is finite,
-# while past ~2e9 the oracle can overflow
+# largest |alpha0| accepted; every closed-form column is finite up to here,
+# and the tests hold the oracle to 1e-6 of the closed form at this bound
 _MAX_ALPHA0 = 1e8
 
 
@@ -124,7 +126,7 @@ class ExperimentParams:
 _OVERLAP_WARN = 1e-3
 
 
-def _warn_if_components_overlap(params: ExperimentParams) -> None:
+def _warn_if_components_overlap(params: ExperimentParams, stacklevel: int = 3) -> None:
     ov = abs(coherent_overlap(params.component_plus, params.component_minus))
     if ov >= _OVERLAP_WARN:
         warnings.warn(
@@ -132,7 +134,7 @@ def _warn_if_components_overlap(params: ExperimentParams) -> None:
             "branches are not mutually orthogonal, so visibility readings "
             "mix component distinguishability with environment overlap",
             OverlapWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -145,16 +147,24 @@ def environment_overlap_oracle(params: ExperimentParams) -> complex:
     fringe offset phase is its argument, ``r^2 |alpha0|^2 sin(2 phi)``.
     Independent of every truncation and grid choice.
     """
-    ir = 1j * params.r
-    return complex(
-        coherent_overlap(ir * params.component_minus, ir * params.component_plus)
-    )
+    return complex(_environment_overlap(params.r, params.alpha0, params.phi))
 
 
-def _term_integrals(params: ExperimentParams) -> dict:
-    """Grid integrals of the four post-selected terms at theta = 0."""
-    return {term.phase_tag: integrate_q_term(term)
-            for term in post_selected_terms(params)}
+def _warn_coverage(ratios: np.ndarray) -> None:
+    """One point's CoverageWarnings from its ``(2, 4)`` plane edge ratios,
+    term by term, plane A before plane B."""
+    for ratio, which in zip(ratios.T.ravel().tolist(), "AB" * 4):
+        _check_boundary(ratio, which)
+
+
+def _point_integrals(params: ExperimentParams) -> np.ndarray:
+    """The post-selected integrals ``(4, 1)`` of one parameter set, after its
+    overlap warning (raised at the caller's caller) and coverage warnings."""
+    _warn_if_components_overlap(params, stacklevel=4)
+    vals, ratios = _post_selected_integrals(
+        np.array([params.alpha0]), np.array([params.phi]), np.array([params.r]))
+    _warn_coverage(ratios[..., 0])
+    return vals
 
 
 def q_integral_visibility(params: ExperimentParams) -> float:
@@ -165,10 +175,9 @@ def q_integral_visibility(params: ExperimentParams) -> float:
     over the diagonal total.  Numerical content: four factorized midpoint
     quadratures, each a product of 1-D sums over the same grid.
     """
-    _warn_if_components_overlap(params)
-    vals = _term_integrals(params)
-    diag = vals[("+", "+")].real + vals[("-", "-")].real
-    return float(2.0 * abs(vals[("+", "-")]) / diag)
+    vals = _point_integrals(params)[:, 0]
+    diag = vals[0].real + vals[3].real
+    return float(2.0 * abs(vals[1]) / diag)
 
 
 @dataclass(frozen=True)
@@ -187,14 +196,9 @@ class FringeScan:
         rates = np.array(self.rates, dtype=float)
         if thetas.ndim != 1 or thetas.shape != rates.shape or thetas.size == 0:
             raise ValueError("thetas and rates must be matching 1-D arrays")
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(rates))):
+        if not np.all(np.isfinite(thetas)):
             raise ValueError("scan values must be finite")
-        floor = -1e-9 * max(1.0, float(rates.max(initial=0.0)))
-        if float(rates.min()) < floor:
-            raise ValueError(
-                f"detection rate reached {float(rates.min()):.3e}; "
-                "the term set or grid is inconsistent"
-            )
+        _require_rates(rates)
         np.clip(rates, 0.0, None, out=rates)
         thetas = thetas.copy()
         thetas.setflags(write=False)
@@ -223,6 +227,58 @@ class FringeFit:
     period: float
 
 
+def _require_rates(rates: np.ndarray) -> None:
+    """Refuse one scan's rates when any is not finite or lies below
+    ``-1e-9`` of the scan's scale (at least 1)."""
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("scan values must be finite")
+    floor = -1e-9 * max(1.0, float(rates.max(initial=0.0)))
+    if float(rates.min()) < floor:
+        raise ValueError(
+            f"detection rate reached {float(rates.min()):.3e}; "
+            "the term set or grid is inconsistent"
+        )
+
+
+def _require_real(total: np.ndarray) -> None:
+    """Refuse one point's summed fringe when its imaginary residue is out of
+    line with rounding."""
+    scale = float(np.max(np.abs(total)))
+    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-9 * scale:
+        raise ValueError("fringe rates came out complex; term set is inconsistent")
+
+
+def _scan_thetas(n_theta: int) -> np.ndarray:
+    if n_theta < 8:
+        raise ValueError("n_theta must be at least 8 to resolve the fringe")
+    return np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+
+
+def _fringe_totals(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The fringe ``sum_k I_k e^{i w_k theta}`` of the post-selected integrals
+    ``vals`` ``(4, P)``, points on rows and ``thetas`` on columns; ``w_k`` is
+    +1 for a ket side from the ``-`` component and -1 for a bra side from it."""
+    total = np.zeros((vals.shape[1], thetas.size), dtype=complex)
+    for val, winding in zip(vals, (0, -1, 1, 0)):
+        total += val[:, None] * np.exp(1j * winding * thetas)
+    return total
+
+
+def _fit_coefficients(pinv: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Least-squares ``(offset, cos, sin)`` of each row of ``rates``: a product
+    and a row sum, where a matrix product would round a row differently with
+    the number of rows."""
+    return np.sum(rates[:, None, :] * pinv, axis=-1)
+
+
+def _offset_amplitude(coef: np.ndarray) -> tuple[float, float]:
+    """One fit's offset and cosine amplitude; refuses a non-positive offset."""
+    a, p, q = (float(c) for c in coef)
+    if a <= 0.0:
+        raise ValueError("fitted fringe offset is not positive; cannot form visibility")
+    return a, float(np.hypot(p, q))
+
+
 def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
     """Detection rate at ``n_theta`` readout phases covering one full fringe.
 
@@ -231,17 +287,9 @@ def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
     theta = 0 and the scan assembly is exact in theta.  Rates carry the 1/4
     from the two projector halves applied to ket and bra.
     """
-    if n_theta < 8:
-        raise ValueError("n_theta must be at least 8 to resolve the fringe")
-    _warn_if_components_overlap(params)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    total = np.zeros(n_theta, dtype=complex)
-    for (sk, sb), val in _term_integrals(params).items():
-        winding = (1 if sk == "-" else 0) - (1 if sb == "-" else 0)
-        total += val * np.exp(1j * winding * thetas)
-    scale = float(np.max(np.abs(total)))
-    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-9 * scale:
-        raise ValueError("fringe rates came out complex; term set is inconsistent")
+    thetas = _scan_thetas(n_theta)
+    (total,) = _fringe_totals(_point_integrals(params), thetas)
+    _require_real(total)
     return FringeScan(thetas=thetas, rates=0.25 * total.real)
 
 
@@ -260,14 +308,12 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     span = float(thetas.max() - thetas.min())
     if span < 0.875 * 2.0 * np.pi:
         raise ValueError("scan must span at least 7/8 of the fringe period")
-    design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    a, p, q = (float(c) for c in coef)
-    if a <= 0.0:
-        raise ValueError("fitted fringe offset is not positive; cannot form visibility")
-    amplitude = float(np.hypot(p, q))
+    design = _design(thetas)
+    (coef,) = _fit_coefficients(np.linalg.pinv(design), rates[None])
+    a, amplitude = _offset_amplitude(coef)
     resid = rates - design @ coef
     residual_rms = float(np.sqrt(np.mean(resid * resid)))
+    p, q = coef[1:]
     phase = float(np.arctan2(q, p)) if amplitude > residual_rms else float("nan")
     peak, trough = float(rates.max()), float(rates.min())
     raw = (peak - trough) / (peak + trough) if peak + trough > 0.0 else float("nan")
@@ -280,6 +326,10 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         raw_visibility=raw,
         period=_dominant_period(thetas, rates),
     )
+
+
+def _design(thetas: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
 
 
 def _dominant_period(thetas: np.ndarray, rates: np.ndarray) -> float:
@@ -351,6 +401,26 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     return float(abs(overlap) / denom)
 
 
+# points per array pass of the fringe route in a sweep: at 8 the peak RSS of a
+# 168-row sweep stays at the row-by-row route's, and 16 raised it by 0.7 MB
+_FRINGE_BLOCK = 8
+
+
+def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
+    """Route 4 at each point of the 1-D arrays in turn: its summed fringe, its
+    rates before their floor and clip, the fit coefficients of the clipped
+    rates and the edge ratios ``(2, 4)``.  One array pass per block of
+    ``_FRINGE_BLOCK`` points; every fit shares one design pseudo-inverse."""
+    pinv = np.linalg.pinv(_design(thetas))
+    for start in range(0, r.size, _FRINGE_BLOCK):
+        block = slice(start, start + _FRINGE_BLOCK)
+        vals, ratios = _post_selected_integrals(alpha0[block], phi[block], r[block])
+        total = _fringe_totals(vals, thetas)
+        rates = 0.25 * total.real
+        coef = _fit_coefficients(pinv, np.clip(rates, 0.0, None))
+        yield from zip(total, rates, coef, np.moveaxis(ratios, -1, 0))
+
+
 _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
                "nu_fringe", "T", "mean_ratio", "var_out", "error")
 
@@ -367,10 +437,13 @@ def sweep(
     per row in ``_SWEEP_KEYS`` order.
 
     Loop order: r outermost, then |alpha0|, then phi.  The closed-form
-    columns are one array evaluation over the valid points; the heavier Fock
-    and fringe routes run point by point, only when asked.  A row that fails
-    keeps its parameters and carries the message in ``error`` instead of
-    aborting the sweep.
+    columns are one array evaluation over the valid points.  The fringe
+    route, when asked for, is an array pass over blocks of a fixed number of
+    valid points, each cell equal to ``fit_fringe(fringe_scan(params,
+    n_theta)).visibility`` bit for bit; the Fock route runs point by point.
+    A row that fails keeps its parameters and carries the message in
+    ``error`` instead of aborting the sweep; its warnings come in row order.
+    An ``n_theta`` below 8 raises ValueError when the fringe is asked for.
     """
     axes = (np.asarray(v, dtype=float)
             for v in (r_values, abs_alpha0_values, phi_values))
@@ -379,6 +452,8 @@ def sweep(
     valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
     closed = zip(*(c.tolist() for c in
                    _closed_form_columns(r[valid], a0[valid], phi[valid])))
+    if include_fringe:
+        fringe = _fringe_rows(a0[valid], phi[valid], r[valid], _scan_thetas(n_theta))
     rows = []
     for point, ok in zip(zip(r.tolist(), a0.tolist(), phi.tolist()), valid.tolist()):
         cells, error = [None] * 7, None
@@ -387,11 +462,19 @@ def sweep(
             if not ok or include_brute or include_fringe:
                 params = ExperimentParams(alpha0=point[1], phi=point[2], r=point[0])
             nu, oracle, t, var_out = next(closed)
+            if include_fringe:
+                total, rates, coef, ratios = next(fringe)
             cells = [nu, oracle, None, None, t, t, var_out]
             if include_brute:
                 cells[2] = fock_brute_force_visibility(params)
             if include_fringe:
-                cells[3] = fit_fringe(fringe_scan(params, n_theta=n_theta)).visibility
+                # fringe_scan's warnings and refusals, then fit_fringe's
+                _warn_if_components_overlap(params, stacklevel=2)
+                _warn_coverage(ratios)
+                _require_real(total)
+                _require_rates(rates)
+                a, amplitude = _offset_amplitude(coef)
+                cells[3] = amplitude / a
         except ValueError as exc:
             error = str(exc)
         rows.append((*point, *cells, error))

@@ -143,13 +143,14 @@ def _cat_components(alpha0, phi):
 
 
 def cat_norm_constant(alpha0: CoherentLabel, phi: float) -> float:
-    """Normalization of ``c (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``.
+    """Normalization of ``c (|e^{i phi} alpha0> + |e^{-i phi} alpha0>)``, on
+    scalars or broadcast arrays.
 
     ``c = [2 + 2 Re <e^{i phi} alpha0|e^{-i phi} alpha0>]^(-1/2)``; tends to
     1/2 for indistinguishable components and to 1/sqrt(2) for orthogonal ones.
     """
     plus, minus = _cat_components(alpha0, phi)
-    bracket = 2.0 + 2.0 * complex(coherent_overlap(plus, minus)).real
+    bracket = 2.0 + 2.0 * coherent_overlap(plus, minus).real
     return bracket ** -0.5
 
 

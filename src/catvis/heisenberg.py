@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _cat_components, coherent_overlap
+from .fock import _cat_components
 from .phase_space import visibility_closed_form
 
 __all__ = [
@@ -53,7 +53,12 @@ def cat_quadrature_stats(alpha0, phi):
     # ov still counts, takes the fewest roundings
     abs2 = alpha0.real * alpha0.real + alpha0.imag * alpha0.imag
     x = -2.0 * abs2 * sin_phi * sin_phi
-    y = -abs2 * np.sin(2.0 * phi)
+    # 2 phi overflows from |phi| = 2^1023; only there does sin(2 phi) come
+    # from 2 sin(phi) cos(phi), so every other point keeps its bits
+    fits = np.abs(phi) < 2.0**1023
+    sin_2phi = np.where(fits, np.sin(2.0 * np.where(fits, phi, 0.0)),
+                        2.0 * sin_phi * np.cos(phi))
+    y = -abs2 * sin_2phi
     re_ov, im_ov = np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)
     # 1 + Re ov = 2 cos^2(y/2) + expm1(x) cos(y): where it nears 0 (cos y
     # near -1, x near 0) both terms are nonnegative
@@ -63,14 +68,26 @@ def cat_quadrature_stats(alpha0, phi):
     return m + shift, var
 
 
+def _environment_overlap(r, alpha0, phi):
+    """The oracle ``<i r u-|i r u+>`` on scalars or broadcast arrays, with the
+    exponent written as ``-|a - b|^2/2 + i Im(conj(a) b)``: the modulus comes
+    from the labels' difference, so it keeps its accuracy at any |alpha0|.
+    :func:`coherent_overlap`, which every Q profile keeps, errs there by
+    several ulps of ``|r alpha0|^2`` as its exponent's terms cancel."""
+    plus, minus = _cat_components(np.asarray(alpha0, dtype=complex), phi)
+    a, b = 1j * r * minus, 1j * r * plus
+    d = a - b
+    return np.exp(-0.5 * (d.real * d.real + d.imag * d.imag)
+                  + 1j * (a.real * b.imag - a.imag * b.real))
+
+
 def _closed_form_columns(r, alpha0, phi):
     """``(nu_analytic, nu_oracle, T, var_out)`` of valid parameters on broadcast
     arrays, each by its own formula: the closed form, ``|<i r u-|i r u+>|``,
     ``t`` and ``t^2 var + r^2/4``; moduli by np.hypot, as abs() of a complex."""
     r, alpha0 = np.asarray(r, dtype=float), np.asarray(alpha0, dtype=complex)
     t = np.sqrt(1.0 - r * r)
-    plus, minus = _cat_components(alpha0, phi)
-    ov = coherent_overlap(1j * r * minus, 1j * r * plus)
+    ov = _environment_overlap(r, alpha0, phi)
     _, var_x = cat_quadrature_stats(alpha0, phi)
     return (visibility_closed_form(r, np.hypot(alpha0.real, alpha0.imag), phi),
             np.hypot(ov.real, ov.imag), t,

@@ -15,7 +15,6 @@ profiles point by point.
 integrates to ``Tr(rho)`` with the plain Lebesgue measure ``d^2alpha' d^2beta'``.
 """
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -326,21 +325,21 @@ def _check_boundary(ratio: float, which: str) -> None:
         )
 
 
-def _axis_factor(offsets: np.ndarray, shift: complex) -> np.ndarray:
-    """``exp(-(o + shift)^2) exp(-Im(shift)^2)`` at each offset ``o``.
+def _axis_factor(offsets: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``exp(-(o + shift)^2) exp(-Im(shift)^2)`` at each offset ``o`` for each
+    entry of the array ``shift``, on a new last axis.
 
     The square is completed on the real offset, so the exponent's real part
     is ``-(o + Re shift)^2`` and every sample has magnitude at most 1.
     """
-    u = offsets + shift.real
-    return np.exp(-u * u - 2j * shift.imag * u)
+    u = offsets + shift.real[..., None]
+    return np.exp(-u * u - 2j * shift.imag[..., None] * u)
 
 
-def _plane_sum(
-    center: complex, offsets: np.ndarray, ket: complex, bra: complex
-) -> tuple[complex, float]:
+def _plane_sum(center, offsets: np.ndarray, ket, bra):
     """Midpoint sum of ``<z|ket> conj(<z|bra>)`` over one plane, and the
-    edge-to-peak ratio of its samples.
+    edge-to-peak ratio of its samples, for each entry of the broadcast
+    arrays ``center``, ``ket`` and ``bra``.
 
     With ``z = x + iy``, ``s = ket + conj(bra)`` and ``t = i(conj(bra) - ket)``
     the profile is exactly ``<bra|ket> exp(-(x - s/2)^2) exp(-(y - t/2)^2)``,
@@ -349,30 +348,52 @@ def _plane_sum(
     ``exp(Im(s/2)^2 + Im(t/2)^2) = exp(|ket - bra|^2 / 4)`` join ``<bra|ket>``
     in one prefactor of magnitude ``exp(-|ket - bra|^2 / 4)``.
     """
-    s = ket + bra.conjugate()
-    t = 1j * (bra.conjugate() - ket)
+    center, ket, bra = (np.asarray(v, dtype=complex) for v in (center, ket, bra))
+    s = ket + bra.conj()
+    t = 1j * (bra.conj() - ket)
     fx = _axis_factor(offsets, center.real - 0.5 * s)
     fy = _axis_factor(offsets, center.imag - 0.5 * t)
     d = ket - bra
-    scale = cmath.exp(
-        complex(-0.25 * (d.real * d.real + d.imag * d.imag),
-                (bra.conjugate() * ket).imag)
-    )
+    scale = np.exp(-0.25 * (d.real * d.real + d.imag * d.imag)
+                   + 1j * (bra.real * ket.imag - bra.imag * ket.real))
     # |profile| is |scale| |fx_j| |fy_l|, so its border maximum and its peak
     # come from the two factors' end and peak magnitudes
     mx, my = np.abs(fx), np.abs(fy)
-    peak_x, peak_y = float(mx.max()), float(my.max())
+    peak_x, peak_y = mx.max(axis=-1), my.max(axis=-1)
     peak = peak_x * peak_y
+    edge = np.maximum(np.maximum(mx[..., 0], mx[..., -1]) * peak_y,
+                      peak_x * np.maximum(my[..., 0], my[..., -1]))
     # a plane whose every sample underflows holds none of the integrand's
     # support: report it as uncovered rather than as a clean edge
-    ratio = math.inf
-    if peak > 0.0:
-        edge = max(
-            max(float(mx[0]), float(mx[-1])) * peak_y,
-            peak_x * max(float(my[0]), float(my[-1])),
-        )
-        ratio = edge / peak
-    return scale * complex(fx.sum()) * complex(fy.sum()), ratio
+    ratio = np.divide(edge, peak, out=np.full(peak.shape, math.inf), where=peak > 0.0)
+    return scale * fx.sum(axis=-1) * fy.sum(axis=-1), ratio
+
+
+def _integrate_terms(weight, kets, bras, centers, offsets: np.ndarray, cell: float):
+    """Integrals of the terms ``weight |kets><bras|`` at ``offsets`` around
+    ``centers``, and each plane's edge ratio; ``kets``, ``bras``, ``centers``
+    and the ratios hold plane A, then plane B, on their first axis."""
+    sums, ratios = _plane_sum(centers, offsets, kets, bras)
+    return (weight / np.pi**2) * (sums[0] * cell) * (sums[1] * cell), ratios
+
+
+def _post_selected_integrals(alpha0, phi, r):
+    """Integrals ``(4, P)`` of the post-selected terms (+,+), (+,-), (-,+),
+    (-,-) at the points of the 1-D arrays, and their edge ratios ``(2, 4, P)``.
+
+    The labels are the closed forms of :func:`post_selected_terms`: a side
+    descending from ``u_s = e^{i s phi} alpha0`` has A label
+    ``t u_s e^{-i s phi}`` (splitter, then readout rotation) and B label
+    ``i r u_s``; every weight is ``c^2``.  Each plane's grid is the one
+    :meth:`QGrid.for_term` places.
+    """
+    comps = np.stack(_cat_components(alpha0, phi))
+    rot = np.exp(-1j * np.array([[1.0], [-1.0]]) * phi)
+    by_sign = np.stack([rot * (np.sqrt(1.0 - r * r) * comps), 1j * r * comps])
+    kets, bras = by_sign[:, [0, 0, 1, 1]], by_sign[:, [0, 1, 0, 1]]
+    grid = QGrid()
+    return _integrate_terms(cat_norm_constant(alpha0, phi) ** 2, kets, bras,
+                            0.5 * (kets + bras), grid._offsets(), grid.cell)
 
 
 def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
@@ -390,16 +411,12 @@ def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
     """
     if grid is None:
         grid = QGrid.for_term(term)
-    offsets = grid._offsets()
-    sa, ratio_a = _plane_sum(grid.center_a, offsets, term.ket_a, term.bra_a)
-    sb, ratio_b = _plane_sum(grid.center_b, offsets, term.ket_b, term.bra_b)
+    value, (ratio_a, ratio_b) = _integrate_terms(
+        term.weight, [term.ket_a, term.ket_b], [term.bra_a, term.bra_b],
+        [grid.center_a, grid.center_b], grid._offsets(), grid.cell)
     _check_boundary(ratio_a, "A")
     _check_boundary(ratio_b, "B")
-    return complex(
-        (term.weight / np.pi**2)
-        * (sa * grid.cell)
-        * (sb * grid.cell)
-    )
+    return complex(value)
 
 
 def q_marginal(

@@ -322,6 +322,22 @@ class TestWarningRendering:
         )
         assert errs[1] == errs[0]
 
+    def test_sweep_prints_each_route_s_overlap_line_once(self, capsys):
+        # a row whose brute force is accepted prints the overlap line of both
+        # routes, a row it refuses prints its own alone, and a row repeating
+        # an earlier row's text prints nothing
+        argv = ["sweep", "--brute-force", "--fringe", "--R-values", "0.3",
+                "--alpha0-values", "1,5", "--phi-values", "0.3,-0.3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _stock_showwarning
+            code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert [line.split(";")[0] for line in err.splitlines()] == [
+            f"catvis: warning: cat components overlap at |<+|->| = {ov}"
+            for ov in ("8.397e-01", "8.397e-01", "1.269e-02")
+        ]
+
     def test_interpreter_writes_the_same_lines(self):
         proc = subprocess.run(
             [sys.executable, "-m", "catvis", *self.ARGV],

@@ -31,7 +31,8 @@ from catvis import (
     sweep,
     visibility_closed_form,
 )
-from catvis.experiment import _SWEEP_KEYS
+from catvis import experiment, phase_space
+from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import default_cutoff
 
 TWO_PI = 2.0 * math.pi
@@ -596,3 +597,128 @@ class TestSweepValidation:
             if valid:
                 assert (row["nu_analytic"], row["nu_oracle"], row["T"],
                         row["var_out"]) == _scalar_cells(row)
+
+
+def _per_point_routes(params, n_theta):
+    """Brute-force then fringe route at one point, as a sweep row runs them:
+    the fringe cell, the row's error and the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fock_brute_force_visibility(params)
+            return fit_fringe(fringe_scan(params, n_theta)).visibility, None, caught
+        except ValueError as exc:
+            return None, str(exc), caught
+
+
+def _warning_texts(caught):
+    return [(w.category, str(w.message)) for w in caught]
+
+
+# valid points, points the brute force refuses (|alpha0| from ~5.23) and
+# points ExperimentParams refuses
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.lists(st.one_of(st.floats(0.0, 0.99), st.sampled_from([1.0, math.nan])),
+               min_size=1, max_size=3),
+    a=st.lists(st.one_of(st.floats(0.0, 6.0), st.sampled_from([5.5, math.inf, 2e8])),
+               min_size=1, max_size=3),
+    phi=st.lists(st.one_of(st.floats(-math.pi, math.pi), st.just(math.nan)),
+                 min_size=1, max_size=3),
+    n_theta=st.integers(8, 40),
+)
+def test_sweep_fringe_cells_equal_the_per_point_route_bit_for_bit(r, a, phi, n_theta):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = _records(sweep(r, a, phi, include_brute=True, include_fringe=True,
+                              n_theta=n_theta))
+    want_warnings = []
+    for row in rows:
+        try:
+            params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"],
+                                      r=row["R"])
+        except ValueError as exc:
+            assert row["error"] == str(exc) and row["nu_fringe"] is None
+            continue
+        fringe, error, seen = _per_point_routes(params, n_theta)
+        assert repr(row["nu_fringe"]) == repr(fringe)
+        assert row["error"] == error
+        want_warnings += seen
+    # the same warnings, in row order
+    assert _warning_texts(caught) == _warning_texts(want_warnings)
+
+
+def test_sweep_warns_coverage_per_plane_in_row_order(monkeypatch):
+    # with the threshold below every edge ratio each plane of each term warns,
+    # and distinct factors on the ratios tell the planes and terms apart; the
+    # row the brute force refuses (|alpha0| = 5.5) warns for neither route
+    monkeypatch.setattr(phase_space, "_BOUNDARY_RATIO", 1e-20)
+    integrals = experiment._post_selected_integrals
+
+    def marked(alpha0, phi, r):
+        vals, ratios = integrals(alpha0, phi, r)
+        return vals, ratios * np.arange(1.0, 9.0).reshape(2, 4, 1)
+
+    monkeypatch.setattr(experiment, "_post_selected_integrals", marked)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = _records(sweep([0.3], [1.0, 5.5, 2.0], [0.4], include_brute=True,
+                              include_fringe=True))
+    want = []
+    for row in rows:
+        params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"], r=row["R"])
+        want += _per_point_routes(params, 16)[2]
+    assert _warning_texts(caught) == _warning_texts(want)
+    assert [w.category for w in caught].count(CoverageWarning) == 2 * 8
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda v: v * [[1], [2], [1], [1]], "fringe rates came out complex"),
+    (lambda v: v * [[1], [1e3], [1e3], [1]], "detection rate reached"),
+    (lambda v: v * 0, "fitted fringe offset is not positive"),
+])
+def test_sweep_refuses_fringe_rows_as_the_per_point_route_does(monkeypatch, corrupt,
+                                                              message):
+    # corrupted integrals at |alpha0| > 1.5 only, so a block mixes refused
+    # and accepted rows; each refused row carries its own text
+    integrals = experiment._post_selected_integrals
+
+    def corrupted(alpha0, phi, r):
+        vals, ratios = integrals(alpha0, phi, r)
+        return np.where(np.abs(alpha0) > 1.5, corrupt(vals), vals), ratios
+
+    monkeypatch.setattr(experiment, "_post_selected_integrals", corrupted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = _records(sweep([0.2, 0.6], [1.0, 2.0, 3.0], [0.5, 1.3],
+                              include_fringe=True))
+        for row in rows:
+            params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"],
+                                      r=row["R"])
+            try:
+                want = (fit_fringe(fringe_scan(params)).visibility, None)
+            except ValueError as exc:
+                want = (None, str(exc))
+            assert (row["nu_fringe"], row["error"]) == want
+    assert [row["error"] is not None for row in rows] == [
+        row["abs_alpha0"] > 1.5 for row in rows]
+    assert all(row["error"].startswith(message) for row in rows if row["error"])
+
+def test_a_sweep_longer_than_a_block_gives_the_cells_of_one_point_sweeps():
+    # invalid points between valid ones shift the blocks against the rows
+    rng = np.random.default_rng(29)
+    r = [0.2, 1.0, 0.5, 0.9]
+    a = rng.uniform(0.0, 6.0, 5).tolist()
+    phi = [0.3, math.nan, *rng.uniform(0.1, 1.5, 2).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweep(r, a, phi, include_brute=True, include_fringe=True)
+        singles = [sweep([x], [y], [z], include_brute=True, include_fringe=True)[0]
+                   for x in r for y in a for z in phi]
+    assert sum(row[-1] is None for row in rows) > 2 * _FRINGE_BLOCK
+    assert [repr(row) for row in rows] == [repr(row) for row in singles]
+
+
+def test_sweep_refuses_a_fringe_too_coarse_to_resolve():
+    with pytest.raises(ValueError, match="n_theta must be at least 8"):
+        sweep([0.3], [2.0], [1.0], include_fringe=True, n_theta=7)
+    assert sweep([0.3], [2.0], [1.0], n_theta=7)[0][-1] is None

@@ -3,6 +3,7 @@ against 50-digit arithmetic."""
 
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath
@@ -18,8 +19,10 @@ from catvis import (
     cat_fock,
     cat_quadrature_stats,
     contrast_report,
+    environment_overlap_oracle,
     interference_reduced_a,
 )
+from catvis.experiment import sweep
 from catvis.heisenberg import _closed_form_columns
 from helpers import x_mean_var
 
@@ -102,6 +105,34 @@ def test_closed_form_columns_stay_finite_up_to_the_alpha0_bound(abs_alpha0, arg,
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cols = _closed_form_columns(params.r, params.alpha0, params.phi)
     assert all(math.isfinite(c) for c in cols)
+
+
+@pytest.mark.parametrize("phi", [2.0**1023, -(2.0**1023), sys.float_info.max,
+                                 -sys.float_info.max])
+def test_moments_stay_finite_where_two_phi_overflows(phi):
+    # 2 phi overflows here, so sin(2 phi) comes from 2 sin(phi) cos(phi)
+    alpha0, r = 1.5 + 0.5j, 0.3
+    with np.errstate(over="raise", invalid="raise"):
+        mean_x, var_x = cat_quadrature_stats(alpha0, phi)
+        cols = _closed_form_columns(r, alpha0, phi)
+    want_mean, want_var = _exact_moments(alpha0, phi)
+    assert abs(mean_x - want_mean) <= 1e-14 * max(1.0, abs(mean_x))
+    assert abs(var_x - want_var) <= 1e-14 * want_var
+    assert all(math.isfinite(c) for c in cols)
+    assert cols[3] == contrast_report(ExperimentParams(alpha0, phi, r)).var_out
+
+
+@pytest.mark.parametrize("r", [0.5, 0.86, 0.99])
+@pytest.mark.parametrize("phi", [1e-300, 1e-10, 1e-6])
+@pytest.mark.parametrize("abs_alpha0", [4e4, 1e6, 1e8])
+def test_oracle_keeps_its_contract_at_large_alpha0(r, phi, abs_alpha0):
+    # -(|a|^2 + |b|^2)/2 + conj(a) b cancels to -|a - b|^2/2 with an error of
+    # several ulps of |r alpha0|^2, which drifted past 1e-6 from |alpha0| ~ 4e4
+    ((*_, nu, oracle, _, _, _, _, _, error),) = sweep([r], [abs_alpha0], [phi])
+    assert error is None
+    assert abs(oracle - nu) <= 1e-6
+    params = ExperimentParams(alpha0=abs_alpha0, phi=phi, r=r)
+    assert abs(environment_overlap_oracle(params)) == oracle
 
 
 class TestCatStats:
