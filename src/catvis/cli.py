@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import warnings
 import dataclasses
@@ -38,10 +39,11 @@ from .phase_space import (
     CoverageWarning,
     QGrid,
     _edge_ratio,
+    _marginal_values,
+    _q_values,
+    _term_profiles,
     beam_split_term,
     initial_cat_terms,
-    q_full,
-    q_marginal,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -499,22 +501,21 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
         bs = params.beam_splitter
         terms = [beam_split_term(t, bs) for t in terms]
 
-    # both marginals come out of one pass over the terms; they also carry
-    # the coverage check for the full mode
-    (pts_a, marg_a), (pts_b, marg_b) = q_marginal(terms, grid)
+    # one pass over the terms gives both marginals, which carry the coverage
+    # check for every mode, and the plane profiles of the full table
+    pts_a, pts_b = grid.plane("a"), grid.plane("b")
+    profiles = _term_profiles(terms, pts_a, pts_b)
+    marg_a, marg_b = _marginal_values(profiles, grid)
     for label, marg in (("A", marg_a), ("B", marg_b)):
         if _edge_ratio(marg) > _EMIT_EDGE_RATIO:
-            warnings.warn(
-                f"plane {label} grid edge holds more than "
-                f"{_EMIT_EDGE_RATIO:.0e} of the peak; widen --extent",
-                CoverageWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"plane {label} grid edge holds more than "
+                          f"{_EMIT_EDGE_RATIO:.0e} of the peak; widen --extent",
+                          CoverageWarning, stacklevel=2)
 
     if full:
-        # q_full rejects complex or negative values itself
+        # q_full's values on the A plane broadcast against the B plane
         planes = (pts_a, pts_b)
-        values = q_full(terms, pts_a[:, :, None, None], pts_b[None, None])
+        values = _q_values([(w, ga[:, :, None, None], gb) for w, ga, gb in profiles])
         normalization = float(values.sum()) * grid.cell * grid.cell
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
@@ -581,6 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, summary in summaries.items():
         p = sub.add_parser(name, help=summary)
+        # a "-" then a digit, or "-." then a digit, starts a value, so that
+        # "-1e-3" and "-0.5,0.5" parse as "-1" and "-.5" do
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         for flag in _FLAGS:
             if name not in flag.commands:
                 continue

@@ -13,7 +13,10 @@ by fitting detection rate against the readout phase theta.  ``sweep`` runs
 the closed forms as one array pass and the fringe route as array passes over
 blocks of a fixed number of points, whose cells equal the one-point
 ``fringe_scan`` and ``fit_fringe`` bit for bit; only the Fock route runs
-point by point.
+point by point.  The quadrature and fringe routes centre each plane's grid
+midway between its labels, where the edge-to-peak ratio is one constant of
+the default grid (see ``phase_space._post_selected_integrals``), so they
+take no coverage check.
 """
 
 import math
@@ -37,7 +40,7 @@ from .operators import (
     bs_fock_apply,
     phase_shift_fock_a,
 )
-from .phase_space import _check_boundary, _post_selected_integrals
+from .phase_space import _post_selected_integrals
 
 __all__ = [
     "ExperimentParams",
@@ -150,21 +153,12 @@ def environment_overlap_oracle(params: ExperimentParams) -> complex:
     return complex(_environment_overlap(params.r, params.alpha0, params.phi))
 
 
-def _warn_coverage(ratios: np.ndarray) -> None:
-    """One point's CoverageWarnings from its ``(2, 4)`` plane edge ratios,
-    term by term, plane A before plane B."""
-    for ratio, which in zip(ratios.T.ravel().tolist(), "AB" * 4):
-        _check_boundary(ratio, which)
-
-
 def _point_integrals(params: ExperimentParams) -> np.ndarray:
     """The post-selected integrals ``(4, 1)`` of one parameter set, after its
-    overlap warning (raised at the caller's caller) and coverage warnings."""
+    overlap warning (raised at the caller's caller)."""
     _warn_if_components_overlap(params, stacklevel=4)
-    vals, ratios = _post_selected_integrals(
+    return _post_selected_integrals(
         np.array([params.alpha0]), np.array([params.phi]), np.array([params.r]))
-    _warn_coverage(ratios[..., 0])
-    return vals
 
 
 def q_integral_visibility(params: ExperimentParams) -> float:
@@ -408,17 +402,17 @@ _FRINGE_BLOCK = 8
 
 def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
     """Route 4 at each point of the 1-D arrays in turn: its summed fringe, its
-    rates before their floor and clip, the fit coefficients of the clipped
-    rates and the edge ratios ``(2, 4)``.  One array pass per block of
-    ``_FRINGE_BLOCK`` points; every fit shares one design pseudo-inverse."""
+    rates before their floor and clip, and the fit coefficients of the
+    clipped rates.  One array pass per block of ``_FRINGE_BLOCK`` points;
+    every fit shares one design pseudo-inverse."""
     pinv = np.linalg.pinv(_design(thetas))
     for start in range(0, r.size, _FRINGE_BLOCK):
         block = slice(start, start + _FRINGE_BLOCK)
-        vals, ratios = _post_selected_integrals(alpha0[block], phi[block], r[block])
-        total = _fringe_totals(vals, thetas)
+        total = _fringe_totals(
+            _post_selected_integrals(alpha0[block], phi[block], r[block]), thetas)
         rates = 0.25 * total.real
         coef = _fit_coefficients(pinv, np.clip(rates, 0.0, None))
-        yield from zip(total, rates, coef, np.moveaxis(ratios, -1, 0))
+        yield from zip(total, rates, coef)
 
 
 _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
@@ -463,14 +457,13 @@ def sweep(
                 params = ExperimentParams(alpha0=point[1], phi=point[2], r=point[0])
             nu, oracle, t, var_out = next(closed)
             if include_fringe:
-                total, rates, coef, ratios = next(fringe)
+                total, rates, coef = next(fringe)
             cells = [nu, oracle, None, None, t, t, var_out]
             if include_brute:
                 cells[2] = fock_brute_force_visibility(params)
             if include_fringe:
                 # fringe_scan's warnings and refusals, then fit_fringe's
                 _warn_if_components_overlap(params, stacklevel=2)
-                _warn_coverage(ratios)
                 _require_real(total)
                 _require_rates(rates)
                 a, amplitude = _offset_amplitude(coef)

@@ -8,8 +8,8 @@ plane profile into a Gaussian in ``Re z`` times one in ``Im z``.  So the
 double phase-space integral of a term is a product of 1-D midpoint sums
 over the same grid, equal to the sum over every point of both planes, and
 a 120 x 120 midpoint grid per plane resolves every case this package
-visits.  Pointwise Q values (``q_full``, ``q_marginal``) evaluate the plane
-profiles point by point.
+visits.  Pointwise Q values (``q_full``, ``q_marginal``) reduce one pass
+that evaluates each term's two plane profiles point by point.
 
 ``Q(alpha', beta') = <alpha'|<beta'| rho |beta'>|alpha'> / pi^2`` and
 integrates to ``Tr(rho)`` with the plain Lebesgue measure ``d^2alpha' d^2beta'``.
@@ -107,6 +107,8 @@ class QGrid:
         object.__setattr__(self, "center_b", complex(self.center_b))
         if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
+        if not math.isfinite(self.extent):
+            raise ValueError("extent must be finite")
         if self.extent < 6.0 * self.spacing:
             raise ValueError("extent must be at least 6 spacings")
 
@@ -147,20 +149,8 @@ def initial_cat_terms(alpha0: complex, phi: float) -> list[BranchTerm]:
     """
     cn2 = cat_norm_constant(alpha0, phi) ** 2
     comp = dict(zip("+-", _cat_components(alpha0, phi)))
-    terms = []
-    for sk in ("+", "-"):
-        for sb in ("+", "-"):
-            terms.append(
-                BranchTerm(
-                    weight=cn2,
-                    ket_a=comp[sk],
-                    ket_b=0j,
-                    bra_a=comp[sb],
-                    bra_b=0j,
-                    phase_tag=(sk, sb),
-                )
-            )
-    return terms
+    return [BranchTerm(weight=cn2, ket_a=comp[sk], ket_b=0j, bra_a=comp[sb],
+                       bra_b=0j, phase_tag=(sk, sb)) for sk in "+-" for sb in "+-"]
 
 
 def beam_split_term(term: BranchTerm, bs: BeamSplitter) -> BranchTerm:
@@ -209,21 +199,6 @@ def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
     return coherent_overlap(z, ket) * np.conjugate(coherent_overlap(z, bra))
 
 
-def _q_branch(term: BranchTerm, alpha_p, beta_p):
-    """Pointwise Q of one coherent outer-product term, from its labels alone.
-
-    ``(w/pi^2) <alpha'|ket_a><beta'|ket_b> conj(<alpha'|bra_a><beta'|bra_b>)``.
-    Valid for any term at any pipeline stage; accepts arrays, and broadcasts
-    an A-plane array against a B-plane array to the full two-plane grid.
-    """
-    ga = _plane_profile(alpha_p, term.ket_a, term.bra_a)
-    gb = _plane_profile(beta_p, term.ket_b, term.bra_b)
-    # einsum rounds the complex product as an outer product of the plane
-    # profiles does; a plain ga * gb differs in the last bit in about half
-    # the points, which would change printed full-Q grids
-    return (term.weight / np.pi**2) * np.einsum("...,...->...", ga, gb)
-
-
 def _require_hermitian_set(terms: Sequence[BranchTerm]) -> None:
     """Every term must have its adjoint in the set (diagonals are their own)."""
     unmatched = list(terms)
@@ -232,13 +207,8 @@ def _require_hermitian_set(terms: Sequence[BranchTerm]) -> None:
         return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
     def matches(t: BranchTerm, adj: BranchTerm) -> bool:
-        return (
-            close(t.weight, adj.weight)
-            and close(t.ket_a, adj.ket_a)
-            and close(t.ket_b, adj.ket_b)
-            and close(t.bra_a, adj.bra_a)
-            and close(t.bra_b, adj.bra_b)
-        )
+        return all(close(getattr(t, k), getattr(adj, k))
+                   for k in ("weight", "ket_a", "ket_b", "bra_a", "bra_b"))
 
     while unmatched:
         term = unmatched.pop()
@@ -278,6 +248,34 @@ def _state_values(total, what: str):
     return values
 
 
+def _term_profiles(terms: Sequence[BranchTerm], alpha_p, beta_p) -> list:
+    """The one pointwise pass over a Hermitian set (raises on any other):
+    each term's ``weight / pi^2`` and its A- and B-plane profiles."""
+    _require_hermitian_set(terms)
+    return [(t.weight / np.pi**2, _plane_profile(alpha_p, t.ket_a, t.bra_a),
+             _plane_profile(beta_p, t.ket_b, t.bra_b)) for t in terms]
+
+
+def _q_values(profiles):
+    """Total Q of :func:`_term_profiles` output, each A-plane profile
+    broadcast against its B-plane profile."""
+    # einsum rounds the complex product as an outer product of the plane
+    # profiles does; a plain ga * gb differs in the last bit in about half
+    # the points, which would change printed full-Q grids
+    terms = (w * np.einsum("...,...->...", ga, gb) for w, ga, gb in profiles)
+    return _state_values(sum(terms), "Q")
+
+
+def _marginal_values(profiles, grid: QGrid):
+    """Both marginals from :func:`_term_profiles` output on ``grid``'s planes."""
+    total_a = np.zeros((grid.points_per_axis,) * 2, dtype=complex)
+    total_b = np.zeros_like(total_a)
+    for w, ga, gb in profiles:
+        total_a += w * ga * (gb.sum() * grid.cell)
+        total_b += w * gb * (ga.sum() * grid.cell)
+    return _state_values(total_a, "marginal"), _state_values(total_b, "marginal")
+
+
 def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     """Total Q of a Hermitian term set at one or many phase-space points.
 
@@ -285,8 +283,7 @@ def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
     imaginary residue is out of line with rounding, or if Q dips below
     ``-1e-12``.
     """
-    _require_hermitian_set(terms)
-    values = _state_values(sum(_q_branch(t, alpha_p, beta_p) for t in terms), "Q")
+    values = _q_values(_term_profiles(terms, alpha_p, beta_p))
     if values.ndim == 0:
         return float(values)
     return values
@@ -299,13 +296,8 @@ def _edge_ratio(vals: np.ndarray) -> float:
     peak = float(mags.max())
     if peak <= 0.0:
         return 0.0
-    edge = max(
-        float(mags[0, :].max()),
-        float(mags[-1, :].max()),
-        float(mags[:, 0].max()),
-        float(mags[:, -1].max()),
-    )
-    return edge / peak
+    edges = (mags[0], mags[-1], mags[:, 0], mags[:, -1])
+    return max(float(m.max()) for m in edges) / peak
 
 
 # edge-to-peak ratio of a plane's samples above which its grid is too small
@@ -336,26 +328,30 @@ def _axis_factor(offsets: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return np.exp(-u * u - 2j * shift.imag[..., None] * u)
 
 
-def _plane_sum(center, offsets: np.ndarray, ket, bra):
-    """Midpoint sum of ``<z|ket> conj(<z|bra>)`` over one plane, and the
-    edge-to-peak ratio of its samples, for each entry of the broadcast
-    arrays ``center``, ``ket`` and ``bra``.
+def _plane_factors(center, offsets: np.ndarray, ket, bra):
+    """``<z|ket> conj(<z|bra>)`` at ``z = center + x + iy``, ``x`` and ``y`` in
+    ``offsets``, as ``scale fx[x] fy[y]`` for each entry of the broadcast
+    arrays: returns ``(scale, fx, fy)``, the factors on a new last axis.
 
-    With ``z = x + iy``, ``s = ket + conj(bra)`` and ``t = i(conj(bra) - ket)``
-    the profile is exactly ``<bra|ket> exp(-(x - s/2)^2) exp(-(y - t/2)^2)``,
-    so the sum over the ``n x n`` samples is a product of two 1-D sums.  Each
-    factor is scaled to peak magnitude at most 1; the scales
-    ``exp(Im(s/2)^2 + Im(t/2)^2) = exp(|ket - bra|^2 / 4)`` join ``<bra|ket>``
-    in one prefactor of magnitude ``exp(-|ket - bra|^2 / 4)``.
+    With ``s = ket + conj(bra)`` and ``t = i(conj(bra) - ket)`` the profile is
+    exactly ``<bra|ket> exp(-(x - s/2)^2) exp(-(y - t/2)^2)``.  Each factor is
+    scaled to peak magnitude at most 1; the scales ``exp(|ket - bra|^2 / 4)``
+    join ``<bra|ket>`` in ``scale``, of magnitude ``exp(-|ket - bra|^2 / 4)``.
     """
     center, ket, bra = (np.asarray(v, dtype=complex) for v in (center, ket, bra))
     s = ket + bra.conj()
     t = 1j * (bra.conj() - ket)
-    fx = _axis_factor(offsets, center.real - 0.5 * s)
-    fy = _axis_factor(offsets, center.imag - 0.5 * t)
     d = ket - bra
     scale = np.exp(-0.25 * (d.real * d.real + d.imag * d.imag)
                    + 1j * (bra.real * ket.imag - bra.imag * ket.real))
+    return (scale, _axis_factor(offsets, center.real - 0.5 * s),
+            _axis_factor(offsets, center.imag - 0.5 * t))
+
+
+def _plane_edge_ratio(center, offsets: np.ndarray, ket, bra):
+    """Edge-to-peak ratio of one plane's samples of ``<z|ket> conj(<z|bra>)``,
+    for each entry of the broadcast arrays; ``inf`` where all underflow."""
+    _, fx, fy = _plane_factors(center, offsets, ket, bra)
     # |profile| is |scale| |fx_j| |fy_l|, so its border maximum and its peak
     # come from the two factors' end and peak magnitudes
     mx, my = np.abs(fx), np.abs(fy)
@@ -365,35 +361,46 @@ def _plane_sum(center, offsets: np.ndarray, ket, bra):
                       peak_x * np.maximum(my[..., 0], my[..., -1]))
     # a plane whose every sample underflows holds none of the integrand's
     # support: report it as uncovered rather than as a clean edge
-    ratio = np.divide(edge, peak, out=np.full(peak.shape, math.inf), where=peak > 0.0)
-    return scale * fx.sum(axis=-1) * fy.sum(axis=-1), ratio
+    return np.divide(edge, peak, out=np.full(peak.shape, math.inf), where=peak > 0.0)
 
 
 def _integrate_terms(weight, kets, bras, centers, offsets: np.ndarray, cell: float):
     """Integrals of the terms ``weight |kets><bras|`` at ``offsets`` around
-    ``centers``, and each plane's edge ratio; ``kets``, ``bras``, ``centers``
-    and the ratios hold plane A, then plane B, on their first axis."""
-    sums, ratios = _plane_sum(centers, offsets, kets, bras)
-    return (weight / np.pi**2) * (sums[0] * cell) * (sums[1] * cell), ratios
+    ``centers`` (plane A, then plane B, on the first axis); each ``n x n``
+    plane sum is exactly the product of its two factors' ``n``-point sums."""
+    scale, fx, fy = _plane_factors(centers, offsets, kets, bras)
+    sums = scale * fx.sum(axis=-1) * fy.sum(axis=-1)
+    return (weight / np.pi**2) * (sums[0] * cell) * (sums[1] * cell)
 
 
-def _post_selected_integrals(alpha0, phi, r):
-    """Integrals ``(4, P)`` of the post-selected terms (+,+), (+,-), (-,+),
-    (-,-) at the points of the 1-D arrays, and their edge ratios ``(2, 4, P)``.
-
-    The labels are the closed forms of :func:`post_selected_terms`: a side
-    descending from ``u_s = e^{i s phi} alpha0`` has A label
-    ``t u_s e^{-i s phi}`` (splitter, then readout rotation) and B label
-    ``i r u_s``; every weight is ``c^2``.  Each plane's grid is the one
-    :meth:`QGrid.for_term` places.
-    """
+def _post_selected_planes(alpha0, phi, r):
+    """``(kets, bras, centers)``, each ``(2, 4, P)`` (plane, term, point), of
+    the post-selected terms (+,+), (+,-), (-,+), (-,-) at the points of the
+    1-D arrays.  A side descending from ``u_s = e^{i s phi} alpha0`` has A
+    label ``t u_s e^{-i s phi}`` (splitter, then readout rotation) and B label
+    ``i r u_s``, as in :func:`post_selected_terms`; each plane is centred
+    midway between its labels, where :meth:`QGrid.for_term` places it."""
     comps = np.stack(_cat_components(alpha0, phi))
     rot = np.exp(-1j * np.array([[1.0], [-1.0]]) * phi)
     by_sign = np.stack([rot * (np.sqrt(1.0 - r * r) * comps), 1j * r * comps])
     kets, bras = by_sign[:, [0, 0, 1, 1]], by_sign[:, [0, 1, 0, 1]]
+    return kets, bras, 0.5 * (kets + bras)
+
+
+def _post_selected_integrals(alpha0, phi, r):
+    """Integrals ``(4, P)`` of the post-selected terms, each weighted ``c^2``,
+    on ``QGrid()``'s offsets around :func:`_post_selected_planes`' centres.
+
+    They take no coverage check.  Centred midway between its labels, a
+    plane's profile has magnitude ``exp(-x^2 - y^2)`` times a constant at
+    offset ``x + iy``, so every plane at every point has the same edge ratio,
+    set by ``QGrid()``'s extent and spacing alone; the tests pin it below
+    ``_BOUNDARY_RATIO``.
+    """
     grid = QGrid()
-    return _integrate_terms(cat_norm_constant(alpha0, phi) ** 2, kets, bras,
-                            0.5 * (kets + bras), grid._offsets(), grid.cell)
+    return _integrate_terms(cat_norm_constant(alpha0, phi) ** 2,
+                            *_post_selected_planes(alpha0, phi, r),
+                            grid._offsets(), grid.cell)
 
 
 def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
@@ -411,12 +418,13 @@ def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:
     """
     if grid is None:
         grid = QGrid.for_term(term)
-    value, (ratio_a, ratio_b) = _integrate_terms(
-        term.weight, [term.ket_a, term.ket_b], [term.bra_a, term.bra_b],
-        [grid.center_a, grid.center_b], grid._offsets(), grid.cell)
+    kets, bras = [term.ket_a, term.ket_b], [term.bra_a, term.bra_b]
+    centers, offsets = [grid.center_a, grid.center_b], grid._offsets()
+    ratio_a, ratio_b = _plane_edge_ratio(centers, offsets, kets, bras)
     _check_boundary(ratio_a, "A")
     _check_boundary(ratio_b, "B")
-    return complex(value)
+    return complex(_integrate_terms(term.weight, kets, bras, centers, offsets,
+                                    grid.cell))
 
 
 def q_marginal(
@@ -430,18 +438,9 @@ def q_marginal(
     ``spacing^2``.  Raises as :func:`q_full` does on a set that is not
     Hermitian, or on a marginal that comes out complex or negative.
     """
-    _require_hermitian_set(terms)
-    za = grid.plane("a")
-    zb = grid.plane("b")
-    total_a = np.zeros(za.shape, dtype=complex)
-    total_b = np.zeros(zb.shape, dtype=complex)
-    for t in terms:
-        ga = _plane_profile(za, t.ket_a, t.bra_a)
-        gb = _plane_profile(zb, t.ket_b, t.bra_b)
-        total_a += (t.weight / np.pi**2) * ga * (gb.sum() * grid.cell)
-        total_b += (t.weight / np.pi**2) * gb * (ga.sum() * grid.cell)
-    return ((za, _state_values(total_a, "marginal")),
-            (zb, _state_values(total_b, "marginal")))
+    za, zb = grid.plane("a"), grid.plane("b")
+    values_a, values_b = _marginal_values(_term_profiles(terms, za, zb), grid)
+    return (za, values_a), (zb, values_b)
 
 
 def visibility_closed_form(r, abs_alpha0, phi):

@@ -301,8 +301,9 @@ def integrate_q_term_2d(term, grid=None):
 
 
 # ---------------------------------------------------------------------------
-# derivation route for _q_branch: the branch amplitudes f+ and f- of the
-# analytic derivation, whose products give each post-selected term's Q
+# derivation route for one term's pointwise Q: the branch amplitudes f+ and
+# f- of the analytic derivation, whose products give each post-selected
+# term's Q
 
 
 def _branch_amplitude(alpha_p, beta_p, params: "ExperimentParams", sign: float):
@@ -345,8 +346,9 @@ def q_term(term: BranchTerm, alpha_p, beta_p, params: "ExperimentParams"):
     ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
     ``(w/pi^2) |f|^2`` with no theta factor and (+,-) gives
     ``(c^2 e^{-i theta}/pi^2) f_plus conj(f_minus)`` (the weight carries
-    ``c^2 e^{-i theta}``).  Agrees pointwise with ``_q_branch`` on the
-    same term; this route exists because it mirrors the analytic derivation.
+    ``c^2 e^{-i theta}``).  Agrees pointwise with the term's share of
+    :func:`catvis.q_full`, its weight over ``pi^2`` times its two plane
+    profiles; this route exists because it mirrors the analytic derivation.
     """
     sk, sb = term.phase_tag
     fk = f_plus(alpha_p, beta_p, params) if sk == "+" else f_minus(alpha_p, beta_p, params)

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catvis import CoverageWarning, OverlapWarning, __version__
+from catvis import CoverageWarning, OverlapWarning, __version__, phase_space
 from catvis.cli import main
 from helpers import child_env
 
@@ -174,6 +174,22 @@ class TestQFunction:
         assert "extent=5" in comments[2]
         norm_line = next(c for c in comments if c.startswith("# normalization:"))
         assert abs(float(norm_line.split(":")[1]) - 1.0) <= 1e-4
+
+    @pytest.mark.parametrize("qmode", ["marginal-a", "marginal-b", "full"])
+    @pytest.mark.filterwarnings("ignore::catvis.CoverageWarning")
+    def test_one_pass_over_the_terms(self, qmode, capsys, monkeypatch):
+        # the term set is checked once and each term's two plane profiles are
+        # built once, the coverage check and a full table included
+        calls = []
+        for name in ("_require_hermitian_set", "_plane_profile"):
+            def counted(*args, _fn=getattr(phase_space, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(phase_space, name, counted)
+        code, _, _ = run_cli(["qfunction", "--qmode", qmode, "--extent", "1.8",
+                              "--spacing", "0.3"], capsys)
+        assert code == 0
+        assert sorted(calls) == ["_plane_profile"] * 8 + ["_require_hermitian_set"]
 
     def test_row_cap_guards_full_grids(self, capsys):
         code, out, err = run_cli(
@@ -585,6 +601,13 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert err == "catvis: error: phi must be finite\n"
 
+    @pytest.mark.parametrize("qmode", ["marginal-a", "full"])
+    @pytest.mark.parametrize("extent", ["inf", "nan"])
+    def test_non_finite_extent_is_a_reported_error(self, extent, qmode, capsys):
+        code, out, err = run_cli(
+            ["qfunction", "--qmode", qmode, "--extent", extent], capsys)
+        assert (code, out, err) == (1, "", "catvis: error: extent must be finite\n")
+
     @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
     def test_theta_is_a_usage_error(self, sub, capsys):
         # no route reads a readout phase; fringe scans it itself
@@ -642,6 +665,41 @@ class TestFailureModes:
         assert exc.value.code == 0
         out, _ = capsys.readouterr()
         assert out.strip() == f"catvis {__version__}"
+
+
+class TestNegativeValues:
+    # argparse on its own takes "-1e-3" and "-0.5,0.5" for options, since it
+    # reads "-" as a sign only before digits with an optional decimal part
+
+    @staticmethod
+    def _params(out):
+        line = next(c for c in out.splitlines() if c.startswith("# params: "))
+        return dict(tok.split("=") for tok in line[len("# params: "):].split())
+
+    @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
+    @pytest.mark.filterwarnings("ignore::catvis.OverlapWarning")
+    def test_negative_value_with_an_exponent(self, sub, capsys):
+        code, out, _ = run_cli([sub, "--phi", "-1e-3"], capsys)
+        assert code == 0
+        assert self._params(out)["phi"] == "-0.001"
+
+    def test_negative_value_with_a_capital_exponent(self, capsys):
+        code, out, _ = run_cli(["visibility", "--alpha0-phase", "-2E-1"], capsys)
+        assert code == 0
+        assert self._params(out)["alpha0_phase"] == "-0.2"
+
+    def test_list_that_starts_with_a_negative_entry(self, capsys):
+        code, out, _ = run_cli(["sweep", "--R-values", "0.1", "--alpha0-values",
+                                "1", "--phi-values", "-0.5,0.5"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert [row[header.index("phi")] for row in rows] == ["-0.5", "0.5"]
+
+    def test_short_switch_is_still_a_switch(self, capsys):
+        code, out, err = run_cli(["visibility", "-v", "--phi", "-1e-3"], capsys)
+        assert code == 0
+        assert err.startswith("catvis config: ") and "phi=-0.001" in err
+        assert self._params(out)["phi"] == "-0.001"
 
 
 class TestAlpha0Bound:

@@ -31,7 +31,7 @@ from catvis import (
     sweep,
     visibility_closed_form,
 )
-from catvis import experiment, phase_space
+from catvis import experiment
 from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import default_cutoff
 
@@ -648,29 +648,6 @@ def test_sweep_fringe_cells_equal_the_per_point_route_bit_for_bit(r, a, phi, n_t
     assert _warning_texts(caught) == _warning_texts(want_warnings)
 
 
-def test_sweep_warns_coverage_per_plane_in_row_order(monkeypatch):
-    # with the threshold below every edge ratio each plane of each term warns,
-    # and distinct factors on the ratios tell the planes and terms apart; the
-    # row the brute force refuses (|alpha0| = 5.5) warns for neither route
-    monkeypatch.setattr(phase_space, "_BOUNDARY_RATIO", 1e-20)
-    integrals = experiment._post_selected_integrals
-
-    def marked(alpha0, phi, r):
-        vals, ratios = integrals(alpha0, phi, r)
-        return vals, ratios * np.arange(1.0, 9.0).reshape(2, 4, 1)
-
-    monkeypatch.setattr(experiment, "_post_selected_integrals", marked)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = _records(sweep([0.3], [1.0, 5.5, 2.0], [0.4], include_brute=True,
-                              include_fringe=True))
-    want = []
-    for row in rows:
-        params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"], r=row["R"])
-        want += _per_point_routes(params, 16)[2]
-    assert _warning_texts(caught) == _warning_texts(want)
-    assert [w.category for w in caught].count(CoverageWarning) == 2 * 8
-
 @pytest.mark.parametrize("corrupt,message", [
     (lambda v: v * [[1], [2], [1], [1]], "fringe rates came out complex"),
     (lambda v: v * [[1], [1e3], [1e3], [1]], "detection rate reached"),
@@ -683,8 +660,8 @@ def test_sweep_refuses_fringe_rows_as_the_per_point_route_does(monkeypatch, corr
     integrals = experiment._post_selected_integrals
 
     def corrupted(alpha0, phi, r):
-        vals, ratios = integrals(alpha0, phi, r)
-        return np.where(np.abs(alpha0) > 1.5, corrupt(vals), vals), ratios
+        vals = integrals(alpha0, phi, r)
+        return np.where(np.abs(alpha0) > 1.5, corrupt(vals), vals)
 
     monkeypatch.setattr(experiment, "_post_selected_integrals", corrupted)
     with warnings.catch_warnings():

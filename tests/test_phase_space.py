@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catvis import (
     BeamSplitter,
@@ -25,11 +27,12 @@ from catvis import (
     visibility_closed_form,
 )
 from catvis.phase_space import (
+    _BOUNDARY_RATIO,
     _edge_ratio,
+    _plane_edge_ratio,
     _plane_profile,
-    _plane_sum,
+    _post_selected_planes,
     _postselect_term,
-    _q_branch,
 )
 
 from helpers import coherent_product_term, integrate_q_term_2d, q_full_grid, q_term
@@ -77,6 +80,11 @@ class TestQGrid:
     def test_requires_minimum_resolution(self):
         with pytest.raises(ValueError):
             QGrid(extent=1.0, spacing=0.25)
+
+    @pytest.mark.parametrize("extent", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_extent(self, extent):
+        with pytest.raises(ValueError, match="^extent must be finite$"):
+            QGrid(extent=extent)
 
     def test_unknown_plane(self):
         with pytest.raises(ValueError):
@@ -152,7 +160,8 @@ def test_q_term_equals_generic_branch_q():
     pts_b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     for term in _selected_at(params, 0.6):
         got = q_term(term, pts_a, pts_b, params)
-        want = _q_branch(term, pts_a, pts_b)
+        want = ((term.weight / np.pi**2) * _plane_profile(pts_a, term.ket_a, term.bra_a)
+                * _plane_profile(pts_b, term.ket_b, term.bra_b))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
@@ -190,10 +199,18 @@ def test_q_full_vacuum_peak():
     assert q_full(terms, 0.0, 0.0) == pytest.approx(INV_PI_SQ, rel=1e-12)
 
 
-def test_q_full_rejects_non_hermitian_sets():
+@pytest.mark.parametrize("evaluate", [
+    lambda terms: q_full(terms, 0.0, 0.0),
+    lambda terms: q_marginal(terms, QGrid(extent=3.0, spacing=0.5)),
+], ids=["q_full", "q_marginal"])
+def test_q_full_rejects_non_hermitian_sets(evaluate):
     lone = BranchTerm(1.0, 1.0, 0.0, -1.0, 0.0)
     with pytest.raises(ValueError, match="Hermitian"):
-        q_full([lone], 0.0, 0.0)
+        evaluate([lone])
+    # a set holding an off-diagonal term's adjoint twice leaves one unmatched
+    off = BranchTerm(0.5j, 1.0, 0.0, -1.0, 0.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        evaluate([off, off.adjoint(), off.adjoint()])
 
 
 def test_q_full_accepts_hermitian_pair():
@@ -353,9 +370,51 @@ def test_factored_edge_ratio_matches_the_2d_profile(kind):
             ("a", term.ket_a, term.bra_a, grid.center_a),
             ("b", term.ket_b, term.bra_b, grid.center_b),
         ):
-            _, ratio = _plane_sum(center, grid._offsets(), ket, bra)
+            ratio = _plane_edge_ratio(center, grid._offsets(), ket, bra)
             want = _edge_ratio(_plane_profile(grid.plane(which), ket, bra))
             assert ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# the edge-to-peak ratio of a plane centred midway between its labels on
+# QGrid()'s offsets, where the profile's magnitude is exp(-x^2) exp(-y^2)
+# times a constant
+_AXIS_MAGNITUDE = np.exp(-QGrid()._offsets() ** 2)
+_CENTRED_PLANE_RATIO = (max(_AXIS_MAGNITUDE[0], _AXIS_MAGNITUDE[-1])
+                        / _AXIS_MAGNITUDE.max())
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    r=st.floats(0.0, 0.99),
+    abs_alpha0=st.floats(0.0, 1e8),
+    alpha0_phase=st.floats(-math.pi, math.pi),
+    phi=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_post_selected_planes_have_one_constant_edge_ratio(r, abs_alpha0,
+                                                           alpha0_phase, phi):
+    # routes 3 and 4 take no coverage check: every plane of every term, at
+    # any point of the domain, has the one edge ratio of QGrid()'s offsets,
+    # and that ratio is below the boundary threshold
+    alpha0 = abs_alpha0 * complex(math.cos(alpha0_phase), math.sin(alpha0_phase))
+    kets, bras, centers = _post_selected_planes(
+        np.array([alpha0]), np.array([phi]), np.array([r]))
+    ratios = _plane_edge_ratio(centers, QGrid()._offsets(), kets, bras)
+    assert ratios.shape == (2, 4, 1)
+    np.testing.assert_allclose(ratios, _CENTRED_PLANE_RATIO, rtol=1e-12, atol=0.0)
+    assert _CENTRED_PLANE_RATIO < _BOUNDARY_RATIO
+
+
+def test_post_selected_planes_sit_where_for_term_places_them():
+    params = ExperimentParams(alpha0=1.7 * np.exp(0.3j), phi=0.8, r=0.4)
+    kets, bras, centers = (
+        v[..., 0] for v in _post_selected_planes(
+            np.array([params.alpha0]), np.array([params.phi]), np.array([params.r])))
+    for i, term in enumerate(post_selected_terms(params)):
+        grid = QGrid.for_term(term)
+        np.testing.assert_allclose(kets[:, i], [term.ket_a, term.ket_b], rtol=1e-15)
+        np.testing.assert_allclose(bras[:, i], [term.bra_a, term.bra_b], rtol=1e-15)
+        np.testing.assert_allclose(centers[:, i], [grid.center_a, grid.center_b],
+                                   rtol=1e-15)
 
 
 def test_integrate_q_full_unit_trace():
