@@ -582,9 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, summary in summaries.items():
         p = sub.add_parser(name, help=summary)
-        # a "-" then a digit, or "-." then a digit, starts a value, so that
-        # "-1e-3" and "-0.5,0.5" parse as "-1" and "-.5" do
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # a "-" then a digit, "-." then a digit, or "-inf" or "-nan" in any
+        # case starts a value, so that "-1e-3", "-0.5,0.5" and "-inf" parse
+        # as "-1" and "-.5" do
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         for flag in _FLAGS:
             if name not in flag.commands:
                 continue

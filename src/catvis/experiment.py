@@ -10,13 +10,13 @@ visibility:
 
 plus the fringe-scan route that recovers it the way a measurement would,
 by fitting detection rate against the readout phase theta.  ``sweep`` runs
-the closed forms as one array pass and the fringe route as array passes over
-blocks of a fixed number of points, whose cells equal the one-point
-``fringe_scan`` and ``fit_fringe`` bit for bit; only the Fock route runs
-point by point.  The quadrature and fringe routes centre each plane's grid
-midway between its labels, where the edge-to-peak ratio is one constant of
-the default grid (see ``phase_space._post_selected_integrals``), so they
-take no coverage check.
+the closed forms as one array pass, the fringe route as array passes over
+blocks of a fixed number of points, and the Fock route as one array pass per
+block of points that share R and |alpha0|, and so its cutoffs; every cell
+equals its one-point function bit for bit.  The quadrature and fringe
+routes centre each plane's grid midway between its labels, where the
+edge-to-peak ratio is one constant of the default grid (see
+``phase_space._post_selected_integrals``), so they take no coverage check.
 """
 
 import math
@@ -27,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
-    ModeState,
     _cat_components,
-    coherent_fock,
+    _coherent_rows,
+    _require_states,
     coherent_overlap,
     default_cutoff,
 )
@@ -37,8 +37,8 @@ from .heisenberg import _closed_form_columns, _environment_overlap
 from .operators import (
     BeamSplitter,
     TruncationError,
-    bs_fock_apply,
-    phase_shift_fock_a,
+    _require_leak,
+    _split_rows,
 )
 from .phase_space import _post_selected_integrals
 
@@ -338,7 +338,8 @@ def _dominant_period(thetas: np.ndarray, rates: np.ndarray) -> float:
     return window / k
 
 
-# top-band mass of mode A's Fock vector the brute force accepts
+# mass past cutoff_a, bounded, that the brute force accepts in mode A's
+# truncated coherent vectors
 _TAIL_TOL = 1e-12
 
 # largest cutoff_a * cutoff_b the brute force allocates: a two-mode array of
@@ -346,21 +347,111 @@ _TAIL_TOL = 1e-12
 _MAX_AMPLITUDES = 2**24
 
 
-def _require_tail(state: ModeState, alpha: complex) -> None:
-    """Refuse ``state``, mode A's truncated ``|alpha>``, with
-    :class:`TruncationError` when the mass in the top tenth of its levels
-    reaches ``_TAIL_TOL``."""
-    band = max(1, math.ceil(state.cutoff * 0.1))
-    tail = state.amplitudes[state.cutoff - band:]
-    mass = float(np.vdot(tail, tail).real)
+def _require_amplitudes(na: int, nb: int) -> None:
+    """Refuse cutoffs past ``_MAX_AMPLITUDES``, before anything is allocated."""
+    if na * nb > _MAX_AMPLITUDES:
+        raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
+                         f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
+
+
+def _tail_bound(last_sq: float, x: float, cutoff: int) -> float:
+    """Bound on the mass ``sum_{n >= cutoff} |a_n|^2`` that truncating
+    ``|alpha>``, ``x = |alpha|^2``, to ``cutoff`` levels discards, given
+    ``last_sq = |a_{cutoff-1}|^2``: the first term ``t0 = last_sq x / cutoff``
+    over ``1 - q``, since each later term is at most ``q = x / (cutoff + 1)``
+    times the one before.  Infinite when ``q >= 1``."""
+    q = x / (cutoff + 1)
+    return last_sq * x / cutoff / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _tail_cutoff(x: float, tried: int) -> int:
+    """The smallest cutoff above ``tried`` whose ``_tail_bound`` on the
+    Poisson weights of ``|alpha>``, ``x = |alpha|^2``, is below ``_TAIL_TOL``.
+    Where the bound is finite it falls with the cutoff, so a doubling search
+    and a bisection find it."""
+    def passes(c: int) -> bool:
+        last = math.exp(-x + (c - 1) * math.log(x) - math.lgamma(c)) if x else 0.0
+        return _tail_bound(last, x, c) < _TAIL_TOL
+
+    lo = max(tried + 1, math.floor(x))  # the bound is finite from floor(x) on
+    step = 1
+    while not passes(lo + step - 1):
+        lo, step = lo + step, 2 * step
+    hi = lo + step - 1  # passes; everything below lo fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+    return hi
+
+
+def _require_tail(vector: np.ndarray, alpha: complex) -> None:
+    """Refuse ``vector``, mode A's truncated ``|alpha>``, with
+    :class:`TruncationError` when the bound ``_tail_bound`` on the mass past
+    its last level reaches ``_TAIL_TOL``; the retry advice is the smallest
+    cutoff whose bound meets it."""
+    x, cutoff = abs(alpha) ** 2, vector.size
+    # a state holds mass at most 1, so 1 bounds what it discards too
+    mass = min(_tail_bound(abs(vector[-1]) ** 2, x, cutoff), 1.0)
     if mass >= _TAIL_TOL:
-        # when the default sizing itself fails (very large |alpha|), the
-        # suggestion must still exceed what was tried
-        suggest = max(default_cutoff(alpha), int(1.15 * state.cutoff) + 5)
         raise TruncationError(
-            f"cutoff {state.cutoff} leaves tail mass {mass:.3e} >= {_TAIL_TOL:.1e} "
-            f"for |alpha| = {abs(alpha):.3g}; retry with cutoff >= {suggest}"
+            f"cutoff {cutoff} leaves tail mass up to {mass:.3e} >= {_TAIL_TOL:.1e} "
+            f"for |alpha| = {abs(alpha):.3g}; retry with cutoff >= "
+            f"{_tail_cutoff(x, cutoff)}"
         )
+
+
+def _brute_force_block(bs: BeamSplitter, alpha0: np.ndarray, phi: np.ndarray,
+                       na: int, nb: int) -> list:
+    """Route 5 at the points ``(alpha0, phi)`` (1-D arrays) that share the
+    splitter and the cutoffs ``(na, nb)``: each point's visibility, or the
+    ``ValueError`` its checks raise, checked in the one-point order.
+
+    Both branches of every point are built in one pass: their coherent
+    vectors by one cumulative product, their two-mode arrays by one product
+    with one sector map, their readout rotations in place.  Each branch's
+    norm, leakage and overlap come from its own contiguous slice, and the
+    state contract is checked once on each stacked array; where it fails,
+    each point is judged alone.
+    """
+    plus, minus = _cat_components(alpha0, phi)
+    labels = np.stack([plus, minus], axis=1).ravel()
+    readouts = np.stack([-phi, phi], axis=1).ravel()
+    vectors = _coherent_rows(labels, na)
+    in_sq = [float(np.vdot(v, v).real) for v in vectors]
+    branches = _split_rows(bs, vectors, nb)
+    out_sq = [float(np.vdot(b, b).real) for b in branches]
+    branches *= np.exp(1j * readouts[:, None] * np.arange(na))[:, :, None]
+    norm_sq = [float(np.vdot(b, b).real) for b in branches]
+    try:
+        _require_states(vectors, in_sq)
+        _require_states(branches, norm_sq)
+    except ValueError as exc:
+        if alpha0.size == 1:
+            return [exc]
+        # a point's verdict must not depend on its neighbours: judge each alone
+        return [verdict for i in range(alpha0.size) for verdict in
+                _brute_force_block(bs, alpha0[i:i + 1], phi[i:i + 1], na, nb)]
+    verdicts = []
+    for p in range(0, labels.size, 2):
+        try:
+            for b in (p, p + 1):
+                _require_tail(vectors[b], labels[b])
+                _require_leak(bs, vectors[b], nb, abs(out_sq[b] - in_sq[b]))
+            denom = math.sqrt(norm_sq[p]) * math.sqrt(norm_sq[p + 1])
+            if denom <= 0.0:
+                raise ValueError("branch states have zero norm")
+            overlap = complex(np.vdot(branches[p + 1], branches[p]))
+            verdicts.append(float(abs(overlap) / denom))
+        except ValueError as exc:
+            verdicts.append(exc)
+    return verdicts
+
+
+def _verdict(outcome):
+    """A point's visibility from ``_brute_force_block``, or its refusal raised."""
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 def fock_brute_force_visibility(params: ExperimentParams) -> float:
@@ -369,35 +460,27 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     Each cat component crosses the splitter as an explicit two-mode array,
     picks up its readout rotation, and the interference contrast is the
     overlap of the two branches over their norms.  Raises
-    :class:`TruncationError` when a cutoff leaves tail mass of 1e-12 or
-    more in the top tenth of mode A's levels, or when the splitter leaks
+    :class:`TruncationError` when a bound on the mass that ``cutoff_a``
+    discards from a component reaches 1e-12, or when the splitter leaks
     past ``cutoff_b`` (mode A cannot leak: the splitter never adds photons
     to it), and ``ValueError``, before allocating, past ``_MAX_AMPLITUDES``.
     """
     na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
-    if na * nb > _MAX_AMPLITUDES:
-        raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
-                         f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
+    _require_amplitudes(na, nb)
     _warn_if_components_overlap(params)
-    bs = params.beam_splitter
-    branches = {}
-    for sign, label, readout in (
-        ("+", params.component_plus, -params.phi),
-        ("-", params.component_minus, +params.phi),
-    ):
-        mode_a = coherent_fock(label, cutoff=na)
-        _require_tail(mode_a, label)
-        branches[sign] = phase_shift_fock_a(bs_fock_apply(bs, mode_a, nb), readout)
-    overlap = branches["-"].inner(branches["+"])
-    denom = branches["+"].norm * branches["-"].norm
-    if denom <= 0.0:
-        raise ValueError("branch states have zero norm")
-    return float(abs(overlap) / denom)
+    (outcome,) = _brute_force_block(params.beam_splitter, np.array([params.alpha0]),
+                                    np.array([params.phi]), na, nb)
+    return _verdict(outcome)
 
 
 # points per array pass of the fringe route in a sweep: at 8 the peak RSS of a
 # 168-row sweep stays at the row-by-row route's, and 16 raised it by 0.7 MB
 _FRINGE_BLOCK = 8
+
+# stacked amplitudes per array pass of the Fock route in a sweep, past one
+# point: at 2**14 (256 kB) the bench routes sweep's peak RSS was 0.25 MB
+# above the point-by-point route's, at 2**15 about 0.5 MB
+_FOCK_BLOCK_AMPLITUDES = 2**14
 
 
 def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
@@ -413,6 +496,30 @@ def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
         rates = 0.25 * total.real
         coef = _fit_coefficients(pinv, np.clip(rates, 0.0, None))
         yield from zip(total, rates, coef)
+
+
+def _brute_force_rows(r, alpha0, phi):
+    """Route 5 at each sweep point of the 1-D arrays in turn (``alpha0`` real):
+    the outcome of ``_brute_force_block``, or ``None`` past the amplitude cap,
+    where nothing is built.  One kernel pass per block of consecutive points
+    with the same R and |alpha0|, which share the default cutoffs; a block
+    holds at most ``_FRINGE_BLOCK`` points and, past one point, at most
+    ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
+    # grouped by bit pattern, so a block's shared R and |alpha0| are exactly
+    # each point's own, signed zeros included
+    bits = np.stack([r, alpha0]).view(np.int64)
+    edges = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
+    for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), r.size]):
+        r0, a0 = float(r[start]), float(alpha0[start])
+        na, nb = default_cutoff(a0), default_cutoff(r0 * a0)
+        if na * nb > _MAX_AMPLITUDES:
+            yield from [None] * (stop - start)
+            continue
+        size = min(_FRINGE_BLOCK, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
+        for first in range(start, stop, size):
+            block = slice(first, min(first + size, stop))
+            yield from _brute_force_block(
+                BeamSplitter(r0), alpha0[block], phi[block], na, nb)
 
 
 _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
@@ -434,7 +541,9 @@ def sweep(
     columns are one array evaluation over the valid points.  The fringe
     route, when asked for, is an array pass over blocks of a fixed number of
     valid points, each cell equal to ``fit_fringe(fringe_scan(params,
-    n_theta)).visibility`` bit for bit; the Fock route runs point by point.
+    n_theta)).visibility`` bit for bit.  The Fock route is one kernel pass
+    per block of consecutive valid points with the same R and |alpha0|, each
+    cell and refusal equal to ``fock_brute_force_visibility``'s bit for bit.
     A row that fails keeps its parameters and carries the message in
     ``error`` instead of aborting the sweep; its warnings come in row order.
     An ``n_theta`` below 8 raises ValueError when the fringe is asked for.
@@ -446,6 +555,8 @@ def sweep(
     valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
     closed = zip(*(c.tolist() for c in
                    _closed_form_columns(r[valid], a0[valid], phi[valid])))
+    if include_brute:
+        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
     if include_fringe:
         fringe = _fringe_rows(a0[valid], phi[valid], r[valid], _scan_thetas(n_theta))
     rows = []
@@ -456,11 +567,16 @@ def sweep(
             if not ok or include_brute or include_fringe:
                 params = ExperimentParams(alpha0=point[1], phi=point[2], r=point[0])
             nu, oracle, t, var_out = next(closed)
+            if include_brute:
+                outcome = next(brute)
             if include_fringe:
                 total, rates, coef = next(fringe)
             cells = [nu, oracle, None, None, t, t, var_out]
             if include_brute:
-                cells[2] = fock_brute_force_visibility(params)
+                # fock_brute_force_visibility's checks, in its order
+                _require_amplitudes(params.resolved_cutoff_a, params.resolved_cutoff_b)
+                _warn_if_components_overlap(params, stacklevel=2)
+                cells[2] = _verdict(outcome)
             if include_fringe:
                 # fringe_scan's warnings and refusals, then fit_fringe's
                 _warn_if_components_overlap(params, stacklevel=2)

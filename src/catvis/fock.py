@@ -6,8 +6,9 @@ vectors are legitimate states here: post-selected branches carry norm < 1
 and nothing in this package renormalizes behind the caller's back.
 
 Coherent amplitudes use the multiplicative recurrence
-``a[n] = a[n-1] * alpha / sqrt(n)``, so no factorial is ever formed and the
-generation stays stable far past n = 170 where n! overflows a float.
+``a[n] = a[n-1] * (alpha / sqrt(n))``, one cumulative product, so no
+factorial is ever formed and the generation stays stable far past n = 170
+where n! overflows a float.
 
 The exact label algebra ``<alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 +
 conj(alpha) * beta)`` lives alongside the truncated vectors.  The two tracks
@@ -44,6 +45,20 @@ def default_cutoff(alpha: CoherentLabel) -> int:
     return math.ceil(a * a + 8.0 * a + 10.0)
 
 
+def _require_states(amps: np.ndarray, squared_norms) -> None:
+    """The state contract on one amplitude array or a stack of them: every
+    amplitude finite, every squared norm in ``squared_norms`` at most
+    ``1 + 1e-12``.  A squared norm is finite when its amplitudes are, so
+    the amplitudes are scanned only when one is not."""
+    n2 = float(np.max(squared_norms))
+    if not math.isfinite(n2) and not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("amplitudes must be finite")
+    if n2 > 1.0 + _NORM_SLACK:
+        raise ValueError(
+            f"squared norm {n2:.6g} exceeds 1; states are at most unit norm"
+        )
+
+
 @dataclass(frozen=True)
 class _FockState:
     """A truncated photon-number amplitude array of ``ndim`` modes.
@@ -61,13 +76,7 @@ class _FockState:
         amps = np.array(self.amplitudes, dtype=complex, copy=True)
         if amps.ndim != self.ndim or amps.size == 0:
             raise ValueError(f"amplitudes must be a non-empty {self.ndim}-D array")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        n2 = float(np.vdot(amps, amps).real)
-        if n2 > 1.0 + _NORM_SLACK:
-            raise ValueError(
-                f"squared norm {n2:.6g} exceeds 1; states are at most unit norm"
-            )
+        _require_states(amps, [np.vdot(amps, amps).real])
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -108,12 +117,17 @@ def coherent_fock(alpha: CoherentLabel, cutoff: int | None = None) -> ModeState:
         cutoff = default_cutoff(alpha)
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    alpha = complex(alpha)
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return ModeState(amps)
+    return ModeState(_coherent_rows(np.array([complex(alpha)]), cutoff)[0])
+
+
+def _coherent_rows(labels: np.ndarray, cutoff: int) -> np.ndarray:
+    """Truncated coherent vectors of the 1-D complex ``labels``, one row each:
+    one cumulative product along each row of
+    ``[exp(-|alpha|^2/2), alpha/sqrt(1), alpha/sqrt(2), ...]``."""
+    steps = np.empty((labels.size, cutoff), dtype=complex)
+    steps[:, 0] = np.exp(-0.5 * np.square(np.abs(labels)))
+    steps[:, 1:] = labels[:, None] / np.sqrt(np.arange(1, cutoff))
+    return np.cumprod(steps, axis=1, out=steps)
 
 
 def coherent_overlap(alpha, beta):

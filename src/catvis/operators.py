@@ -96,12 +96,19 @@ class TruncationError(ValueError):
 _LEAK_TOL = 1e-10
 
 
-def _sector_window(column: np.ndarray, nb: int) -> np.ndarray:
-    """``[m, k] = column[m + k]`` for ``m < column.size, k < nb``, zero past
-    the end: on the vacuum-port path, output ``|m, k>`` is fed by input
-    ``|m + k, 0>`` alone."""
-    padded = np.concatenate([column, np.zeros(nb - 1, dtype=column.dtype)])
-    return padded[np.add.outer(np.arange(column.size), np.arange(nb))]
+def _sector_window(columns: np.ndarray, nb: int) -> np.ndarray:
+    """``[..., m, k] = columns[..., m + k]`` for ``m < columns.shape[-1], k <
+    nb``, zero past the end, as a strided view of one zero-padded copy: on
+    the vacuum-port path, output ``|m, k>`` is fed by input ``|m + k, 0>``
+    alone.  The view comes from the ndarray constructor, since NumPy's
+    ``as_strided`` (behind ``sliding_window_view``) keeps about 1 MB of
+    interface records alive for the life of the process."""
+    *lead, na = columns.shape
+    padded = np.zeros((*lead, na + nb - 1), dtype=columns.dtype)
+    padded[..., :na] = columns
+    step = padded.itemsize
+    return np.ndarray((*lead, na, nb), padded.dtype, buffer=padded,
+                      strides=(*padded.strides[:-1], step, step))
 
 
 def _sector_magnitudes(bs: BeamSplitter, na: int, nb: int) -> np.ndarray:
@@ -112,11 +119,28 @@ def _sector_magnitudes(bs: BeamSplitter, na: int, nb: int) -> np.ndarray:
     magnitude at most 1, so nothing overflows, and no factorial or log-gamma
     rounding enters.
     """
-    m = np.arange(1, na)[:, None]
+    m = np.arange(1.0, na)[:, None]
     steps = np.empty((na, nb))
     steps[0] = bs.r ** np.arange(nb)
-    steps[1:] = bs.t * np.sqrt((m + np.arange(nb)) / m)
+    # in place, on floats: no temporary of the map's size, no integer cast
+    rest = steps[1:]
+    np.add(m, np.arange(float(nb)), out=rest)
+    rest /= m
+    np.sqrt(rest, out=rest)
+    rest *= bs.t
     return np.cumprod(steps, axis=0, out=steps)
+
+
+def _split_rows(bs: BeamSplitter, rows: np.ndarray, nb: int) -> np.ndarray:
+    """Each row of ``rows`` ``(P, na)``, mode A with vacuum in B, after the
+    splitter: ``(P, na, nb)``, a contiguous two-mode array per row, by one
+    sector map ``<m, k| U |m+k, 0> = sqrt(C(m+k, k)) t^m (i r)^k`` times the
+    rows' windows."""
+    i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
+    # i^k only swaps and negates parts, so the magnitudes can come last
+    out = _sector_window(rows, nb) * i_to_k
+    out *= _sector_magnitudes(bs, rows.shape[-1], nb)
+    return out
 
 
 def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray) -> int:
@@ -128,6 +152,19 @@ def _sector_cutoff_b(bs: BeamSplitter, column: np.ndarray) -> int:
     weights *= _sector_window(np.abs(column) ** 2, na)
     tail = np.cumsum(weights.sum(axis=0)[::-1])[::-1]  # mass at k >= index
     return int(np.count_nonzero(tail > _LEAK_TOL))
+
+
+def _require_leak(bs: BeamSplitter, column: np.ndarray, cutoff_b: int,
+                  leak: float) -> None:
+    """Refuse the splitter's output for input ``column (x) |0>`` with
+    :class:`TruncationError` when it lost ``leak`` of squared norm, above the
+    leakage threshold, naming the smallest sufficient ``cutoff_b``."""
+    if leak > _LEAK_TOL:
+        raise TruncationError(
+            f"splitter propagation leaked {leak:.3e} probability at "
+            f"cutoffs ({column.size}, {cutoff_b}); retry with cutoff_b >= "
+            f"{_sector_cutoff_b(bs, column)}"
+        )
 
 
 def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeState:
@@ -143,17 +180,9 @@ def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeS
     if cutoff_b < 1:
         raise ValueError("cutoff_b must be positive")
     amps = state.amplitudes
-    na = amps.size
-    i_to_k = np.array([1, 1j, -1, -1j])[np.arange(cutoff_b) % 4]
-    out = _sector_magnitudes(bs, na, cutoff_b) * i_to_k
-    out *= _sector_window(amps, cutoff_b)
+    (out,) = _split_rows(bs, amps[None], cutoff_b)
     leak = abs(float(np.vdot(out, out).real) - state.squared_norm)
-    if leak > _LEAK_TOL:
-        raise TruncationError(
-            f"splitter propagation leaked {leak:.3e} probability at "
-            f"cutoffs ({na}, {cutoff_b}); retry with cutoff_b >= "
-            f"{_sector_cutoff_b(bs, amps)}"
-        )
+    _require_leak(bs, amps, cutoff_b, leak)
     return TwoModeState(out)
 
 

@@ -111,6 +111,9 @@ class QGrid:
             raise ValueError("extent must be finite")
         if self.extent < 6.0 * self.spacing:
             raise ValueError("extent must be at least 6 spacings")
+        if not math.isfinite(2.0 * self.extent / self.spacing):
+            raise ValueError(f"extent {self.extent:g} over spacing {self.spacing:g} "
+                             "holds too many points to count")
 
     @property
     def points_per_axis(self) -> int:

@@ -120,12 +120,11 @@ def test_acceptance_4_weak_tap_contrast_headline():
         assert nu_closed == pytest.approx(math.exp(-8.0), rel=1e-9)
         assert nu_oracle == pytest.approx(math.exp(-8.0), rel=1e-9)
         assert float(f"{nu_closed:.6g}") == 3.35463e-4
-        # the truncated-Fock route refuses here by design: its default
-        # cutoffs (570, 30) cannot hold a 400-photon pulse to the 1e-12
-        # tail the guard demands, and honest refusal beats a silently
-        # truncated number; explicit cutoffs (650, 40) do reproduce e^-8
-        with pytest.raises(ValueError, match="tail"):
-            fock_brute_force_visibility(params)
+        # the truncated-Fock route runs at its default cutoffs (570, 30):
+        # they discard at most 7e-16 of the 400-photon pulse, inside the
+        # 1e-12 tail the guard demands
+        assert fock_brute_force_visibility(params) == pytest.approx(
+            math.exp(-8.0), rel=1e-11)
 
 
 def test_acceptance_5_q_function_sanity():

@@ -340,10 +340,11 @@ class TestWarningRendering:
 
     def test_sweep_prints_each_route_s_overlap_line_once(self, capsys):
         # a row whose brute force is accepted prints the overlap line of both
-        # routes, a row it refuses prints its own alone, and a row repeating
-        # an earlier row's text prints nothing
+        # routes, a row it refuses past its amplitude cap prints none, as the
+        # cap comes first, and a row repeating an earlier row's text prints
+        # nothing
         argv = ["sweep", "--brute-force", "--fringe", "--R-values", "0.3",
-                "--alpha0-values", "1,5", "--phi-values", "0.3,-0.3"]
+                "--alpha0-values", "1,5,200", "--phi-values", "0.3,-0.3,0.001"]
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             warnings.showwarning = _stock_showwarning
@@ -351,7 +352,8 @@ class TestWarningRendering:
         assert code == 0
         assert [line.split(";")[0] for line in err.splitlines()] == [
             f"catvis: warning: cat components overlap at |<+|->| = {ov}"
-            for ov in ("8.397e-01", "8.397e-01", "1.269e-02")
+            for ov in ("8.397e-01", "8.397e-01", "1.000e+00", "1.000e+00",
+                       "1.269e-02", "1.269e-02")
         ]
 
     def test_interpreter_writes_the_same_lines(self):
@@ -608,6 +610,16 @@ class TestFailureModes:
             ["qfunction", "--qmode", qmode, "--extent", extent], capsys)
         assert (code, out, err) == (1, "", "catvis: error: extent must be finite\n")
 
+    @pytest.mark.parametrize("qmode", ["marginal-a", "full"])
+    def test_uncountable_grid_is_a_reported_error(self, qmode, capsys):
+        # 2e310 points per axis overflow a float; the refusal comes before
+        # the row cap would count them
+        code, out, err = run_cli(["qfunction", "--qmode", qmode, "--extent", "1e300",
+                                  "--spacing", "1e-10"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("catvis: error: extent 1e+300 over spacing 1e-10 holds too "
+                       "many points to count\n")
+
     @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
     def test_theta_is_a_usage_error(self, sub, capsys):
         # no route reads a readout phase; fringe scans it itself
@@ -668,8 +680,9 @@ class TestFailureModes:
 
 
 class TestNegativeValues:
-    # argparse on its own takes "-1e-3" and "-0.5,0.5" for options, since it
-    # reads "-" as a sign only before digits with an optional decimal part
+    # argparse on its own takes "-1e-3", "-0.5,0.5" and "-inf" for options,
+    # since it reads "-" as a sign only before digits with an optional
+    # decimal part
 
     @staticmethod
     def _params(out):
@@ -694,6 +707,21 @@ class TestNegativeValues:
         assert code == 0
         _, header, rows = parse_csv(out)
         assert [row[header.index("phi")] for row in rows] == ["-0.5", "0.5"]
+
+    @pytest.mark.parametrize("value", ["-inf", "-Inf", "-INFINITY", "-nan", "-NaN"])
+    @pytest.mark.parametrize("sub", ["visibility", "qfunction", "fringe"])
+    def test_negative_non_finite_value_reaches_validation(self, sub, value, capsys):
+        # read as a value, as "inf" is, not as an option missing its argument
+        code, out, err = run_cli([sub, "--phi", value], capsys)
+        assert (code, out, err) == (1, "", "catvis: error: phi must be finite\n")
+
+    def test_list_with_a_negative_non_finite_entry(self, capsys):
+        code, out, _ = run_cli(["sweep", "--R-values", "0.1", "--alpha0-values",
+                                "1", "--phi-values", "-inf,0.5"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert [row[header.index("error")] for row in rows] == [
+            "phi must be finite", ""]
 
     def test_short_switch_is_still_a_switch(self, capsys):
         code, out, err = run_cli(["visibility", "-v", "--phi", "-1e-3"], capsys)

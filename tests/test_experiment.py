@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catvis import (
@@ -33,7 +33,8 @@ from catvis import (
 )
 from catvis import experiment
 from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
-from catvis.fock import default_cutoff
+from catvis.fock import _coherent_rows, default_cutoff
+from catvis.operators import BeamSplitter, _split_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,15 +299,15 @@ class TestBruteForce:
             nu = fock_brute_force_visibility(params)
         assert nu == pytest.approx(abs(environment_overlap_oracle(params)), abs=1e-8)
 
-    def test_large_cat_needs_explicit_cutoffs(self):
+    def test_large_cat_runs_at_default_cutoffs(self):
+        # the headline point: default cutoffs (570, 30) discard at most
+        # 7e-16 of each component, and explicit (650, 40) agree
         params = ExperimentParams(alpha0=20.0, phi=np.pi / 2, r=0.1)
-        with pytest.raises(ValueError, match="tail"):
-            fock_brute_force_visibility(params)
-        forced = ExperimentParams(
-            alpha0=20.0, phi=np.pi / 2, r=0.1, cutoff_a=650, cutoff_b=40
-        )
-        nu = fock_brute_force_visibility(forced)
-        assert nu == pytest.approx(math.exp(-8.0), rel=1e-9)
+        assert (params.resolved_cutoff_a, params.resolved_cutoff_b) == (570, 30)
+        nu = fock_brute_force_visibility(params)
+        assert nu == pytest.approx(math.exp(-8.0), rel=1e-11)
+        forced = replace(params, cutoff_a=650, cutoff_b=40)
+        assert fock_brute_force_visibility(forced) == pytest.approx(nu, rel=1e-11)
 
     @pytest.mark.parametrize("r,cutoff_b", [(0.95, 187), (0.99, 198)])
     def test_high_reflectivity_large_cat(self, r, cutoff_b):
@@ -338,7 +339,7 @@ class TestBruteForce:
                 fock_brute_force_visibility(params)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(alpha0=5.0, phi=1.0, r=0.3),  # tail guard
+        dict(alpha0=5.0, phi=1.0, r=0.3, cutoff_a=60),  # tail guard
         dict(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=4),  # splitter leak
     ])
     def test_both_refusals_are_truncation_errors(self, kwargs):
@@ -383,10 +384,10 @@ class TestBruteForceAmplitudeCap:
 
     @pytest.fixture
     def no_allocation(self, monkeypatch):
-        """Fail the first Fock state the brute force would build."""
+        """Fail the first amplitude array the brute-force kernel would build."""
         def refuse(*args, **kwargs):
             raise self.Allocated
-        monkeypatch.setattr("catvis.experiment.coherent_fock", refuse)
+        monkeypatch.setattr("catvis.experiment._coherent_rows", refuse)
 
     @pytest.mark.parametrize("cutoff_a,cutoff_b", [
         (2**12 + 1, 2**12), (2**24 + 1, 1), (1, 2**24 + 1), (10**9, 10**9),
@@ -430,8 +431,8 @@ class TestBruteForceAmplitudeCap:
     phi=st.floats(0.0, math.pi / 2, exclude_min=True),
 )
 def test_brute_force_matches_the_closed_form_over_the_domain(r, a, phi):
-    # explicit cutoffs: the default cutoff_a trips the top-band tail guard
-    # from |alpha0| ~ 4.75 on
+    # explicit cutoffs above the defaults; the five-route test below holds
+    # the defaults
     params = ExperimentParams(
         alpha0=a, phi=phi, r=r, cutoff_a=math.ceil(a * a + 12 * a + 20),
         cutoff_b=default_cutoff(r * a) + 10,
@@ -486,22 +487,22 @@ class TestSweep:
         assert rows[0]["R"] == 1.5
 
     def test_brute_force_refusal_is_recorded_in_its_row(self):
-        # the tail guard refuses this point at default cutoffs; the row keeps
-        # the closed-form cells and leaves both optional routes empty
+        # the amplitude cap refuses this point at default cutoffs; the row
+        # keeps the closed-form cells and leaves both optional routes empty
         rows = _records(
-            sweep([0.3], [5.0], [1.0], include_brute=True, include_fringe=True))
+            sweep([0.3], [200.0], [1.0], include_brute=True, include_fringe=True))
         row = rows[0]
         assert row["error"] == (
-            "cutoff 75 leaves tail mass 2.752e-12 >= 1.0e-12 for |alpha| = 5; "
-            "retry with cutoff >= 91"
+            "cutoffs (41610, 4090) need 1.7e+08 amplitudes; the cap is 16777216 "
+            "(268 MB)"
         )
         assert row["nu_brute"] is None and row["nu_fringe"] is None
         assert row["nu_analytic"] == pytest.approx(
-            visibility_closed_form(0.3, 5.0, 1.0), rel=1e-14
+            visibility_closed_form(0.3, 200.0, 1.0), rel=1e-14
         )
         assert row["nu_oracle"] == pytest.approx(row["nu_analytic"], rel=1e-12)
         assert row["T"] == row["mean_ratio"] == pytest.approx(math.sqrt(0.91))
-        report = contrast_report(ExperimentParams(alpha0=5.0, phi=1.0, r=0.3))
+        report = contrast_report(ExperimentParams(alpha0=200.0, phi=1.0, r=0.3))
         assert row["var_out"] == report.var_out
 
     def test_optional_routes_fill_their_columns(self):
@@ -615,13 +616,15 @@ def _warning_texts(caught):
     return [(w.category, str(w.message)) for w in caught]
 
 
-# valid points, points the brute force refuses (|alpha0| from ~5.23) and
-# points ExperimentParams refuses
+# valid points, points the brute force refuses (|alpha0| 200: past its
+# amplitude cap, or with zero norm at R = 0) and points ExperimentParams
+# refuses
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(
     r=st.lists(st.one_of(st.floats(0.0, 0.99), st.sampled_from([1.0, math.nan])),
                min_size=1, max_size=3),
-    a=st.lists(st.one_of(st.floats(0.0, 6.0), st.sampled_from([5.5, math.inf, 2e8])),
+    a=st.lists(st.one_of(st.floats(0.0, 6.0),
+                         st.sampled_from([5.5, 200.0, math.inf, 2e8])),
                min_size=1, max_size=3),
     phi=st.lists(st.one_of(st.floats(-math.pi, math.pi), st.just(math.nan)),
                  min_size=1, max_size=3),
@@ -699,3 +702,118 @@ def test_sweep_refuses_a_fringe_too_coarse_to_resolve():
     with pytest.raises(ValueError, match="n_theta must be at least 8"):
         sweep([0.3], [2.0], [1.0], include_fringe=True, n_theta=7)
     assert sweep([0.3], [2.0], [1.0], n_theta=7)[0][-1] is None
+
+
+# ROADMAP item 1's domain at default settings: every route inside its
+# contract, the brute force included now that its tail guard judges the
+# mass the default cutoff discards
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    r=st.floats(0.0, 0.99),
+    a=st.floats(0.0, 20.0),
+    phi=st.floats(0.0, math.pi / 2, exclude_min=True),
+)
+@example(r=0.1, a=20.0, phi=math.pi / 2)  # the headline point
+@example(r=0.99, a=20.0, phi=math.pi / 2)
+@example(r=0.3, a=5.0, phi=1.0)
+@example(r=0.6, a=12.3, phi=0.7)
+def test_five_routes_agree_at_default_settings(r, a, phi):
+    params = ExperimentParams(alpha0=a, phi=phi, r=r)
+    nu = visibility_closed_form(r, a, phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        routes = {
+            "oracle": (abs(environment_overlap_oracle(params)), 1e-6),
+            "brute": (fock_brute_force_visibility(params), 1e-6),
+            "quadrature": (q_integral_visibility(params), 2e-4),
+            "fringe": (fit_fringe(fringe_scan(params)).visibility, 2e-4),
+        }
+    for name, (value, contract) in routes.items():
+        assert abs(value - nu) <= contract, name
+
+
+def _per_point_brute(params):
+    """Route 5 at one point: its cell, its error and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fock_brute_force_visibility(params), None, caught
+        except ValueError as exc:
+            return None, str(exc), caught
+
+
+# groups of equal (R, |alpha0|) longer than one block of _FRINGE_BLOCK points
+# or of _FOCK_BLOCK_AMPLITUDES (|alpha0| near 20 holds one point a block),
+# points past the amplitude cap (200 above R ~ 0.03) or whose amplitudes
+# underflow (200 at smaller R), and invalid points
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    r=st.lists(st.one_of(st.floats(0.0, 0.99), st.sampled_from([0.0, 0.95, 1.0])),
+               min_size=1, max_size=2),
+    a=st.lists(st.one_of(st.floats(0.0, 20.0),
+                         st.sampled_from([19.5, 200.0, math.inf])),
+               min_size=1, max_size=2),
+    phi=st.lists(st.one_of(st.floats(-math.pi, math.pi), st.just(math.nan)),
+                 min_size=1, max_size=2 * _FRINGE_BLOCK + 3),
+)
+@example(r=[0.3, 0.0], a=[4.0, 200.0],
+         phi=[*np.linspace(-1.5, 1.5, 2 * _FRINGE_BLOCK + 1).tolist(), math.nan, 1e-3])
+@example(r=[0.95], a=[19.5, math.inf], phi=[0.2, 1e-3, math.nan, 1.1])
+# a subnormal vacuum amplitude: some points break the state contract and
+# their block neighbours, judged alone, have zero norm
+@example(r=[0.1], a=[38.6], phi=np.linspace(0.05, 1.5, 24).tolist())
+def test_sweep_brute_cells_equal_the_per_point_route_bit_for_bit(r, a, phi):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = _records(sweep(r, a, phi, include_brute=True))
+    want_warnings = []
+    for row in rows:
+        try:
+            params = ExperimentParams(alpha0=row["abs_alpha0"], phi=row["phi"],
+                                      r=row["R"])
+        except ValueError as exc:
+            assert row["error"] == str(exc) and row["nu_brute"] is None
+            continue
+        nu, error, seen = _per_point_brute(params)
+        assert repr(row["nu_brute"]) == repr(nu)
+        assert row["error"] == error
+        want_warnings += seen
+    assert _warning_texts(caught) == _warning_texts(want_warnings)
+
+
+def test_sweep_runs_the_brute_force_in_blocks_of_one_group(monkeypatch):
+    # each (R, |alpha0|) group of valid points splits into blocks of
+    # _FRINGE_BLOCK points, or fewer where 2 na nb amplitudes a point would
+    # pass _FOCK_BLOCK_AMPLITUDES; a group past the amplitude cap is never
+    # built, and an invalid point leaves its group whole
+    kernel = experiment._brute_force_block
+    blocks = []
+
+    def record(bs, alpha0, phi, na, nb):
+        blocks.append((bs.r, float(alpha0[0]), alpha0.size))
+        return kernel(bs, alpha0, phi, na, nb)
+
+    monkeypatch.setattr(experiment, "_brute_force_block", record)
+    phi = [*np.linspace(0.1, 1.5, 2 * _FRINGE_BLOCK + 1), math.nan, 0.2, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweep([0.5], [2.0, 6.0, 200.0], phi, include_brute=True)
+    assert blocks == [(0.5, 2.0, n) for n in (8, 8, 3)] + [
+        (0.5, 6.0, n) for n in [2] * 9 + [1]]
+    amps = default_cutoff(6.0) * default_cutoff(3.0)
+    assert 2 * amps <= experiment._FOCK_BLOCK_AMPLITUDES < 6 * amps
+    assert sum(row[5] is not None for row in rows) == 2 * 19
+
+
+def test_state_builder_and_splitter_are_the_kernel_s_one_row_case():
+    # coherent_fock and bs_fock_apply run the builder and the splitter of
+    # the brute-force kernel on one row; each row of a stack equals them
+    labels = np.array([0.0, 1.5 - 0.5j, 3j, -4.2 + 0.1j])
+    na, nb = 40, 25
+    bs = BeamSplitter(0.37)
+    rows = _coherent_rows(labels, na)
+    stack = _split_rows(bs, rows, nb)
+    for label, row, out in zip(labels, rows, stack):
+        mode = coherent_fock(label, cutoff=na)
+        assert mode.amplitudes.tobytes() == row.tobytes()
+        assert bs_fock_apply(bs, mode, nb).amplitudes.tobytes() == out.tobytes()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catvis import (
     ExperimentParams,
@@ -16,7 +18,7 @@ from catvis import (
     default_cutoff,
     fock_brute_force_visibility,
 )
-from catvis.experiment import _require_tail
+from catvis.experiment import _require_tail, _tail_bound
 from catvis.fock import _cat_components
 from helpers import coherent_amplitudes_direct, poisson_mass
 
@@ -116,21 +118,78 @@ def test_inner_requires_common_cutoff():
 
 
 # The tail guard lives in catvis.experiment beside its threshold; the
-# brute force applies it to each truncated coherent state it builds.
+# brute force applies it to each truncated coherent state it builds.  It
+# bounds the mass past the cutoff by the first discarded term over 1 - q.
 
 
 def test_tail_guard_raises_on_small_cutoff():
     with pytest.raises(TruncationError) as exc:
-        _require_tail(coherent_fock(3.0, cutoff=12), 3.0)
+        _require_tail(coherent_fock(3.0, cutoff=12).amplitudes, 3.0)
     assert str(exc.value) == (
-        "cutoff 12 leaves tail mass 2.156e-01 >= 1.0e-12 for |alpha| = 3; "
-        "retry with cutoff >= 43"
+        "cutoff 12 leaves tail mass up to 2.365e-01 >= 1.0e-12 for |alpha| = 3; "
+        "retry with cutoff >= 38"
     )
 
 
 def test_tail_guard_passes_at_default_cutoff():
-    _require_tail(coherent_fock(3.0), 3.0)
-    _require_tail(coherent_fock(2.0), 2.0)
+    # from 5 on the retired top-band rule refused these
+    for alpha in (2.0, 3.0, 5.0, 20.0, 30.0):
+        _require_tail(coherent_fock(alpha).amplitudes, alpha)
+
+
+def test_tail_guard_refuses_where_the_bound_diverges():
+    # at cutoff 8, q = |alpha|^2 / 9 = 1: the ratio bound says nothing, and
+    # a state never discards more than its unit mass
+    with pytest.raises(TruncationError) as exc:
+        _require_tail(coherent_fock(3.0, cutoff=8).amplitudes, 3.0)
+    assert str(exc.value) == (
+        "cutoff 8 leaves tail mass up to 1.000e+00 >= 1.0e-12 for |alpha| = 3; "
+        "retry with cutoff >= 38"
+    )
+
+
+def test_tail_bound_hand_value():
+    # last level 0.6 of ten at |alpha|^2 = 4: t0 = 0.36 * 4 / 10 and
+    # q = 4 / 11, so the bound is 0.144 / (7 / 11)
+    amps = np.zeros(10)
+    amps[0] = 0.8
+    amps[9] = 0.6
+    assert _tail_bound(0.36, 4.0, 10) == pytest.approx(0.144 * 11 / 7, rel=1e-15)
+    with pytest.raises(TruncationError) as exc:
+        _require_tail(amps, 2.0)
+    assert str(exc.value) == (
+        "cutoff 10 leaves tail mass up to 2.263e-01 >= 1.0e-12 for |alpha| = 2; "
+        "retry with cutoff >= 26"
+    )
+    amps[8], amps[9] = 0.6, 0.0
+    _require_tail(amps, 2.0)  # mass below the last level is kept, not discarded
+
+
+@pytest.mark.parametrize("alpha,cutoff", [
+    (0.5, 2), (1.0, 5), (3.0, 12), (3.0, 8), (5.0, 60), (10.0, 30), (20.0, 400),
+])
+def test_tail_guard_retry_at_the_suggestion_passes(alpha, cutoff):
+    with pytest.raises(TruncationError) as exc:
+        _require_tail(coherent_fock(alpha, cutoff=cutoff).amplitudes, alpha)
+    need = int(str(exc.value).rsplit(">= ", 1)[1])
+    assert need <= default_cutoff(alpha)
+    _require_tail(coherent_fock(alpha, cutoff=need).amplitudes, alpha)
+    with pytest.raises(TruncationError):  # the smallest that passes
+        _require_tail(coherent_fock(alpha, cutoff=need - 1).amplitudes, alpha)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(alpha=st.floats(0.01, 25.0), extra=st.integers(-5, 200))
+def test_tail_bound_covers_the_discarded_mass(alpha, extra):
+    # the bound sits above the Poisson mass past the cutoff, summed term by
+    # term, and tracks it where it matters
+    cutoff = max(1, math.floor(alpha * alpha) + extra)
+    amps = coherent_fock(alpha, cutoff=cutoff).amplitudes
+    bound = _tail_bound(abs(amps[-1]) ** 2, alpha * alpha, cutoff)
+    tail = poisson_mass(alpha, cutoff, cutoff + 2000)
+    assert bound >= tail * (1.0 - 1e-9)
+    if tail >= 1e-14 and extra >= 8 * alpha:
+        assert bound <= 1.5 * tail
 
 
 def test_state_validation():
@@ -148,21 +207,6 @@ def test_amplitudes_are_read_only():
     state = coherent_fock(0.0, cutoff=3)
     with pytest.raises((ValueError, RuntimeError)):
         state.amplitudes[0] = 0.0
-
-
-def test_top_band_mass_hand_value():
-    # on ten levels the top tenth is level 9 alone, holding 0.6^2
-    amps = np.zeros(10)
-    amps[0] = 0.8
-    amps[9] = 0.6
-    with pytest.raises(TruncationError) as exc:
-        _require_tail(ModeState(amps), 0.0)
-    assert str(exc.value) == (
-        "cutoff 10 leaves tail mass 3.600e-01 >= 1.0e-12 for |alpha| = 0; "
-        "retry with cutoff >= 16"
-    )
-    amps[8], amps[9] = 0.6, 0.0
-    _require_tail(ModeState(amps), 0.0)  # level 8 lies below the band
 
 
 def test_cat_norm_constant_orthogonal_components():
@@ -209,5 +253,6 @@ def test_cat_spec_components():
 def test_cat_tail_guard():
     # the brute force guards each component of the cat it propagates
     params = ExperimentParams(alpha0=3.0, phi=np.pi / 4, r=0.3, cutoff_a=12)
-    with pytest.raises(ValueError, match=r"^cutoff 12 leaves tail mass 2\.156e-01"):
+    message = r"^cutoff 12 leaves tail mass up to 2\.365e-01"
+    with pytest.raises(ValueError, match=message):
         fock_brute_force_visibility(params)

@@ -86,6 +86,12 @@ class TestQGrid:
         with pytest.raises(ValueError, match="^extent must be finite$"):
             QGrid(extent=extent)
 
+    @pytest.mark.parametrize("extent,spacing", [(1e300, 1e-10), (1e308, 0.5)])
+    def test_refuses_a_point_count_that_overflows(self, extent, spacing):
+        with pytest.raises(ValueError, match="holds too many points to count$"):
+            QGrid(extent=extent, spacing=spacing)
+        assert QGrid(extent=1e300, spacing=1e-7).points_per_axis == round(2e300 / 1e-7)
+
     def test_unknown_plane(self):
         with pytest.raises(ValueError):
             QGrid().plane("c")
