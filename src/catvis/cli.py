@@ -20,7 +20,7 @@ import sys
 import warnings
 import dataclasses
 import functools
-from itertools import islice, starmap
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = ["RunConfig", "main"]
 ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
+_BLOCK_ROWS = 1024  # JSON rows joined and written at a time
 
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
 # sized so the normalization header stays good to 1e-4
@@ -270,66 +271,64 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # ---------------------------------------------------------------------------
 # deterministic formatting
 #
-# Floats print to 12 significant digits: a CSV cell as ``f"{x:.12g}"``, a JSON
-# value as the repr of the float that text parses to, which is what
-# ``json.dumps`` writes after rounding.  A cell costs one lookup on its exact
-# type, a float column one format per distinct value, and a Q grid block one
-# ``%`` on row templates that hold its plane points' text (see _grid_blocks).
-
-
-def _plain(v):
-    """NumPy scalars and other int/float subclasses as their built-in value."""
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
-def _cell_text(table, v) -> str:
-    """Text of one cell through ``table``, keyed by exact type; types not in
-    it go through :func:`_plain`, then fall back to ``table[object]``."""
-    fmt = table.get(type(v))
-    if fmt is None:
-        v = _plain(v)
-        fmt = table.get(type(v), table[object])
-    return fmt(v)
-
+# Floats print to 12 significant digits: as CSV ``"%.12g" % x``, as JSON the
+# repr of the float that text parses to, which is what ``json.dumps`` writes
+# after rounding.  _float_texts makes either by one ``%`` over a column, a Q
+# plane's points or a JSON Q block; a CSV Q block fills the ``%.12g`` slots
+# of its row templates, and a block of JSON rows is one ``%`` on a template.
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(x) -> str:
-    text = f"{x:.12g}"
-    return _JSON_NONFINITE.get(text) or repr(float(text))
+def _float_texts(values, as_json: bool) -> list:
+    """Texts of a sequence of floats, from one ``"%.12g"`` template ``%``.  A
+    decimal of at most 12 digits in the normal range is its own shortest
+    repr, so JSON parses back only the integral (``1.0``), non-finite and
+    subnormal texts and those with an exponent from 12 to 15 (``1e+12`` is
+    ``1000000000000.0``): values within 1e-11 of an integer, relative, or
+    below 2.3e-308, which a mask picks out."""
+    x = np.asarray(values, dtype=float)
+    texts = ("%.12g\n" * x.size % tuple(x.tolist())).split("\n")[:-1]
+    if as_json:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            plain = np.abs(x - np.rint(x)) > np.maximum(1e-11 * np.abs(x), 2.3e-308)
+        for i in np.flatnonzero(~plain).tolist():
+            texts[i] = _JSON_NONFINITE.get(texts[i]) or repr(float(texts[i]))
+    return texts
 
 
-_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
-
-_CSV_CELL = {
-    float: "{:.12g}".format,
-    int: str,
-    str: str,
-    bool: _BOOL_TEXT,
-    type(None): lambda v: "",
-    tuple: lambda v: ",".join([_cell_text(_CSV_CELL, x) for x in v]),
-    object: str,
-}
-
-# row cells are scalars: json.dumps encodes str subclasses and raises
-# TypeError on what JSON cannot hold, as it did on whole payloads
-_JSON_CELL = {
-    float: _json_float,
-    int: int.__repr__,
-    str: json.dumps,
-    bool: _BOOL_TEXT,
-    type(None): lambda v: "null",
-    object: json.dumps,
-}
+def _float_column(col, as_json: bool) -> list:
+    """:func:`_float_texts` of a column of built-in floats, over its distinct
+    bit patterns (so 0.0 and -0.0 stay apart), or its first if all are alike."""
+    bits = np.array(col, dtype=float).view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return _float_texts(bits[:1].view(float), as_json) * bits.size
+    distinct, where = np.unique(bits, return_inverse=True)
+    return list(map(_float_texts(distinct.view(float), as_json).__getitem__,
+                    where.tolist()))
 
 
-def _echo_value(v) -> str:
-    return "auto" if v is None else _cell_text(_CSV_CELL, v)
+def _cell_text(v, as_json: bool) -> str:
+    """Text of one cell; other int and float types print as the built-in
+    value.  A JSON cell is a scalar: ``json.dumps`` encodes str subclasses
+    and raises TypeError on what JSON cannot hold."""
+    if isinstance(v, (float, np.floating)):
+        return _float_texts([v], as_json)[0]
+    if type(v) is not bool and isinstance(v, (int, np.integer)):
+        v = int(v)
+    if as_json:
+        return json.dumps(v)
+    if v is None or type(v) is bool:
+        return {None: "", True: "true", False: "false"}[v]
+    if type(v) is tuple:
+        return ",".join([_cell_text(x, False) for x in v])
+    return str(v)
+
+
+def _pairs(record) -> str:
+    """``key=value`` for each entry of ``record``, sorted; None is ``auto``."""
+    return " ".join(f"{k}={'auto' if v is None else _cell_text(v, False)}"
+                    for k, v in sorted(record.items()))
 
 
 def _round_floats(obj):
@@ -345,77 +344,66 @@ def _round_floats(obj):
     return obj
 
 
-def _grid_blocks(planes, values, num, line):
+def _grid_blocks(planes, values, as_json, line):
     """Rows of a Q table on the Cartesian product of ``planes`` (one or two
     2-D arrays of complex sample points, row-major, the first plane
-    outermost), one block per row of ``values`` at a time.
-
-    Yields ``(head, lines, qs)``: ``head`` holds the ``num``-encoded
-    ``(re, im)`` of the outer plane's point (empty for one plane), ``lines``
-    ``line(re, im)`` of the block's inner points, made once per grid, and
-    ``qs`` its Q values as a tuple of floats (``"%.12g" % q`` is ``f"{q:.12g}"``).
-    """
-    cells = [
-        list(zip(map(num, z.real.ravel().tolist()), map(num, z.imag.ravel().tolist())))
-        for z in planes
-    ]
+    outermost), as blocks ``(head, lines, qs)``, one per row of ``values``:
+    ``head`` holds the encoded ``(re, im)`` of the outer plane's point (empty
+    for one plane), ``lines`` ``line(re, im)`` of the block's inner points,
+    made once per grid, and ``qs`` its Q values as a 1-D float array."""
+    cells = [list(zip(_float_texts(z.real.ravel(), as_json),
+                      _float_texts(z.imag.ravel(), as_json)))
+             for z in planes]
     lines = [line(*c) for c in cells[-1]]
     if len(cells) == 1:
         n = planes[0].shape[1]
-        for i, qs in enumerate(values):
-            yield (), lines[i * n:(i + 1) * n], tuple(qs.tolist())
-    else:
-        for head, qs in zip(cells[0], values.reshape(len(cells[0]), -1)):
-            yield head, lines, tuple(qs.tolist())
+        return (((), lines[i * n:(i + 1) * n], qs) for i, qs in enumerate(values))
+    return ((head, lines, qs)
+            for head, qs in zip(cells[0], values.reshape(len(cells[0]), -1)))
 
 
-_BLOCK_ROWS = 1024  # JSON rows joined and written at a time
-
-
-def _column_texts(rows, table) -> list:
-    """Each column of ``rows`` as a list of cell texts through ``table``.  A
-    column of built-in floats only is encoded once per distinct bit pattern
-    (by value, 0.0 and -0.0 would merge), any other column cell by cell."""
+def _column_texts(rows, as_json: bool) -> list:
+    """Each column of ``rows`` as a list of cell texts: built-in floats through
+    :func:`_float_column`, a column of one None, bool, int or str cell
+    repeated (same type, equal value) once, other cells one by one."""
     cols = []
     for col in zip(*rows):
-        if set(map(type, col)) == {float}:
-            bits, where = np.unique(np.array(col).view(np.int64), return_inverse=True)
-            texts = [table[float](x) for x in bits.view(float).tolist()]
-            cols.append([texts[i] for i in where.tolist()])
+        kinds = set(map(type, col))
+        if kinds == {float}:
+            cols.append(_float_column(col, as_json))
+        elif (len(kinds) == 1 and kinds <= {type(None), bool, int, str}
+              and col.count(col[0]) == len(col)):
+            cols.append([_cell_text(col[0], as_json)] * len(col))
         else:
-            cols.append([_cell_text(table, v) for v in col])
+            floats = iter(_float_column([v for v in col if type(v) is float], as_json))
+            cols.append([next(floats) if type(v) is float else _cell_text(v, as_json)
+                         for v in col])
     return cols
 
 
-def _json_row_template(header) -> str:
-    """``str.format`` template of one row object, keys sorted and indented
-    as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out in "rows";
-    field ``i`` takes the encoded cell of ``header[i]``."""
+def _json_row_template(header) -> tuple:
+    """``%`` template of one row object, keys sorted and indented as
+    ``json.dumps(..., sort_keys=True, indent=2)`` lays it out in "rows", and
+    the indices of ``header`` whose encoded cells fill its ``%s`` fields."""
+    order = sorted(range(len(header)), key=header.__getitem__)
     fields = ",\n".join(
-        "      " + json.dumps(header[i]).replace("{", "{{").replace("}", "}}")
-        + f": {{{i}}}"
-        for i in sorted(range(len(header)), key=header.__getitem__)
-    )
-    return "    {{\n" + fields + "\n    }}"
+        "      " + json.dumps(header[i]).replace("%", "%%") + ": %s" for i in order)
+    return "    {\n" + fields + "\n    }", order
 
 
 def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
-    buf.write(f"# catvis {__version__}\n")
-    buf.write(f"# command: {cfg.subcommand}\n")
-    pairs = " ".join(f"{k}={_echo_value(echo[k])}" for k in sorted(echo))
-    buf.write(f"# params: {pairs}\n")
-    for line in head_comments:
+    for line in (f"catvis {__version__}", f"command: {cfg.subcommand}",
+                 f"params: {_pairs(echo)}", *head_comments):
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     if grid is None:
-        writer.writerows(zip(*_column_texts(rows, _CSV_CELL)))
+        writer.writerows(zip(*_column_texts(rows, False)))
     else:
         # numbers need no quoting, so the lines bypass the csv writer
-        for head, lines, qs in _grid_blocks(*grid, "{:.12g}".format,
-                                            "{},{},%.12g\n".format):
+        for head, lines, qs in _grid_blocks(*grid, False, "{},{},%.12g\n".format):
             prefix = "{},{},".format(*head) if head else ""
-            buf.write(prefix.join(["", *lines]) % qs)
+            buf.write(prefix.join(["", *lines]) % tuple(qs.tolist()))
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
@@ -428,17 +416,19 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
     }
     text = json.dumps(_round_floats(meta), sort_keys=True, indent=2)
     buf.write(text[:-2] + ',\n  "rows": [')
-    row = _json_row_template(header).format
+    row, order = _json_row_template(header)
+    # each block is a list of its columns' texts (iterables) in header order
     if grid is None:
-        cells = zip(*_column_texts(rows, _JSON_CELL))
-        blocks = iter(lambda: ",\n".join(starmap(row, islice(cells, _BLOCK_ROWS))), "")
+        cols = _column_texts(rows, True)
+        blocks = ([c[i:i + _BLOCK_ROWS] for c in cols]
+                  for i in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS))
     else:
-        blocks = (",\n".join([row(*head, *tail, "%s") for tail in tails])
-                  % tuple(map(_json_float, qs))
-                  for head, tails, qs in _grid_blocks(*grid, _json_float, lambda *c: c))
+        blocks = ([*map(repeat, head), *zip(*pairs), _float_texts(qs, True)]
+                  for head, pairs, qs in _grid_blocks(*grid, True, lambda *c: c))
     sep = "\n"
     for block in blocks:
-        buf.write(sep + block)
+        cells = tuple(chain.from_iterable(zip(*[block[i] for i in order])))
+        buf.write(sep + ",\n".join([row] * (len(cells) // len(order))) % cells)
         sep = ",\n"
     buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
@@ -525,7 +515,7 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
         normalization = float(values.sum()) * grid.cell
         header = (f"re_{name}", f"im_{name}", "q")
 
-    head = [f"normalization: {normalization:.12g}"]
+    head = [f"normalization: {_cell_text(normalization, False)}"]
     diag = {"normalization": normalization, "points_per_axis": n}
     _emit(cfg, _echo(cfg, extent=extent, spacing=spacing), header,
           grid=(planes, values), head_comments=head, diagnostics=diag)
@@ -539,7 +529,7 @@ def _cmd_fringe(cfg: RunConfig) -> None:
     rows = list(zip(scan.thetas.tolist(), scan.rates.tolist()))
     fit_fields = dataclasses.asdict(fit)
     foot = [
-        "fit: " + " ".join(f"{k}={float(v):.12g}" for k, v in fit_fields.items())
+        "fit: " + " ".join(f"{k}={_cell_text(v, False)}" for k, v in fit_fields.items())
     ]
     _emit(cfg, _echo(cfg), header, rows, foot_comments=foot,
           diagnostics={"fit": fit_fields})
@@ -616,9 +606,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             cfg = resolve_config(ns)
             if cfg.verbose:
-                pairs = " ".join(f"{k}={_echo_value(getattr(cfg, k))}"
-                                 for k in sorted(vars(cfg)))
-                print(f"catvis config: {pairs}", file=sys.stderr)
+                print(f"catvis config: {_pairs(vars(cfg))}", file=sys.stderr)
             _COMMANDS[cfg.subcommand](cfg)
             sys.stdout.flush()
     except ValueError as exc:

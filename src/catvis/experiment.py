@@ -347,11 +347,22 @@ _TAIL_TOL = 1e-12
 _MAX_AMPLITUDES = 2**24
 
 
-def _require_amplitudes(na: int, nb: int) -> None:
-    """Refuse cutoffs past ``_MAX_AMPLITUDES``, before anything is allocated."""
+# largest |alpha0| at which exp(-|alpha0|^2/2), where every coherent vector's
+# recurrence starts, is a normal float (sqrt(-2 ln 2.225e-308) is 37.6403)
+_MAX_FOCK_ALPHA0 = 37.64
+
+
+def _require_fock_start(params: ExperimentParams) -> None:
+    """Refuse, before anything is allocated, cutoffs past ``_MAX_AMPLITUDES``,
+    then ``|alpha0|`` past ``_MAX_FOCK_ALPHA0``."""
+    na, nb, a = params.resolved_cutoff_a, params.resolved_cutoff_b, abs(params.alpha0)
     if na * nb > _MAX_AMPLITUDES:
         raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
                          f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
+    if a > _MAX_FOCK_ALPHA0:
+        raise ValueError(f"|alpha0| = {a:.6g} is past {_MAX_FOCK_ALPHA0}, the largest "
+                         "at which the Fock route can start: past it the vacuum "
+                         "amplitude exp(-|alpha0|^2/2) is subnormal")
 
 
 def _tail_bound(last_sq: float, x: float, cutoff: int) -> float:
@@ -463,13 +474,14 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     :class:`TruncationError` when a bound on the mass that ``cutoff_a``
     discards from a component reaches 1e-12, or when the splitter leaks
     past ``cutoff_b`` (mode A cannot leak: the splitter never adds photons
-    to it), and ``ValueError``, before allocating, past ``_MAX_AMPLITUDES``.
+    to it), and ``ValueError``, before allocating, past ``_MAX_AMPLITUDES`` or
+    past ``|alpha0| = _MAX_FOCK_ALPHA0``.
     """
-    na, nb = params.resolved_cutoff_a, params.resolved_cutoff_b
-    _require_amplitudes(na, nb)
+    _require_fock_start(params)
     _warn_if_components_overlap(params)
     (outcome,) = _brute_force_block(params.beam_splitter, np.array([params.alpha0]),
-                                    np.array([params.phi]), na, nb)
+                                    np.array([params.phi]), params.resolved_cutoff_a,
+                                    params.resolved_cutoff_b)
     return _verdict(outcome)
 
 
@@ -500,11 +512,11 @@ def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
 
 def _brute_force_rows(r, alpha0, phi):
     """Route 5 at each sweep point of the 1-D arrays in turn (``alpha0`` real):
-    the outcome of ``_brute_force_block``, or ``None`` past the amplitude cap,
-    where nothing is built.  One kernel pass per block of consecutive points
-    with the same R and |alpha0|, which share the default cutoffs; a block
-    holds at most ``_FRINGE_BLOCK`` points and, past one point, at most
-    ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
+    the outcome of ``_brute_force_block``, or ``None`` where
+    ``_require_fock_start`` refuses and nothing is built.  One kernel pass per
+    block of consecutive points with the same R and |alpha0|, which share the
+    default cutoffs; a block holds at most ``_FRINGE_BLOCK`` points and, past
+    one point, at most ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
     # grouped by bit pattern, so a block's shared R and |alpha0| are exactly
     # each point's own, signed zeros included
     bits = np.stack([r, alpha0]).view(np.int64)
@@ -512,7 +524,7 @@ def _brute_force_rows(r, alpha0, phi):
     for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), r.size]):
         r0, a0 = float(r[start]), float(alpha0[start])
         na, nb = default_cutoff(a0), default_cutoff(r0 * a0)
-        if na * nb > _MAX_AMPLITUDES:
+        if na * nb > _MAX_AMPLITUDES or abs(a0) > _MAX_FOCK_ALPHA0:
             yield from [None] * (stop - start)
             continue
         size = min(_FRINGE_BLOCK, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
@@ -574,7 +586,7 @@ def sweep(
             cells = [nu, oracle, None, None, t, t, var_out]
             if include_brute:
                 # fock_brute_force_visibility's checks, in its order
-                _require_amplitudes(params.resolved_cutoff_a, params.resolved_cutoff_b)
+                _require_fock_start(params)
                 _warn_if_components_overlap(params, stacklevel=2)
                 cells[2] = _verdict(outcome)
             if include_fringe:

@@ -801,6 +801,31 @@ class TestAlpha0Bound:
         assert math.isfinite(float(large["nu_analytic"]))
 
 
+class TestBruteForceStart:
+    # exp(-|alpha0|^2/2) is subnormal past |alpha0| = 37.64 and 0 from about
+    # 38.6; the Fock route names that bound instead of a norm it cannot judge
+    @pytest.mark.parametrize("alpha0", ["38", "40"])
+    def test_large_cat_is_one_error_line(self, alpha0, capsys):
+        code, out, err = run_cli(["visibility", "--brute-force", "--alpha0", alpha0,
+                                  "--R", "0.1", "--phi", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"catvis: error: |alpha0| = {alpha0} is past 37.64, the largest "
+                       "at which the Fock route can start: past it the vacuum "
+                       "amplitude exp(-|alpha0|^2/2) is subnormal\n")
+
+    def test_sweep_rows_carry_the_refusal(self, capsys):
+        code, out, err = run_cli(["sweep", "--brute-force", "--R-values", "0.1",
+                                  "--alpha0-values", "37.64,38", "--phi-values", "1"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        ok, refused = (dict(zip(header, r)) for r in rows)
+        assert ok["error"] == "" and math.isfinite(float(ok["nu_brute"]))
+        assert refused["nu_brute"] == ""
+        assert refused["error"].startswith("|alpha0| = 38 is past 37.64")
+        assert float(refused["nu_analytic"]) == pytest.approx(1.31535358735e-09)
+
+
 class TestDeterminism:
     CASES = [
         ["visibility", "--R", "0.3", "--alpha0", "2", "--phi", "0.7"],

@@ -1,9 +1,11 @@
 """CLI emitters against the reference per-cell writers in ``helpers``.
 
-The CLI formats Q grids through row templates filled by one ``%`` per
-block, float columns once per distinct value and JSON rows from a template,
-written in blocks; these tests hold its text byte for byte to the original
-``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts.
+The CLI turns floats into text by one ``%`` over an array of them, encodes
+a float column once per distinct bit pattern and a column of one repeated
+cell once, and fills Q grid rows and blocks of JSON rows through row
+templates, one ``%`` per block; these tests hold its text byte for byte to
+the original ``csv.writer`` + per-cell formatting and ``json.dumps`` of
+rounded dicts.
 """
 
 import io
@@ -15,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catvis.cli import RunConfig, _emit
+from catvis.cli import RunConfig, _emit, _float_texts
 from catvis.phase_space import QGrid
 
 import helpers
 
-HEADER = ("R", "nu", "count", "flag", "error", "abs_alpha0", "Zeta", "été")
+HEADER = ("R", "nu", "count", "flag", "error", "abs_alpha0", "Zeta", "été",
+          "50%", "{x}")
 
 CELLS = [
     None, True, False, 0, -7, 12345678901234567890, np.int64(42), np.int32(-3),
@@ -133,6 +136,38 @@ def test_percent_format_matches_format_spec(x):
     assert "%.12g" % x == f"{x:.12g}"
 
 
+def _json_text(x) -> str:
+    """A float's JSON cell as ``json.dumps`` writes it after rounding."""
+    text = f"{x:.12g}"
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text) or repr(
+        float(text))
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(xs=st.lists(_FLOATS, max_size=12))
+def test_float_texts_match_per_value_formatting(xs):
+    # JSON parses back only the texts its mask picks out; every other text
+    # must already be the repr of the float it parses to
+    values = np.array(xs, dtype=float)
+    assert _float_texts(values, False) == [f"{x:.12g}" for x in xs]
+    assert _float_texts(values, True) == [_json_text(x) for x in xs]
+
+
+def test_float_texts_on_random_bit_patterns():
+    # every exponent, NaN payloads and subnormals, integers up to 1e17 and
+    # values next to each power of ten
+    rng = np.random.default_rng(19)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(float),
+        np.round(rng.uniform(-1e17, 1e17, 2000)),
+        np.round(rng.uniform(-1e6, 1e6, 2000), 3),
+        [s * 10.0**k * f for k in range(-330, 309) for s in (1, -1)
+         for f in (1.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.9999999999995)],
+    ])
+    assert _float_texts(values, False) == [f"{x:.12g}" for x in values.tolist()]
+    assert _float_texts(values, True) == [_json_text(x) for x in values.tolist()]
+
+
 _CELLS = st.one_of(
     _FLOATS,
     _FLOATS.map(np.float64),
@@ -163,6 +198,39 @@ def _tables(draw):
 def test_generated_tables_match_reference(table, fmt):
     header, rows = table
     got, want = _pair(fmt, header, rows, diagnostics={"n_rows": len(rows)})
+    assert got == want
+
+
+# columns whose cells compare equal, or nearly, but print differently: a
+# column counts as one repeated cell only when its cells share type and bits
+_LOOKALIKES = [
+    (True, 1, 1.0),
+    (1, True, True),
+    (1.0, 1, True, 1.0),
+    (0.0, -0.0),
+    (-0.0, 0.0, -0.0),
+    (np.float32(0.1), 0.1),
+    (0.1, np.float64(0.1)),
+    (np.int64(1), 1, True),
+    ("1", 1),
+    (None, None, None),
+    (math.nan, -math.nan, math.nan),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("column", _LOOKALIKES, ids=repr)
+def test_lookalike_cells_keep_their_own_text(column, fmt):
+    rows = [(v, v, len(column) - i) for i, v in enumerate(column)]
+    got, want = _pair(fmt, ("a", "b", "n"), rows)
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_row_of_lookalikes(fmt):
+    row = tuple(v for column in _LOOKALIKES for v in column)
+    header = tuple(f"c{i}" for i in range(len(row)))
+    got, want = _pair(fmt, header, [row])
     assert got == want
 
 
@@ -226,3 +294,27 @@ def test_q_grid_matches_reference(grid, mode, fmt):
     if fmt == "json":
         assert '"q": NaN' in got and '"q": Infinity' in got
         assert '"q": -Infinity' in got
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header", [
+    ("z_re", "z_im", "a%", "{b}", "m"),
+    ("m", "a", "q%%", "{0}", "b"),
+    ("z", "a", "m"),
+    ("%s", "{}", "%"),
+])
+def test_q_grid_keys_in_any_order(header, fmt):
+    # the outer point, the inner point and q sort into any order of the
+    # template's fields, and keys may hold the templates' own markers
+    grid = GRIDS[1]
+    n = grid.points_per_axis
+    rng = np.random.default_rng(3)
+    if len(header) == 5:
+        planes = (grid.plane("a"), grid.plane("b"))
+        values = _q_values(rng, (n, n, n, n))
+    else:
+        planes = (grid.plane("b"),)
+        values = _q_values(rng, (n, n))
+    got, want = _pair(fmt, header, grid=(planes, values),
+                      ref_rows=helpers.q_grid_rows(planes, values))
+    assert_same_text(got, want)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -422,6 +423,42 @@ class TestBruteForceAmplitudeCap:
         assert rows[1]["error"].endswith(self.CAP)
         assert rows[1]["nu_brute"] is None
         assert rows[1]["nu_analytic"] == visibility_closed_form(0.3, 1e8, np.pi / 2)
+
+
+class TestBruteForceStart:
+    # exp(-|alpha0|^2/2), where every coherent vector starts, is a normal
+    # float up to |alpha0| = 37.6403
+    START = "the largest at which the Fock route can start"
+
+    def test_bound_is_where_the_vacuum_amplitude_stays_normal(self):
+        bound = experiment._MAX_FOCK_ALPHA0
+        assert math.exp(-0.5 * bound * bound) >= sys.float_info.min
+        limit = math.sqrt(-2.0 * math.log(sys.float_info.min))
+        assert 0.0 < limit - bound < 1e-3
+
+    @pytest.mark.parametrize("alpha0", [37.65, 38.0, 40.0, 40.0j])
+    def test_refused_before_allocating(self, monkeypatch, alpha0):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a coherent vector")
+        monkeypatch.setattr("catvis.experiment._coherent_rows", refuse)
+        params = ExperimentParams(alpha0=alpha0, phi=1.0, r=0.1)
+        with pytest.raises(ValueError) as exc:
+            fock_brute_force_visibility(params)
+        assert not isinstance(exc.value, TruncationError)
+        assert self.START in str(exc.value)
+        assert str(exc.value).startswith(f"|alpha0| = {abs(alpha0):.6g} is past 37.64")
+
+    def test_bound_itself_runs(self):
+        params = ExperimentParams(alpha0=37.64, phi=1.0, r=0.1)
+        assert fock_brute_force_visibility(params) == pytest.approx(
+            visibility_closed_form(0.1, 37.64, 1.0), abs=1e-12)
+
+    def test_sweep_rows_on_both_sides(self):
+        rows = _records(sweep([0.1], [37.64, 37.65, 40.0], [1.0], include_brute=True))
+        assert rows[0]["error"] is None and rows[0]["nu_brute"] is not None
+        for row in rows[1:]:
+            assert self.START in row["error"] and row["nu_brute"] is None
+            assert row["nu_analytic"] == visibility_closed_form(0.1, row["abs_alpha0"], 1.0)
 
 
 @settings(deadline=None)
