@@ -52,6 +52,9 @@ ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
 _BLOCK_ROWS = 1024  # JSON rows joined and written at a time
+# CSV Q rows made into bytes at a time; at 4096 the glibc heap of a process
+# repeating bench qfull fragmented, its peak RSS 3 MB up in half the runs
+_CHUNK_ROWS = 2048
 
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
 # sized so the normalization header stays good to 1e-4
@@ -273,9 +276,11 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 #
 # Floats print to 12 significant digits: as CSV ``"%.12g" % x``, as JSON the
 # repr of the float that text parses to, which is what ``json.dumps`` writes
-# after rounding.  _float_texts makes either by one ``%`` over a column, a Q
-# plane's points or a JSON Q block; a CSV Q block fills the ``%.12g`` slots
-# of its row templates, and a block of JSON rows is one ``%`` on a template.
+# after rounding.  _float_texts makes either by one ``%`` over a sequence: a
+# column, a Q plane's points or a JSON Q block.  The q column of a CSV Q
+# table, by far the longest the CLI writes, goes through _g12.g12_chars,
+# which makes the same text in NumPy, and its rows are laid out as byte
+# matrices.  A block of JSON rows is one ``%`` on a template.
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -344,22 +349,46 @@ def _round_floats(obj):
     return obj
 
 
-def _grid_blocks(planes, values, as_json, line):
-    """Rows of a Q table on the Cartesian product of ``planes`` (one or two
-    2-D arrays of complex sample points, row-major, the first plane
-    outermost), as blocks ``(head, lines, qs)``, one per row of ``values``:
+def _plane_texts(planes, as_json: bool) -> list:
+    """Per plane, the ``(re, im)`` texts of its points, row-major."""
+    return [list(zip(_float_texts(z.real.ravel(), as_json),
+                     _float_texts(z.imag.ravel(), as_json))) for z in planes]
+
+
+def _grid_blocks(planes, values):
+    """JSON rows of a Q table on the Cartesian product of ``planes`` (one or
+    two 2-D arrays of complex sample points, row-major, the first plane
+    outermost), as blocks ``(head, cells, qs)``, one per row of ``values``:
     ``head`` holds the encoded ``(re, im)`` of the outer plane's point (empty
-    for one plane), ``lines`` ``line(re, im)`` of the block's inner points,
-    made once per grid, and ``qs`` its Q values as a 1-D float array."""
-    cells = [list(zip(_float_texts(z.real.ravel(), as_json),
-                      _float_texts(z.imag.ravel(), as_json)))
-             for z in planes]
-    lines = [line(*c) for c in cells[-1]]
+    for one plane), ``cells`` those of the block's inner points, encoded once
+    per grid, and ``qs`` its Q values as a 1-D float array."""
+    cells = _plane_texts(planes, True)
     if len(cells) == 1:
         n = planes[0].shape[1]
-        return (((), lines[i * n:(i + 1) * n], qs) for i, qs in enumerate(values))
-    return ((head, lines, qs)
+        return (((), cells[0][i * n:(i + 1) * n], qs) for i, qs in enumerate(values))
+    return ((head, cells[1], qs)
             for head, qs in zip(cells[0], values.reshape(len(cells[0]), -1)))
+
+
+def _q_csv_rows(buf, planes, values) -> None:
+    """CSV rows of the Q table ``(planes, values)`` (see :func:`_grid_blocks`),
+    ``_CHUNK_ROWS`` at a time: each chunk is one byte matrix of the outer
+    point's ``re,im,`` and the inner point's (both NUL-padded, encoded once
+    per grid), the ``g12_chars`` text of q and a newline, written with its
+    NULs dropped."""
+    from ._g12 import g12_chars  # only here: other tables skip its compile
+    prefixes = [np.array([b""])] * (2 - len(planes)) + [
+        np.array([f"{re},{im}," for re, im in cells], "S")
+        for cells in _plane_texts(planes, False)]
+    outer, inner = (p.view(np.uint8).reshape(p.size, -1) for p in prefixes)
+    q = values.ravel()
+    newline = np.full((_CHUNK_ROWS, 1), ord("\n"), np.uint8)
+    for r0 in range(0, q.size, _CHUNK_ROWS):
+        qs = q[r0:r0 + _CHUNK_ROWS]
+        o, i = np.divmod(np.arange(r0, r0 + qs.size), inner.shape[0])
+        m = np.concatenate([outer.take(o, 0), inner.take(i, 0), g12_chars(qs),
+                            newline[:qs.size]], axis=1)
+        buf.write(m.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _column_texts(rows, as_json: bool) -> list:
@@ -400,10 +429,7 @@ def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
     if grid is None:
         writer.writerows(zip(*_column_texts(rows, False)))
     else:
-        # numbers need no quoting, so the lines bypass the csv writer
-        for head, lines, qs in _grid_blocks(*grid, False, "{},{},%.12g\n".format):
-            prefix = "{},{},".format(*head) if head else ""
-            buf.write(prefix.join(["", *lines]) % tuple(qs.tolist()))
+        _q_csv_rows(buf, *grid)  # numbers need no quoting
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
@@ -424,7 +450,7 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
                   for i in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS))
     else:
         blocks = ([*map(repeat, head), *zip(*pairs), _float_texts(qs, True)]
-                  for head, pairs, qs in _grid_blocks(*grid, True, lambda *c: c))
+                  for head, pairs, qs in _grid_blocks(*grid))
     sep = "\n"
     for block in blocks:
         cells = tuple(chain.from_iterable(zip(*[block[i] for i in order])))

@@ -27,8 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .fock import (
+    _MAX_FOCK_ALPHA0,
     _cat_components,
     _coherent_rows,
+    _require_fock_alpha,
     _require_states,
     coherent_overlap,
     default_cutoff,
@@ -347,11 +349,6 @@ _TAIL_TOL = 1e-12
 _MAX_AMPLITUDES = 2**24
 
 
-# largest |alpha0| at which exp(-|alpha0|^2/2), where every coherent vector's
-# recurrence starts, is a normal float (sqrt(-2 ln 2.225e-308) is 37.6403)
-_MAX_FOCK_ALPHA0 = 37.64
-
-
 def _require_fock_start(params: ExperimentParams) -> None:
     """Refuse, before anything is allocated, cutoffs past ``_MAX_AMPLITUDES``,
     then ``|alpha0|`` past ``_MAX_FOCK_ALPHA0``."""
@@ -359,10 +356,7 @@ def _require_fock_start(params: ExperimentParams) -> None:
     if na * nb > _MAX_AMPLITUDES:
         raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
                          f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
-    if a > _MAX_FOCK_ALPHA0:
-        raise ValueError(f"|alpha0| = {a:.6g} is past {_MAX_FOCK_ALPHA0}, the largest "
-                         "at which the Fock route can start: past it the vacuum "
-                         "amplitude exp(-|alpha0|^2/2) is subnormal")
+    _require_fock_alpha(a)
 
 
 def _tail_bound(last_sq: float, x: float, cutoff: int) -> float:

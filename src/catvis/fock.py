@@ -34,6 +34,18 @@ CoherentLabel = complex
 
 _NORM_SLACK = 1e-12
 
+# largest |alpha| at which exp(-|alpha|^2/2), where every coherent vector's
+# recurrence starts, is a normal float (sqrt(-2 ln 2.225e-308) is 37.6403)
+_MAX_FOCK_ALPHA0 = 37.64
+
+
+def _require_fock_alpha(a: float) -> None:
+    """Refuse a coherent label of magnitude ``a`` past ``_MAX_FOCK_ALPHA0``."""
+    if a > _MAX_FOCK_ALPHA0:
+        raise ValueError(f"|alpha0| = {a:.6g} is past {_MAX_FOCK_ALPHA0}, the largest "
+                         "at which the Fock route can start: past it the vacuum "
+                         "amplitude exp(-|alpha0|^2/2) is subnormal")
+
 
 def default_cutoff(alpha: CoherentLabel) -> int:
     """Cutoff that keeps the Poisson tail of ``|alpha>`` below ~1e-12.
@@ -111,8 +123,10 @@ def coherent_fock(alpha: CoherentLabel, cutoff: int | None = None) -> ModeState:
 
     Nothing here judges the cutoff: the norm deficit is exactly the
     discarded tail mass, and the brute-force route applies its own tail
-    guard to the states it builds.
+    guard to the states it builds.  Past ``|alpha| = 37.64`` the vacuum
+    amplitude is subnormal, and ValueError is raised.
     """
+    _require_fock_alpha(abs(alpha))
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     if cutoff < 1:
@@ -176,7 +190,8 @@ def cat_fock(
     The two coherent components are generated on a common cutoff (default:
     ``default_cutoff(alpha0)``) and summed with :func:`cat_norm_constant`.
     No renormalization happens here, so the truncated norm sits slightly
-    below 1 by exactly the discarded tail mass.
+    below 1 by exactly the discarded tail mass.  Past ``|alpha0| = 37.64``
+    :func:`coherent_fock` refuses.
     """
     if cutoff is None:
         cutoff = default_cutoff(alpha0)

@@ -2,14 +2,16 @@
 
 The CLI turns floats into text by one ``%`` over an array of them, encodes
 a float column once per distinct bit pattern and a column of one repeated
-cell once, and fills Q grid rows and blocks of JSON rows through row
-templates, one ``%`` per block; these tests hold its text byte for byte to
+cell once, and fills blocks of JSON rows through row templates, one ``%``
+per block.  The q column of a CSV Q table is made by a NumPy digit kernel
+and its rows as byte matrices.  These tests hold the text byte for byte to
 the original ``csv.writer`` + per-cell formatting and ``json.dumps`` of
-rounded dicts.
+rounded dicts, and the kernel to ``"%.12g" %``.
 """
 
 import io
 import math
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catvis import cli
+from catvis._g12 import _mantissas, g12_chars
 from catvis.cli import RunConfig, _emit, _float_texts
 from catvis.phase_space import QGrid
 
@@ -132,7 +136,7 @@ _FLOATS = st.one_of(
 @settings(deadline=None, derandomize=True, max_examples=500)
 @given(x=_FLOATS)
 def test_percent_format_matches_format_spec(x):
-    # Q grids fill row templates with ``%``; their text must be the cells'
+    # the CLI makes float text with ``%``; it must be the cells' text
     assert "%.12g" % x == f"{x:.12g}"
 
 
@@ -317,4 +321,120 @@ def test_q_grid_keys_in_any_order(header, fmt):
         values = _q_values(rng, (n, n))
     got, want = _pair(fmt, header, grid=(planes, values),
                       ref_rows=helpers.q_grid_rows(planes, values))
+    assert_same_text(got, want)
+
+
+def _kernel_texts(values):
+    """Each value's text from :func:`g12_chars`: its row, NULs dropped."""
+    chars = g12_chars(np.array(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in chars]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_kernel_matches_percent_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert _kernel_texts(values) == ["%.12g" % x for x in values.tolist()]
+
+
+def _powers_of_ten():
+    """Every ``10**k`` from 1e-300 to 1e300 and its four nearest floats."""
+    out = []
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        below, above = np.nextafter(p, 0.0), np.nextafter(p, math.inf)
+        out += [p, below, above, np.nextafter(below, 0.0), np.nextafter(above, math.inf)]
+    return out
+
+
+_KERNEL_CASES = [
+    999999999999.5, 9.999999999995e-05, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-310, -1e-320, math.inf, -math.inf, math.nan,
+    -math.nan, -0.5, -123.456, -1e-5, 1e-100, 1.5e-100, -9.99999999999e-100,
+    1e100, 1.23456789012e123, 1e-297, 1e300, 1.7976931348623157e308, 1e-99,
+    0.0001, 0.00012, 1e11, 123456789012.0, 99999999999.5, 1e12, 0.1, 0.5,
+]
+
+
+def test_kernel_fixed_cases():
+    values = _powers_of_ten() + _KERNEL_CASES + [-x for x in _KERNEL_CASES]
+    assert _kernel_texts(values) == ["%.12g" % x for x in values]
+    # 4096 values in every form
+    rng = np.random.default_rng(20)
+    values = rng.standard_normal(4096) * 10.0 ** rng.integers(-120, 120, 4096)
+    assert _kernel_texts(values) == ["%.12g" % x for x in values.tolist()]
+
+
+def test_three_digit_exponents():
+    texts = _kernel_texts([1.5e-100, -2e-250, 3.25e100, 1e-99, 9.87654321e-101])
+    assert texts == ["1.5e-100", "-2e-250", "3.25e+100", "1e-99", "9.87654321e-101"]
+
+
+def _certified(values):
+    """Which values :func:`g12_chars` lays out from its own digits, the
+    others going through ``%``; the texts are ``%``'s either way."""
+    assert _kernel_texts(values) == ["%.12g" % x for x in values]
+    return _mantissas(np.array(values, dtype=float))[2].tolist()
+
+
+def test_near_ties_take_the_fallback():
+    # the scaled mantissa y = |x| * 10**(11 - e) within 1e-3 of a tie, or
+    # within 1 of the ends of [1e11, 1e12), is not certified
+    near = [(123456789012 + f) * 10.0**k for f in (0.5, 0.4995, 0.5008)
+            for k in (-20, -12, -6, 0)]
+    ends = [100000000000.2, 999999999999.2, 999999999999.5, 1e-5, 1e11]
+    special = [0.0, -0.0, math.inf, math.nan, 5e-324, 1e-298, 1e301]
+    assert not any(_certified(near + ends + special))
+
+
+def test_clear_of_ties_takes_the_kernel():
+    clear = [(123456789012 + f) * 10.0**k for f in (0.0, 0.25, 0.498, 0.502)
+             for k in (-20, -12, -6, 0)]
+    assert all(_certified(clear + [0.5, 2e-297, 5e299, -2.5]))
+
+
+def test_kernel_raises_no_floating_point_error():
+    # no RuntimeWarning may reach stderr as a "catvis: warning:" line;
+    # values near 1e-297 may meet the infinite power of ten 1e309
+    rng = np.random.default_rng(21)
+    values = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e308, 1e301, 1e-297,
+              *np.nextafter(1e-297, [0.0, 1.0]).tolist(), *_powers_of_ten(),
+              *rng.integers(0, 2**64, 4096, dtype=np.uint64).view(float).tolist()]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernel_texts(values) == ["%.12g" % x for x in values]
+
+
+def _q_pair(planes, values, header):
+    return _pair("csv", header, grid=(planes, values),
+                 ref_rows=helpers.q_grid_rows(planes, values))
+
+
+@pytest.mark.parametrize("mode", ["full", "marginal"])
+def test_q_table_of_one_point(mode):
+    plane = np.array([[-0.5 + 1.25j]])
+    if mode == "full":
+        planes, values = (plane, plane + 1.0), np.full((1, 1, 1, 1), 0.0625)
+        header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
+    else:
+        planes, values, header = (plane,), np.full((1, 1), -1e-300), ("re", "im", "q")
+    got, want = _q_pair(planes, values, header)
+    assert_same_text(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 2048])
+@pytest.mark.parametrize("mode", ["full", "marginal"])
+def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode):
+    # 4 x 4 points per plane: a 7 or 40-row chunk ends inside the 16 rows of
+    # an outer point; the coordinates print in texts of unequal width
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(chunk)
+    plane = (np.array([-1.0, 0.0, 2.5, 10.75])[None, :]
+             + 1j * np.array([-0.125, 0.0, 1.0, -30.0])[:, None])
+    if mode == "full":
+        planes, values = (plane, plane - 3.0), _q_values(rng, (4, 4, 4, 4))
+        header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
+    else:
+        planes, values, header = (plane,), _q_values(rng, (4, 4)), ("re", "im", "q")
+    got, want = _q_pair(planes, values, header)
     assert_same_text(got, want)

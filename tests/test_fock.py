@@ -192,6 +192,38 @@ def test_tail_bound_covers_the_discarded_mass(alpha, extra):
         assert bound <= 1.5 * tail
 
 
+class TestStartBound:
+    # past |alpha| = 37.64 the vacuum amplitude exp(-|alpha|^2/2) that starts
+    # the recurrence is subnormal, and from about 38.6 it is 0
+    TEXT = ("|alpha0| = {} is past 37.64, the largest at which the Fock route "
+            "can start: past it the vacuum amplitude exp(-|alpha0|^2/2) is "
+            "subnormal")
+
+    def test_largest_accepted_magnitude_builds_unit_states(self):
+        assert coherent_fock(37.64).squared_norm == pytest.approx(1.0, abs=1e-12)
+        assert coherent_fock(-37.64j).squared_norm == pytest.approx(1.0, abs=1e-12)
+        assert cat_fock(37.64, 1.0).squared_norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [38.0, 40.0, 40.0j, -38.0])
+    def test_coherent_state_past_the_bound_is_refused(self, alpha):
+        with pytest.raises(ValueError) as exc:
+            coherent_fock(alpha)
+        assert not isinstance(exc.value, TruncationError)
+        assert str(exc.value) == self.TEXT.format(f"{abs(alpha):g}")
+        with pytest.raises(ValueError, match="past 37.64"):
+            coherent_fock(alpha, cutoff=5)  # refused whatever the cutoff
+
+    @pytest.mark.parametrize("alpha0", [38.0, 40.0])
+    def test_cat_past_the_bound_is_refused(self, alpha0):
+        with pytest.raises(ValueError) as exc:
+            cat_fock(alpha0, 1.0)
+        assert str(exc.value) == self.TEXT.format(f"{alpha0:g}")
+
+    def test_brute_force_shares_the_bound(self):
+        from catvis import experiment, fock
+        assert experiment._MAX_FOCK_ALPHA0 is fock._MAX_FOCK_ALPHA0
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         ModeState(np.ones((2, 2)))
