@@ -1,5 +1,6 @@
-"""``"%.12g" % x`` text of float64 arrays, made in NumPy for the q column of
-CSV Q tables; the CLI imports it only there, so no other command compiles it."""
+"""``"%.12g" % x`` text of float64 arrays, made in NumPy for every table the
+CLI writes but JSON Q; the CLI imports it only in those writers, so
+``import catvis.cli`` does not compile it."""
 
 import functools
 
@@ -25,8 +26,11 @@ def _tables():
     suffix = np.array([b"e%+03d" % e for e in exponents.tolist()], "S8")
     fixed = (exponents >= -4) & (exponents < 12)
     forms = 2 * (12 * np.where(fixed, exponents + 4, 16) + 11)
-    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
-    zeros = (digits[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+    # small integer types: the tables are built in every process that writes
+    digits = np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
+    digits %= 10
+    zeros = (digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.int8).sum(axis=1,
+                                                                       dtype=np.int8)
     pairs = np.full((10000, 8), ord("."), np.uint8)
     pairs[:, ::2] = digits + ord("0")
     form, n_digits, j = np.ogrid[:17, 1:13, :12]
@@ -65,10 +69,34 @@ def _mantissas(x):
     return e, n, certified
 
 
+# below this many values one ``%`` each is faster than the kernel's fixed cost
+# (both about 50 us at 128 values; 43 against 8 us at 9)
+_SMALL = 128
+
+# values laid out at a time: the kernel's working set is about 200 bytes a
+# value, five times the text's
+_SLICE = 4096
+
+
+def _percent_chars(values):
+    """The ``"%.12g" %`` texts of ``values`` as rows of ``len(_ROW)`` bytes."""
+    texts = np.array(["%.12g" % v for v in values.tolist()], f"S{len(_ROW)}")
+    return texts.view(np.uint8).reshape(-1, len(_ROW))
+
+
 def g12_chars(x):
     """Text of a 1-D float64 array as an ``(N, 40)`` uint8 matrix whose row
-    ``i``, NULs dropped, is the ``"%.12g" % x[i]`` bytes: laid out from
-    :func:`_mantissas` where it certifies the digits, else made by ``%``."""
+    ``i``, NULs dropped, is the ``"%.12g" % x[i]`` bytes (at most 19, so the
+    last column is NUL): laid out from :func:`_mantissas` where it certifies
+    the digits, else made by ``%``, as are all of fewer than ``_SMALL``
+    values.  Longer arrays are laid out ``_SLICE`` values at a time."""
+    if x.size < _SMALL:
+        return _percent_chars(x)
+    if x.size > _SLICE:
+        chars = np.empty((x.size, len(_ROW)), np.uint8)
+        for i in range(0, x.size, _SLICE):
+            chars[i:i + _SLICE] = g12_chars(x[i:i + _SLICE])
+        return chars
     _, suffix, forms, zeros, pairs, masks = _tables()
     e, n, certified = _mantissas(x)
     # three groups of four digits, split exactly in floats below 2**53
@@ -85,6 +113,5 @@ def g12_chars(x):
     words &= masks.take(forms.take(e) - 2 * trailing + (x < 0), axis=0)
     chars = words.view(np.uint8)
     slow = np.flatnonzero(~certified)
-    texts = np.array(["%.12g" % v for v in x[slow].tolist()], f"S{len(_ROW)}")
-    chars[slow] = texts.view(np.uint8).reshape(-1, len(_ROW))
+    chars[slow] = _percent_chars(x[slow])
     return chars

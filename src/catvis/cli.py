@@ -12,6 +12,7 @@ significant digits, row order is fixed, and nothing timestamped is emitted.
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -31,7 +32,8 @@ from .experiment import (
     fit_fringe,
     fock_brute_force_visibility,
     fringe_scan,
-    sweep,
+    _Floats,
+    _sweep_columns,
     _SWEEP_KEYS,
 )
 from .heisenberg import _closed_form_columns
@@ -51,9 +53,10 @@ __all__ = ["RunConfig", "main"]
 ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
-_BLOCK_ROWS = 1024  # JSON rows joined and written at a time
-# CSV Q rows made into bytes at a time; at 4096 the glibc heap of a process
-# repeating bench qfull fragmented, its peak RSS 3 MB up in half the runs
+_BLOCK_ROWS = 1024  # JSON Q rows joined and written at a time
+# rows made into bytes at a time, in every table but JSON Q; at 4096 the glibc
+# heap of a process repeating bench qfull fragmented, its peak RSS 3 MB up in
+# half the runs
 _CHUNK_ROWS = 2048
 
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
@@ -277,12 +280,20 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # Floats print to 12 significant digits: as CSV ``"%.12g" % x``, as JSON the
 # repr of the float that text parses to, which is what ``json.dumps`` writes
 # after rounding.  _float_texts makes either by one ``%`` over a sequence: a
-# column, a Q plane's points or a JSON Q block.  The q column of a CSV Q
-# table, by far the longest the CLI writes, goes through _g12.g12_chars,
-# which makes the same text in NumPy, and its rows are laid out as byte
-# matrices.  A block of JSON rows is one ``%`` on a template.
+# Q plane's points, a JSON Q block or one value.  The floats of every other
+# table (sweep, visibility, fringe, and the q column of CSV Q) go through
+# _g12.g12_chars, which makes the same text in NumPy and which only these
+# writers import, and their rows are laid out as byte matrices, a chunk at a
+# time.  A block of JSON Q rows is one ``%`` on a template.
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_reparsed(x) -> np.ndarray:
+    """Which floats of the array ``x`` JSON writes as the repr of the float
+    their text parses to, not as the text (see :func:`_float_texts`)."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return ~(np.abs(x - np.rint(x)) > np.maximum(1e-11 * np.abs(x), 2.3e-308))
 
 
 def _float_texts(values, as_json: bool) -> list:
@@ -295,22 +306,9 @@ def _float_texts(values, as_json: bool) -> list:
     x = np.asarray(values, dtype=float)
     texts = ("%.12g\n" * x.size % tuple(x.tolist())).split("\n")[:-1]
     if as_json:
-        with np.errstate(invalid="ignore"):  # inf - inf
-            plain = np.abs(x - np.rint(x)) > np.maximum(1e-11 * np.abs(x), 2.3e-308)
-        for i in np.flatnonzero(~plain).tolist():
+        for i in np.flatnonzero(_json_reparsed(x)).tolist():
             texts[i] = _JSON_NONFINITE.get(texts[i]) or repr(float(texts[i]))
     return texts
-
-
-def _float_column(col, as_json: bool) -> list:
-    """:func:`_float_texts` of a column of built-in floats, over its distinct
-    bit patterns (so 0.0 and -0.0 stay apart), or its first if all are alike."""
-    bits = np.array(col, dtype=float).view(np.int64)
-    if bits.size and (bits == bits[0]).all():
-        return _float_texts(bits[:1].view(float), as_json) * bits.size
-    distinct, where = np.unique(bits, return_inverse=True)
-    return list(map(_float_texts(distinct.view(float), as_json).__getitem__,
-                    where.tolist()))
 
 
 def _cell_text(v, as_json: bool) -> str:
@@ -376,7 +374,7 @@ def _q_csv_rows(buf, planes, values) -> None:
     point's ``re,im,`` and the inner point's (both NUL-padded, encoded once
     per grid), the ``g12_chars`` text of q and a newline, written with its
     NULs dropped."""
-    from ._g12 import g12_chars  # only here: other tables skip its compile
+    from ._g12 import g12_chars  # in the writers only: the CLI skips its compile
     prefixes = [np.array([b""])] * (2 - len(planes)) + [
         np.array([f"{re},{im}," for re, im in cells], "S")
         for cells in _plane_texts(planes, False)]
@@ -391,23 +389,122 @@ def _q_csv_rows(buf, planes, values) -> None:
         buf.write(m.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _column_texts(rows, as_json: bool) -> list:
-    """Each column of ``rows`` as a list of cell texts: built-in floats through
-    :func:`_float_column`, a column of one None, bool, int or str cell
-    repeated (same type, equal value) once, other cells one by one."""
-    cols = []
-    for col in zip(*rows):
-        kinds = set(map(type, col))
-        if kinds == {float}:
-            cols.append(_float_column(col, as_json))
-        elif (len(kinds) == 1 and kinds <= {type(None), bool, int, str}
-              and col.count(col[0]) == len(col)):
-            cols.append([_cell_text(col[0], as_json)] * len(col))
-        else:
-            floats = iter(_float_column([v for v in col if type(v) is float], as_json))
-            cols.append([next(floats) if type(v) is float else _cell_text(v, as_json)
-                         for v in col])
-    return cols
+def _split_column(col) -> tuple:
+    """A column as ``(values, empty, others)``: a float64 array holding its
+    float cells, a bool array set where a cell is not a float (None where
+    none is), and those cells in order (None where they are all None)."""
+    if isinstance(col, np.ndarray):
+        return col, None, None
+    if isinstance(col, _Floats):
+        return col.values, col.empty, None
+    if not any(issubclass(k, (float, np.floating)) for k in set(map(type, col))):
+        return np.zeros(len(col)), np.ones(len(col), dtype=bool), list(col)
+    empty = [not isinstance(v, (float, np.floating)) for v in col]
+    return (np.array([0.0 if e else v for v, e in zip(col, empty)], dtype=float),
+            np.array(empty, dtype=bool), [v for v, e in zip(col, empty) if e])
+
+
+def _other_index(cells: list, texts: dict):
+    """Indices among ``texts`` (``(type, value)`` to index, grown as met) of
+    ``cells``, or one index where they are all one cell."""
+    if cells.count(cells[0]) == len(cells) and len(set(map(type, cells))) == 1:
+        return texts.setdefault((type(cells[0]), cells[0]), len(texts))
+    return np.array([texts.setdefault((type(v), v), len(texts)) for v in cells],
+                    dtype=np.intp)
+
+
+def _cell_bytes(v, as_json: bool, width: int) -> bytes:
+    """UTF-8 text of a cell that is not a float; as CSV, quoted as
+    ``csv.writer`` quotes it in a row of ``width`` cells (it quotes a row's
+    one empty cell, so a one-cell row of it writes ``""``)."""
+    text = _cell_text(v, as_json)
+    if not as_json:
+        out, row = io.StringIO(), [text] + [""] * (width > 1)
+        csv.writer(out, lineterminator="\n").writerow(row)
+        text = out.getvalue()[:-len(row)]  # less the row end: "\n" or ",\n"
+    return text.encode()
+
+
+# maps the stand-in of a NUL inside a text back to NUL: no UTF-8 text holds 0xFF
+_UNMASK_NUL = bytes(range(255)) + b"\0"
+
+
+def _cell_texts(columns, as_json: bool) -> tuple:
+    """``(table, index)`` of a table's ``columns`` (see :func:`_emit`), as
+    :func:`_split_column` splits them: the text of every distinct cell in a
+    bytes array and the index of each cell's text, by column.
+    The floats are encoded by one ``g12_chars`` call over their distinct bit
+    patterns, the other cells once per distinct value, where a NUL inside a
+    text stands in as 0xFF (see ``_UNMASK_NUL``)."""
+    from ._g12 import _SMALL, g12_chars  # in the writers only (see above)
+    values, empties, others = zip(*map(_split_column, columns))
+    values = np.array(values, dtype=float)
+    float_cell = np.ones(values.shape, dtype=bool)
+    for j in [j for j, e in enumerate(empties) if e is not None]:
+        float_cell[j] = ~empties[j]
+    x = values[float_cell]
+    index = np.empty(values.shape, dtype=np.intp)  # of each cell's text
+    if x.size < _SMALL:  # g12_chars takes "%" for each: sorting gains nothing
+        index[float_cell] = np.arange(x.size)
+    else:  # the distinct bit patterns, and which each cell has
+        x, index[float_cell] = np.unique(x.view(np.int64), return_inverse=True)
+        x = x.view(float)
+    texts = {}  # the other cells' (type, value), to the index of their text
+    if not float_cell.all():
+        index[~float_cell] = x.size + texts.setdefault((type(None), None), 0)
+    for j in [j for j, cells in enumerate(others) if cells]:
+        index[j, ~float_cell[j]] = x.size + _other_index(others[j], texts)
+    # the float texts, NULs dropped (each ends in a NUL, made "\n" to split
+    # on), then the other cells' texts
+    chars = g12_chars(x)
+    chars[:, -1] = ord("\n")
+    parts = chars.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    if as_json:
+        picked = np.flatnonzero(_json_reparsed(x))
+        for i, text in zip(picked.tolist(), _float_texts(x[picked], True)):
+            parts[i] = text.encode()
+    parts += [_cell_bytes(v, as_json, len(columns)).replace(b"\0", b"\xff")
+              for _, v in texts]
+    return np.array(parts, dtype="S"), index
+
+
+def _table_rows(buf, header, columns, as_json: bool) -> int:
+    """Write the rows of a table that is not Q (see :func:`_emit`),
+    ``_CHUNK_ROWS`` at a time, and return their count.
+
+    Each chunk is one byte matrix: in each row, before each cell its fixed
+    segment (CSV ``,``; JSON the line of its key, keys sorted) and the
+    cell's text from :func:`_cell_texts`, both NUL-padded to the longest of
+    their kind, then the row end, written with the NULs dropped.  So a chunk
+    takes one ``take`` of the texts, whatever the number of columns.
+    """
+    order = (sorted(range(len(header)), key=header.__getitem__) if as_json
+             else range(len(header)))
+    table, index = _cell_texts([columns[j] for j in order], as_json)
+    k, n = index.shape
+    if not n:
+        return 0
+    if as_json:
+        keys = [json.dumps(header[j]) for j in order]
+        segments = ["\n    {\n      " + keys[0] + ": ",
+                    *[",\n      " + key + ": " for key in keys[1:]], "\n    },"]
+    else:
+        segments = ["", *[","] * (k - 1), "\n"]
+    fixed = np.array([s.encode() for s in segments[:-1]], dtype="S")
+    end = np.frombuffer(segments[-1].encode(), dtype=np.uint8)
+    width = fixed.itemsize + table.itemsize
+    m = np.empty((min(n, _CHUNK_ROWS), k * width + end.size), dtype=np.uint8)
+    cells = m[:, :k * width].reshape(-1, k, width)
+    cells[:, :, :fixed.itemsize] = fixed.view(np.uint8).reshape(k, -1)
+    m[:, k * width:] = end
+    for r0 in range(0, n, _CHUNK_ROWS):
+        c = min(n - r0, _CHUNK_ROWS)
+        texts = table.take(index[:, r0:r0 + c].T)
+        cells[:c, :, fixed.itemsize:] = texts.view(np.uint8).reshape(c, k, -1)
+        if as_json and r0 + c == n:
+            m[c - 1, -1] = 0  # no comma after the last row object
+        buf.write(m[:c].tobytes().translate(_UNMASK_NUL, b"\0").decode())
+    return n
 
 
 def _json_row_template(header) -> tuple:
@@ -420,21 +517,20 @@ def _json_row_template(header) -> tuple:
     return "    {\n" + fields + "\n    }", order
 
 
-def _to_csv(buf, cfg, echo, header, rows, grid, head_comments, foot_comments):
+def _to_csv(buf, cfg, echo, header, columns, grid, head_comments, foot_comments):
     for line in (f"catvis {__version__}", f"command: {cfg.subcommand}",
                  f"params: {_pairs(echo)}", *head_comments):
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(buf, lineterminator="\n").writerow(header)
     if grid is None:
-        writer.writerows(zip(*_column_texts(rows, False)))
+        _table_rows(buf, header, columns, False)
     else:
         _q_csv_rows(buf, *grid)  # numbers need no quoting
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
 
-def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
+def _to_json(buf, cfg, echo, header, columns, grid, diagnostics):
     # json.dumps lays out the small dicts; "rows" sorts after both keys
     meta = {
         "diagnostics": dict(diagnostics, version=__version__),
@@ -442,30 +538,30 @@ def _to_json(buf, cfg, echo, header, rows, grid, diagnostics):
     }
     text = json.dumps(_round_floats(meta), sort_keys=True, indent=2)
     buf.write(text[:-2] + ',\n  "rows": [')
-    row, order = _json_row_template(header)
-    # each block is a list of its columns' texts (iterables) in header order
     if grid is None:
-        cols = _column_texts(rows, True)
-        blocks = ([c[i:i + _BLOCK_ROWS] for c in cols]
-                  for i in range(0, len(cols[0]) if cols else 0, _BLOCK_ROWS))
+        wrote = _table_rows(buf, header, columns, True) > 0
     else:
+        row, order = _json_row_template(header)
+        # each block is a list of its columns' texts (iterables) in header order
         blocks = ([*map(repeat, head), *zip(*pairs), _float_texts(qs, True)]
                   for head, pairs, qs in _grid_blocks(*grid))
-    sep = "\n"
-    for block in blocks:
-        cells = tuple(chain.from_iterable(zip(*[block[i] for i in order])))
-        buf.write(sep + ",\n".join([row] * (len(cells) // len(order))) % cells)
-        sep = ",\n"
-    buf.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        sep = "\n"
+        for block in blocks:
+            cells = tuple(chain.from_iterable(zip(*[block[i] for i in order])))
+            buf.write(sep + ",\n".join([row] * (len(cells) // len(order))) % cells)
+            sep = ",\n"
+        wrote = sep != "\n"
+    buf.write("\n  ]\n}\n" if wrote else "]\n}\n")
 
 
-def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
+def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
           foot_comments=(), diagnostics=None):
     """Write a table as CSV or JSON to ``cfg.output``, or to stdout, as it
     renders; call it once the table is computed, since it creates the file.
-    ``rows`` holds tuples of cells in ``header`` order; a Q table passes
-    ``grid=(planes, values)`` instead (see :func:`_grid_blocks`), whose
-    columns are each plane's re, im, then q."""
+    ``columns`` holds one column per ``header`` entry, each a float64 array,
+    a :class:`_Floats` (None where ``empty``) or a sequence of cells; a Q
+    table passes ``grid=(planes, values)`` instead (see :func:`_grid_blocks`),
+    whose columns are each plane's re, im, then q."""
     if cfg.output is None:
         out = contextlib.nullcontext(sys.stdout)
     else:
@@ -477,9 +573,9 @@ def _emit(cfg, echo, header, rows=(), grid=None, head_comments=(),
             ) from None
     with out as fh:
         if cfg.format == "json":
-            _to_json(fh, cfg, echo, header, rows, grid, diagnostics or {})
+            _to_json(fh, cfg, echo, header, columns, grid, diagnostics or {})
         else:
-            _to_csv(fh, cfg, echo, header, rows, grid, head_comments,
+            _to_csv(fh, cfg, echo, header, columns, grid, head_comments,
                     foot_comments)
 
 
@@ -494,7 +590,8 @@ def _cmd_visibility(cfg: RunConfig) -> None:
     nu_brute = fock_brute_force_visibility(params) if cfg.brute_force else None
     header = tuple(k for k in _SWEEP_KEYS if k not in ("nu_fringe", "error"))
     row = (cfg.r, cfg.alpha0, cfg.phi, nu, oracle, nu_brute, t, t, var_out)
-    _emit(cfg, _echo(cfg), header, [row])
+    _emit(cfg, _echo(cfg), header,
+          [[cell] if cell is None else np.array([cell]) for cell in row])
 
 
 def _cmd_qfunction(cfg: RunConfig) -> None:
@@ -552,20 +649,19 @@ def _cmd_fringe(cfg: RunConfig) -> None:
     scan = fringe_scan(params, n_theta=cfg.n_theta)
     fit = fit_fringe(scan)
     header = ("theta", "rate")
-    rows = list(zip(scan.thetas.tolist(), scan.rates.tolist()))
     fit_fields = dataclasses.asdict(fit)
     foot = [
         "fit: " + " ".join(f"{k}={_cell_text(v, False)}" for k, v in fit_fields.items())
     ]
-    _emit(cfg, _echo(cfg), header, rows, foot_comments=foot,
+    _emit(cfg, _echo(cfg), header, [scan.thetas, scan.rates], foot_comments=foot,
           diagnostics={"fit": fit_fields})
 
 
 def _cmd_sweep(cfg: RunConfig) -> None:
-    rows = sweep(cfg.r_values, cfg.alpha0_values, cfg.phi_values,
-                 include_brute=cfg.brute_force, include_fringe=cfg.include_fringe,
-                 n_theta=cfg.n_theta)
-    _emit(cfg, _echo(cfg), _SWEEP_KEYS, rows, diagnostics={"n_rows": len(rows)})
+    columns = _sweep_columns(cfg.r_values, cfg.alpha0_values, cfg.phi_values,
+                             cfg.brute_force, cfg.include_fringe, cfg.n_theta)
+    _emit(cfg, _echo(cfg), _SWEEP_KEYS, columns,
+          diagnostics={"n_rows": len(columns[-1])})
 
 
 _COMMANDS = {

@@ -22,7 +22,7 @@ edge-to-peak ratio is one constant of the default grid (see
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -420,7 +420,12 @@ def _brute_force_block(bs: BeamSplitter, alpha0: np.ndarray, phi: np.ndarray,
     """
     plus, minus = _cat_components(alpha0, phi)
     labels = np.stack([plus, minus], axis=1).ravel()
-    readouts = np.stack([-phi, phi], axis=1).ravel()
+    # the labels reduce phi exactly, but the rotation's phi * n rounds: past
+    # pi it turns by the reduced angle, which keeps phi's bits up to pi
+    turn = phi
+    if max(map(abs, phi.tolist())) > math.pi:
+        turn = np.where(np.abs(phi) > np.pi, np.angle(np.exp(1j * phi)), phi)
+    readouts = np.stack([-turn, turn], axis=1).ravel()
     vectors = _coherent_rows(labels, na)
     in_sq = [float(np.vdot(v, v).real) for v in vectors]
     branches = _split_rows(bs, vectors, nb)
@@ -532,6 +537,64 @@ _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
                "nu_fringe", "T", "mean_ratio", "var_out", "error")
 
 
+class _Floats(NamedTuple):
+    """A float column: ``values`` (float64), its cells empty where ``empty``."""
+
+    values: np.ndarray
+    empty: np.ndarray
+
+
+def _sweep_columns(r_values, abs_alpha0_values, phi_values, include_brute,
+                   include_fringe, n_theta) -> list:
+    """:func:`sweep`'s table as its columns: a :class:`_Floats` per float
+    column, then ``error``, a list of str or None.  Only invalid points, or
+    every point when the Fock or fringe route is asked for, pass one-point
+    checks, in row order."""
+    axes = (np.asarray(v, dtype=float)
+            for v in (r_values, abs_alpha0_values, phi_values))
+    r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    # exactly the points ExperimentParams accepts
+    valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
+    closed = np.zeros((4, r.size))
+    closed[:, valid] = _closed_form_columns(r[valid], a0[valid], phi[valid])
+    routes = np.zeros((2, r.size))  # nu_brute, nu_fringe
+    routed = np.zeros((2, r.size), dtype=bool)
+    if include_brute:
+        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
+    if include_fringe:
+        fringe = _fringe_rows(a0[valid], phi[valid], r[valid], _scan_thetas(n_theta))
+    error = [None] * r.size
+    checked = (np.arange(r.size) if include_brute or include_fringe
+               else np.flatnonzero(~valid))
+    for i, ri, ai, phii in zip(*(x.tolist() for x in (checked, r[checked], a0[checked],
+                                                      phi[checked]))):
+        try:
+            # an invalid point raises here, taking the message validation gives
+            params = ExperimentParams(alpha0=ai, phi=phii, r=ri)
+            if include_brute:
+                outcome = next(brute)
+            if include_fringe:
+                total, rates, coef = next(fringe)
+            if include_brute:
+                # fock_brute_force_visibility's checks, in its order
+                _require_fock_start(params)
+                _warn_if_components_overlap(params, stacklevel=2)
+                routes[0, i], routed[0, i] = _verdict(outcome), True
+            if include_fringe:
+                # fringe_scan's warnings and refusals, then fit_fringe's
+                _warn_if_components_overlap(params, stacklevel=2)
+                _require_real(total)
+                _require_rates(rates)
+                a, amplitude = _offset_amplitude(coef)
+                routes[1, i], routed[1, i] = amplitude / a, True
+        except ValueError as exc:
+            error[i] = str(exc)
+    filled = np.zeros(r.size, dtype=bool)
+    nu, oracle, t, var_out = (_Floats(c, ~valid) for c in closed)
+    return [_Floats(r, filled), _Floats(a0, filled), _Floats(phi, filled), nu, oracle,
+            *map(_Floats, routes, ~routed), t, t, var_out, error]
+
+
 def sweep(
     r_values: Sequence[float],
     abs_alpha0_values: Sequence[float],
@@ -541,7 +604,7 @@ def sweep(
     n_theta: int = 16,
 ) -> list[tuple]:
     """Visibility and moment table over a parameter grid, one tuple of cells
-    per row in ``_SWEEP_KEYS`` order.
+    per row in ``_SWEEP_KEYS`` order, each cell a float, a str or None.
 
     Loop order: r outermost, then |alpha0|, then phi.  The closed-form
     columns are one array evaluation over the valid points.  The fringe
@@ -554,43 +617,8 @@ def sweep(
     ``error`` instead of aborting the sweep; its warnings come in row order.
     An ``n_theta`` below 8 raises ValueError when the fringe is asked for.
     """
-    axes = (np.asarray(v, dtype=float)
-            for v in (r_values, abs_alpha0_values, phi_values))
-    r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    # exactly the points ExperimentParams accepts
-    valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
-    closed = zip(*(c.tolist() for c in
-                   _closed_form_columns(r[valid], a0[valid], phi[valid])))
-    if include_brute:
-        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
-    if include_fringe:
-        fringe = _fringe_rows(a0[valid], phi[valid], r[valid], _scan_thetas(n_theta))
-    rows = []
-    for point, ok in zip(zip(r.tolist(), a0.tolist(), phi.tolist()), valid.tolist()):
-        cells, error = [None] * 7, None
-        try:
-            # an invalid point raises here, taking the message validation gives
-            if not ok or include_brute or include_fringe:
-                params = ExperimentParams(alpha0=point[1], phi=point[2], r=point[0])
-            nu, oracle, t, var_out = next(closed)
-            if include_brute:
-                outcome = next(brute)
-            if include_fringe:
-                total, rates, coef = next(fringe)
-            cells = [nu, oracle, None, None, t, t, var_out]
-            if include_brute:
-                # fock_brute_force_visibility's checks, in its order
-                _require_fock_start(params)
-                _warn_if_components_overlap(params, stacklevel=2)
-                cells[2] = _verdict(outcome)
-            if include_fringe:
-                # fringe_scan's warnings and refusals, then fit_fringe's
-                _warn_if_components_overlap(params, stacklevel=2)
-                _require_real(total)
-                _require_rates(rates)
-                a, amplitude = _offset_amplitude(coef)
-                cells[3] = amplitude / a
-        except ValueError as exc:
-            error = str(exc)
-        rows.append((*point, *cells, error))
-    return rows
+    *floats, error = _sweep_columns(r_values, abs_alpha0_values, phi_values,
+                                    include_brute, include_fringe, n_theta)
+    cells = [[None if e else v for v, e in zip(c.values.tolist(), c.empty.tolist())]
+             if c.empty.any() else c.values.tolist() for c in floats]
+    return list(zip(*cells, error))

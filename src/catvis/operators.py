@@ -187,8 +187,12 @@ def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeS
 
 
 def phase_shift_fock_a(state: TwoModeState, chi: float) -> TwoModeState:
-    """Phase shifter acting on mode A of a two-mode state."""
+    """Phase shifter acting on mode A of a two-mode state.  Past pi, ``chi``
+    turns by its angle reduced as ``exp(1j * chi)`` reduces it, since
+    ``chi * n`` rounds; up to pi its bits are kept."""
     ns = np.arange(state.cutoff_a)
+    if abs(chi) > np.pi:
+        chi = float(np.angle(np.exp(1j * chi)))
     return TwoModeState(state.amplitudes * np.exp(1j * chi * ns)[:, None])
 
 

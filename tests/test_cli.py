@@ -74,6 +74,18 @@ class TestVisibility:
         assert float(rec["mean_ratio"]) == pytest.approx(math.sqrt(0.99), rel=1e-9)
         assert float(rec["var_out"]) == pytest.approx(0.25, rel=1e-9)
 
+    def test_brute_force_column_agrees_at_large_phi(self, capsys):
+        # the readout rotation turns by phi reduced as the labels take it;
+        # phi * n rounded it, and this row printed nu_brute 0.718074503025
+        with pytest.warns(OverlapWarning):
+            code, out, _ = run_cli(
+                ["visibility", "--brute-force", "--alpha0", "3", "--R", "0.3",
+                 "--phi", "1109599999999999.9"], capsys)
+        assert code == 0
+        rec = one_record(out)
+        assert rec["nu_analytic"] == "0.883091588332"
+        assert float(rec["nu_brute"]) == pytest.approx(0.883091588332, abs=1e-6)
+
     def test_brute_force_column_agrees(self, capsys):
         with pytest.warns(OverlapWarning):
             code, out, _ = run_cli(

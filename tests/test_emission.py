@@ -1,12 +1,11 @@
 """CLI emitters against the reference per-cell writers in ``helpers``.
 
-The CLI turns floats into text by one ``%`` over an array of them, encodes
-a float column once per distinct bit pattern and a column of one repeated
-cell once, and fills blocks of JSON rows through row templates, one ``%``
-per block.  The q column of a CSV Q table is made by a NumPy digit kernel
-and its rows as byte matrices.  These tests hold the text byte for byte to
-the original ``csv.writer`` + per-cell formatting and ``json.dumps`` of
-rounded dicts, and the kernel to ``"%.12g" %``.
+Every table but JSON Q is written from columns as byte matrices, a chunk of
+rows at a time: the floats by a NumPy digit kernel, once per distinct bit
+pattern, other cells once per distinct value.  JSON Q tables fill blocks of
+rows through a row template, one ``%`` per block.  These tests hold the text
+byte for byte to the original ``csv.writer`` + per-cell formatting and
+``json.dumps`` of rounded dicts, and the kernel to ``"%.12g" %``.
 """
 
 import io
@@ -20,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catvis import cli
-from catvis._g12 import _mantissas, g12_chars
+from catvis._g12 import _SMALL, _mantissas, g12_chars
 from catvis.cli import RunConfig, _emit, _float_texts
+from catvis.experiment import _SWEEP_KEYS, _Floats, _sweep_columns, sweep
 from catvis.phase_space import QGrid
 
 import helpers
@@ -56,12 +56,15 @@ def _rows():
     ]
 
 
-def _pair(fmt, header, rows=(), grid=None, ref_rows=None, **kw):
-    """(new emitter text, reference text) for one table."""
+def _pair(fmt, header, rows=(), grid=None, ref_rows=None, columns=None, **kw):
+    """(new emitter text, reference text) for one table; the emitter takes
+    ``columns``, by default the columns of ``rows``."""
     cfg = RunConfig(subcommand="sweep", format=fmt)
+    if columns is None:
+        columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
     buf = io.StringIO()
     with redirect_stdout(buf):
-        _emit(cfg, ECHO, header, rows, grid=grid, **kw)
+        _emit(cfg, ECHO, header, columns, grid=grid, **kw)
     got = buf.getvalue()
     ref_rows = rows if ref_rows is None else ref_rows
     if fmt == "json":
@@ -325,9 +328,25 @@ def test_q_grid_keys_in_any_order(header, fmt):
 
 
 def _kernel_texts(values):
-    """Each value's text from :func:`g12_chars`: its row, NULs dropped."""
-    chars = g12_chars(np.array(values, dtype=float))
+    """Each value's text from :func:`g12_chars`: its row, NULs dropped.  The
+    values repeat up to ``_SMALL``, below which each would take ``%``."""
+    x = np.array(values, dtype=float)
+    chars = g12_chars(np.resize(x, max(x.size, _SMALL)))[:x.size]
     return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in chars]
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, _SMALL - 1])
+def test_small_inputs_take_percent(monkeypatch, size):
+    # below _SMALL values g12_chars formats each with "%" and never builds
+    # the kernel's tables
+    monkeypatch.setattr("catvis._g12._tables", None)
+    special = [0.0, -0.0, math.nan, -math.inf, 5e-324, 1e-310, 999999999999.5,
+               9.999999999995e-05, 1e16, -1.5e-100, 0.1, 123456789012.0]
+    x = np.resize(np.array(special), size)
+    chars = g12_chars(x)
+    assert chars.shape == (size, 40)
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in chars] == [
+        "%.12g" % v for v in x.tolist()]
 
 
 @settings(deadline=None, derandomize=True, max_examples=300)
@@ -359,6 +378,8 @@ _KERNEL_CASES = [
 def test_kernel_fixed_cases():
     values = _powers_of_ten() + _KERNEL_CASES + [-x for x in _KERNEL_CASES]
     assert _kernel_texts(values) == ["%.12g" % x for x in values]
+    # the table writer splits the texts at each row's last byte, always NUL
+    assert not g12_chars(np.array(values))[:, -1].any()
     # 4096 values in every form
     rng = np.random.default_rng(20)
     values = rng.standard_normal(4096) * 10.0 ** rng.integers(-120, 120, 4096)
@@ -438,3 +459,96 @@ def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode):
         planes, values, header = (plane,), _q_values(rng, (4, 4)), ("re", "im", "q")
     got, want = _q_pair(planes, values, header)
     assert_same_text(got, want)
+
+
+# tables passed as columns, as the CLI passes them: float arrays, float
+# columns with empty cells, and text columns such as sweep's ``error``
+
+_COLUMN_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 0.5, 1e11, 123456789012.0, 1e15, -1e16,
+                     5e-324, -2.2250738585072014e-308, 1e-310, math.nan, math.inf,
+                     -math.inf]),
+    st.floats(1e11, 1e16),
+    _FLOATS,
+)
+
+_ERRORS = st.one_of(
+    st.none(),
+    st.sampled_from(["a,b", 'say "hi"', 'x,"y"', "line\nbreak", "",
+                     "cutoffs (41610, 4090) need 1.7e+08 amplitudes"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _column_tables(draw):
+    """``(header, columns, rows)``: columns of 1, 2, ``_CHUNK_ROWS`` or
+    ``_CHUNK_ROWS + 1`` rows drawn from small pools, and the same table as
+    rows of built-in cells for the reference writers."""
+    n_rows = draw(st.sampled_from([1, 2, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1]))
+    width = draw(st.integers(1, 4))
+    header = tuple(draw(st.lists(st.text(min_size=1, max_size=5),
+                                 min_size=width, max_size=width, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, cells = [], []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["array", "floats", "errors"]))
+        if kind == "errors":
+            pool = draw(st.lists(_ERRORS, min_size=1, max_size=4))
+            col = [pool[k] for k in rng.integers(0, len(pool), n_rows).tolist()]
+            columns.append(col)
+            cells.append(col)
+            continue
+        pool = np.array(draw(st.lists(_COLUMN_FLOATS, min_size=1, max_size=8)))
+        values = pool[rng.integers(0, pool.size, n_rows)]
+        share = draw(st.sampled_from([0.0, 0.3, 1.0])) if kind == "floats" else 0.0
+        empty = rng.random(n_rows) < share
+        columns.append(values if kind == "array" else _Floats(values, empty))
+        cells.append([None if e else v
+                      for v, e in zip(values.tolist(), empty.tolist())])
+    return header, columns, list(zip(*cells))
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(table=_column_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_columns_match_reference(table, fmt):
+    header, columns, rows = table
+    got, want = _pair(fmt, header, rows, columns=columns,
+                      diagnostics={"n_rows": len(rows)})
+    assert_same_text(got, want)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_text_cell_holding_nul_keeps_it(fmt):
+    # the writer drops its NUL padding on writing, but not a NUL of a text
+    rows = [("a\0b", 0.5), ("\0", None), ("", 1.0), ("\0,\0", -0.0)]
+    got, want = _pair(fmt, ("error", "x"), rows)
+    assert got == want
+    assert ("a\0b" if fmt == "csv" else "a\\u0000b") in got
+
+
+def test_sweep_is_the_transpose_of_its_columns():
+    # invalid points, errors at valid points, empty route cells and -0.0
+    axes = ([0.3, 1.0, 0.0], [2.0, 200.0, math.nan], [0.5, math.inf, -0.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for brute, fringe in [(False, False), (True, False), (True, True)]:
+            *floats, error = _sweep_columns(*axes, brute, fringe, 16)
+            rows = sweep(*axes, include_brute=brute, include_fringe=fringe)
+            cells = [[None if e else v
+                      for v, e in zip(c.values.tolist(), c.empty.tolist())]
+                     for c in floats]
+            want = zip(*cells, error)
+            assert [repr(row) for row in rows] == [repr(row) for row in want]
+            assert {type(v) for row in rows for v in row} <= {float, str, type(None)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_columns_write_as_the_reference_writes_sweep_rows(fmt):
+    # 2 700 rows, past one chunk, with R = 0 (integral cells) and the
+    # invalid R = 1 (error rows)
+    axes = ([0.0, 0.3, 1.0], np.linspace(0.5, 6.0, 30), np.linspace(0.0, 1.5, 30))
+    got, want = _pair(fmt, _SWEEP_KEYS, sweep(*axes),
+                      columns=_sweep_columns(*axes, False, False, 16))
+    assert_same_text(got, want)
+    assert got.count("reflectivity must lie in [0, 1)") == 900

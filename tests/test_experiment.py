@@ -769,6 +769,42 @@ def test_five_routes_agree_at_default_settings(r, a, phi):
         assert abs(value - nu) <= contract, name
 
 
+# route 5 at any phi: the cat's labels take phi reduced exactly by
+# exp(1j * phi), and the readout rotation turns by the same reduced angle,
+# where phi * n would round (0.17 off at 1e15 before it did)
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    r=st.floats(0.0, 0.99),
+    a=st.floats(0.0, 20.0),
+    log_phi=st.floats(-3.0, 19.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(r=0.3, a=3.0, log_phi=math.log10(1109599999999999.9), sign=1.0)
+@example(r=0.3, a=20.0, log_phi=12.0, sign=-1.0)
+@example(r=0.99, a=20.0, log_phi=19.0, sign=1.0)
+def test_brute_force_holds_its_contract_at_any_phi(r, a, log_phi, sign):
+    phi = sign * 10.0**log_phi
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        nu = fock_brute_force_visibility(ExperimentParams(alpha0=a, phi=phi, r=r))
+    assert abs(nu - visibility_closed_form(r, a, phi)) <= 1e-6
+
+
+def test_brute_force_keeps_the_bits_of_phi_up_to_pi():
+    # the readout turns by phi itself up to pi, so these cells did not move
+    # when angles past pi began to turn by their reduced value; at each of
+    # these phi, np.angle(np.exp(1j * phi)) != phi and a turn by it moves
+    # the last bit
+    params = [ExperimentParams(alpha0=3.0, phi=phi, r=0.3) for phi in
+              (-0.35969458386482067, 0.3910141967285594, 0.9589056636998041, 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        got = [fock_brute_force_visibility(p) for p in params]
+    assert [repr(v) for v in got] == [
+        "0.8181486570631356", "0.7903205113725543", "0.3377414124700255",
+        "0.9682528009325467"]
+
+
 def _per_point_brute(params):
     """Route 5 at one point: its cell, its error and its warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -796,6 +832,8 @@ def _per_point_brute(params):
 @example(r=[0.3, 0.0], a=[4.0, 200.0],
          phi=[*np.linspace(-1.5, 1.5, 2 * _FRINGE_BLOCK + 1).tolist(), math.nan, 1e-3])
 @example(r=[0.95], a=[19.5, math.inf], phi=[0.2, 1e-3, math.nan, 1.1])
+# one block of angles past pi and up to it, reduced and kept
+@example(r=[0.3], a=[3.0], phi=[0.5, 4.0, -1109599999999999.9, 1e19, np.pi, -7.0])
 # a subnormal vacuum amplitude: some points break the state contract and
 # their block neighbours, judged alone, have zero norm
 @example(r=[0.1], a=[38.6], phi=np.linspace(0.05, 1.5, 24).tolist())

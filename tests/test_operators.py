@@ -244,6 +244,30 @@ def test_phase_shift_fock_tracks_coherent_label():
     np.testing.assert_allclose(shifted.amplitudes, want.amplitudes, atol=1e-13)
 
 
+@pytest.mark.parametrize("chi", [4.0, -7.5, 1109599999999999.9, -3e17, 1e19])
+def test_phase_shift_fock_tracks_coherent_label_at_large_chi(chi):
+    # past pi the shift turns by the reduced angle: chi * n would round, and
+    # at 1e15 the label drifted by a tenth of a radian per level
+    alpha = 1.3 - 0.4j
+    vac = coherent_fock(0.0, cutoff=3)
+    shifted = phase_shift_fock_a(
+        TwoModeState.from_product(coherent_fock(alpha, cutoff=30), vac), chi
+    )
+    want = TwoModeState.from_product(
+        coherent_fock(np.exp(1j * chi) * alpha, cutoff=30), vac
+    )
+    np.testing.assert_allclose(shifted.amplitudes, want.amplitudes, atol=1e-13)
+
+
+def test_phase_shift_fock_a_keeps_the_bits_of_chi_up_to_pi():
+    state = random_two_mode(np.random.default_rng(9), 7, 5, 4)
+    # np.angle(np.exp(1j * chi)) != chi at the first two
+    for chi in (-0.35969458386482067, 0.3910141967285594, np.pi, -np.pi):
+        out = phase_shift_fock_a(state, chi)
+        want = state.amplitudes * np.exp(1j * chi * np.arange(7))[:, None]
+        assert out.amplitudes.tobytes() == want.tobytes()
+
+
 def test_phase_shift_fock_a_only_touches_mode_a():
     rng = np.random.default_rng(7)
     state = random_two_mode(rng, 6, 5, 4)
