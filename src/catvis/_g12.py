@@ -1,5 +1,5 @@
 """``"%.12g" % x`` text of float64 arrays, made in NumPy for every table the
-CLI writes but JSON Q; the CLI imports it only in those writers, so
+CLI writes; the CLI imports it only in its table writer, so
 ``import catvis.cli`` does not compile it."""
 
 import functools

@@ -21,7 +21,6 @@ import sys
 import warnings
 import dataclasses
 import functools
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -53,10 +52,9 @@ __all__ = ["RunConfig", "main"]
 ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
-_BLOCK_ROWS = 1024  # JSON Q rows joined and written at a time
-# rows made into bytes at a time, in every table but JSON Q; at 4096 the glibc
-# heap of a process repeating bench qfull fragmented, its peak RSS 3 MB up in
-# half the runs
+# rows made into bytes at a time, in every table; at 4096 the glibc heap of a
+# process repeating bench qfull fragmented, its peak RSS 3 MB up in half the
+# runs
 _CHUNK_ROWS = 2048
 
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
@@ -280,11 +278,11 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # Floats print to 12 significant digits: as CSV ``"%.12g" % x``, as JSON the
 # repr of the float that text parses to, which is what ``json.dumps`` writes
 # after rounding.  _float_texts makes either by one ``%`` over a sequence: a
-# Q plane's points, a JSON Q block or one value.  The floats of every other
-# table (sweep, visibility, fringe, and the q column of CSV Q) go through
-# _g12.g12_chars, which makes the same text in NumPy and which only these
-# writers import, and their rows are laid out as byte matrices, a chunk at a
-# time.  A block of JSON Q rows is one ``%`` on a template.
+# Q plane's points or one value.  Every other float (the cells of sweep,
+# visibility and fringe tables, and q) goes through _g12.g12_chars, which
+# makes the same text in NumPy and which only the writers import.  Every
+# table's rows are laid out by _table_rows as byte matrices, a chunk at a
+# time.
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -347,46 +345,17 @@ def _round_floats(obj):
     return obj
 
 
-def _plane_texts(planes, as_json: bool) -> list:
-    """Per plane, the ``(re, im)`` texts of its points, row-major."""
-    return [list(zip(_float_texts(z.real.ravel(), as_json),
-                     _float_texts(z.imag.ravel(), as_json))) for z in planes]
-
-
-def _grid_blocks(planes, values):
-    """JSON rows of a Q table on the Cartesian product of ``planes`` (one or
-    two 2-D arrays of complex sample points, row-major, the first plane
-    outermost), as blocks ``(head, cells, qs)``, one per row of ``values``:
-    ``head`` holds the encoded ``(re, im)`` of the outer plane's point (empty
-    for one plane), ``cells`` those of the block's inner points, encoded once
-    per grid, and ``qs`` its Q values as a 1-D float array."""
-    cells = _plane_texts(planes, True)
-    if len(cells) == 1:
-        n = planes[0].shape[1]
-        return (((), cells[0][i * n:(i + 1) * n], qs) for i, qs in enumerate(values))
-    return ((head, cells[1], qs)
-            for head, qs in zip(cells[0], values.reshape(len(cells[0]), -1)))
-
-
-def _q_csv_rows(buf, planes, values) -> None:
-    """CSV rows of the Q table ``(planes, values)`` (see :func:`_grid_blocks`),
-    ``_CHUNK_ROWS`` at a time: each chunk is one byte matrix of the outer
-    point's ``re,im,`` and the inner point's (both NUL-padded, encoded once
-    per grid), the ``g12_chars`` text of q and a newline, written with its
-    NULs dropped."""
+def _float_chars(x, as_json: bool) -> np.ndarray:
+    """``g12_chars(x)``, whose JSON rows picked by :func:`_json_reparsed`
+    hold :func:`_float_texts`' text instead (at most 24 bytes: the rows
+    keep their last byte NUL)."""
     from ._g12 import g12_chars  # in the writers only: the CLI skips its compile
-    prefixes = [np.array([b""])] * (2 - len(planes)) + [
-        np.array([f"{re},{im}," for re, im in cells], "S")
-        for cells in _plane_texts(planes, False)]
-    outer, inner = (p.view(np.uint8).reshape(p.size, -1) for p in prefixes)
-    q = values.ravel()
-    newline = np.full((_CHUNK_ROWS, 1), ord("\n"), np.uint8)
-    for r0 in range(0, q.size, _CHUNK_ROWS):
-        qs = q[r0:r0 + _CHUNK_ROWS]
-        o, i = np.divmod(np.arange(r0, r0 + qs.size), inner.shape[0])
-        m = np.concatenate([outer.take(o, 0), inner.take(i, 0), g12_chars(qs),
-                            newline[:qs.size]], axis=1)
-        buf.write(m.tobytes().translate(None, b"\0").decode("ascii"))
+    chars = g12_chars(x)
+    if as_json:
+        picked = np.flatnonzero(_json_reparsed(x))
+        texts = np.array(_float_texts(x[picked], True), f"S{chars.shape[1]}")
+        chars[picked] = texts.view(np.uint8).reshape(-1, chars.shape[1])
+    return chars
 
 
 def _split_column(col) -> tuple:
@@ -430,13 +399,13 @@ _UNMASK_NUL = bytes(range(255)) + b"\0"
 
 
 def _cell_texts(columns, as_json: bool) -> tuple:
-    """``(table, index)`` of a table's ``columns`` (see :func:`_emit`), as
-    :func:`_split_column` splits them: the text of every distinct cell in a
-    bytes array and the index of each cell's text, by column.
+    """``(n, texts)`` of a table's ``columns`` (see :func:`_emit`), as
+    :func:`_split_column` splits them: the row count, and the chunk function
+    of :func:`_table_rows`, one ``take`` from the texts of the distinct cells.
     The floats are encoded by one ``g12_chars`` call over their distinct bit
     patterns, the other cells once per distinct value, where a NUL inside a
     text stands in as 0xFF (see ``_UNMASK_NUL``)."""
-    from ._g12 import _SMALL, g12_chars  # in the writers only (see above)
+    from ._g12 import _SMALL  # in the writers only (see _float_chars)
     values, empties, others = zip(*map(_split_column, columns))
     values = np.array(values, dtype=float)
     float_cell = np.ones(values.shape, dtype=bool)
@@ -456,81 +425,84 @@ def _cell_texts(columns, as_json: bool) -> tuple:
         index[j, ~float_cell[j]] = x.size + _other_index(others[j], texts)
     # the float texts, NULs dropped (each ends in a NUL, made "\n" to split
     # on), then the other cells' texts
-    chars = g12_chars(x)
+    chars = _float_chars(x, as_json)
     chars[:, -1] = ord("\n")
     parts = chars.tobytes().translate(None, b"\0").split(b"\n")[:-1]
-    if as_json:
-        picked = np.flatnonzero(_json_reparsed(x))
-        for i, text in zip(picked.tolist(), _float_texts(x[picked], True)):
-            parts[i] = text.encode()
     parts += [_cell_bytes(v, as_json, len(columns)).replace(b"\0", b"\xff")
               for _, v in texts]
-    return np.array(parts, dtype="S"), index
+    table = np.array(parts, dtype="S")
+
+    def chunk(r0, c):
+        cells = table.take(index[:, r0:r0 + c]).view(np.uint8)
+        return list(cells.reshape(len(columns), c, -1))
+    return index.shape[1], chunk
 
 
-def _table_rows(buf, header, columns, as_json: bool) -> int:
-    """Write the rows of a table that is not Q (see :func:`_emit`),
-    ``_CHUNK_ROWS`` at a time, and return their count.
+def _q_columns(planes, values, as_json: bool) -> tuple:
+    """``(n, texts)`` of the Q table on the Cartesian product of ``planes``
+    (one or two 2-D arrays of complex sample points, row-major, the first
+    plane outermost) whose q values are ``values``, as :func:`_cell_texts`
+    gives them.  Each plane's ``re`` and ``im`` texts are encoded once per
+    grid; a chunk takes its rows' outer and inner points by ``divmod``, and
+    encodes their q.  As CSV a point is one slot, ``re,im``."""
+    points = []  # per plane, each slot's texts by point
+    for z in planes:
+        re, im = (_float_texts(p.ravel(), as_json) for p in (z.real, z.imag))
+        slots = [re, im] if as_json else [[f"{a},{b}" for a, b in zip(re, im)]]
+        points.append([np.array(t, "S").view(np.uint8).reshape(z.size, -1)
+                       for t in slots])
+    q = values.ravel()
 
-    Each chunk is one byte matrix: in each row, before each cell its fixed
-    segment (CSV ``,``; JSON the line of its key, keys sorted) and the
-    cell's text from :func:`_cell_texts`, both NUL-padded to the longest of
-    their kind, then the row end, written with the NULs dropped.  So a chunk
-    takes one ``take`` of the texts, whatever the number of columns.
+    def chunk(r0, c):
+        # the outer and inner point of each row, or the one plane's point
+        at = np.divmod(np.arange(r0, r0 + c), planes[-1].size)[2 - len(planes):]
+        return [t.take(k, 0) for slots, k in zip(points, at) for t in slots] + [
+            _float_chars(q[r0:r0 + c], as_json)]
+    return q.size, chunk
+
+
+def _table_rows(buf, n, segments, end, texts) -> None:
+    """Write ``n`` rows, ``_CHUNK_ROWS`` at a time: in each, before each
+    slot its fixed segment from ``segments`` (CSV ``,``; JSON the line of
+    its key), then the row end ``end``, less a trailing comma in the last
+    row (JSON separates its row objects).  ``texts(r0, c)`` returns per slot
+    a uint8 matrix of the NUL-padded texts of rows ``r0`` to ``r0 + c``.
+
+    Each chunk is laid out in one byte matrix, allocated once with the
+    segments and the row end in place, and written with its NULs dropped
+    (and 0xFF made NUL, see ``_UNMASK_NUL``).  Segments past the last slot
+    go unused: a CSV Q point is one ``re,im`` slot for two columns.
     """
-    order = (sorted(range(len(header)), key=header.__getitem__) if as_json
-             else range(len(header)))
-    table, index = _cell_texts([columns[j] for j in order], as_json)
-    k, n = index.shape
     if not n:
-        return 0
-    if as_json:
-        keys = [json.dumps(header[j]) for j in order]
-        segments = ["\n    {\n      " + keys[0] + ": ",
-                    *[",\n      " + key + ": " for key in keys[1:]], "\n    },"]
-    else:
-        segments = ["", *[","] * (k - 1), "\n"]
-    fixed = np.array([s.encode() for s in segments[:-1]], dtype="S")
-    end = np.frombuffer(segments[-1].encode(), dtype=np.uint8)
-    width = fixed.itemsize + table.itemsize
-    m = np.empty((min(n, _CHUNK_ROWS), k * width + end.size), dtype=np.uint8)
-    cells = m[:, :k * width].reshape(-1, k, width)
-    cells[:, :, :fixed.itemsize] = fixed.view(np.uint8).reshape(k, -1)
-    m[:, k * width:] = end
+        return
+    slots = texts(0, min(n, _CHUNK_ROWS))
+    row, at = b"", []  # one row with its slots blank, and where they start
+    for s, t in zip(segments, slots):
+        row += s.encode()
+        at.append(len(row))
+        row += bytes(t.shape[1])
+    m = np.tile(np.frombuffer(row + end.encode(), np.uint8), (len(slots[0]), 1))
+    views = [m[:, a:a + t.shape[1]] for a, t in zip(at, slots)]
     for r0 in range(0, n, _CHUNK_ROWS):
         c = min(n - r0, _CHUNK_ROWS)
-        texts = table.take(index[:, r0:r0 + c].T)
-        cells[:c, :, fixed.itemsize:] = texts.view(np.uint8).reshape(c, k, -1)
-        if as_json and r0 + c == n:
-            m[c - 1, -1] = 0  # no comma after the last row object
+        for view, t in zip(views, slots if r0 == 0 else texts(r0, c)):
+            view[:c] = t
+        if r0 + c == n and end.endswith(","):
+            m[c - 1, -1] = 0
         buf.write(m[:c].tobytes().translate(_UNMASK_NUL, b"\0").decode())
-    return n
 
 
-def _json_row_template(header) -> tuple:
-    """``%`` template of one row object, keys sorted and indented as
-    ``json.dumps(..., sort_keys=True, indent=2)`` lays it out in "rows", and
-    the indices of ``header`` whose encoded cells fill its ``%s`` fields."""
-    order = sorted(range(len(header)), key=header.__getitem__)
-    fields = ",\n".join(
-        "      " + json.dumps(header[i]).replace("%", "%%") + ": %s" for i in order)
-    return "    {\n" + fields + "\n    }", order
-
-
-def _to_csv(buf, cfg, echo, header, columns, grid, head_comments, foot_comments):
+def _to_csv(buf, cfg, echo, header, n, texts, head_comments, foot_comments):
     for line in (f"catvis {__version__}", f"command: {cfg.subcommand}",
                  f"params: {_pairs(echo)}", *head_comments):
         buf.write(f"# {line}\n")
     csv.writer(buf, lineterminator="\n").writerow(header)
-    if grid is None:
-        _table_rows(buf, header, columns, False)
-    else:
-        _q_csv_rows(buf, *grid)  # numbers need no quoting
+    _table_rows(buf, n, ["", *[","] * (len(header) - 1)], "\n", texts)
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
 
-def _to_json(buf, cfg, echo, header, columns, grid, diagnostics):
+def _to_json(buf, cfg, echo, header, n, texts, diagnostics):
     # json.dumps lays out the small dicts; "rows" sorts after both keys
     meta = {
         "diagnostics": dict(diagnostics, version=__version__),
@@ -538,20 +510,14 @@ def _to_json(buf, cfg, echo, header, columns, grid, diagnostics):
     }
     text = json.dumps(_round_floats(meta), sort_keys=True, indent=2)
     buf.write(text[:-2] + ',\n  "rows": [')
-    if grid is None:
-        wrote = _table_rows(buf, header, columns, True) > 0
-    else:
-        row, order = _json_row_template(header)
-        # each block is a list of its columns' texts (iterables) in header order
-        blocks = ([*map(repeat, head), *zip(*pairs), _float_texts(qs, True)]
-                  for head, pairs, qs in _grid_blocks(*grid))
-        sep = "\n"
-        for block in blocks:
-            cells = tuple(chain.from_iterable(zip(*[block[i] for i in order])))
-            buf.write(sep + ",\n".join([row] * (len(cells) // len(order))) % cells)
-            sep = ",\n"
-        wrote = sep != "\n"
-    buf.write("\n  ]\n}\n" if wrote else "]\n}\n")
+    # each row object lays out its keys sorted, as json.dumps(sort_keys=True)
+    order = sorted(range(len(header)), key=header.__getitem__)
+    keys = [json.dumps(header[j]) for j in order]
+    segments = ["\n    {\n      " + keys[0] + ": ",
+                *[",\n      " + key + ": " for key in keys[1:]]]
+    _table_rows(buf, n, segments, "\n    },",
+                lambda r0, c: [*map(texts(r0, c).__getitem__, order)])
+    buf.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
 def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
@@ -560,8 +526,11 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
     renders; call it once the table is computed, since it creates the file.
     ``columns`` holds one column per ``header`` entry, each a float64 array,
     a :class:`_Floats` (None where ``empty``) or a sequence of cells; a Q
-    table passes ``grid=(planes, values)`` instead (see :func:`_grid_blocks`),
+    table passes ``grid=(planes, values)`` instead (see :func:`_q_columns`),
     whose columns are each plane's re, im, then q."""
+    as_json = cfg.format == "json"
+    n, texts = (_cell_texts(columns, as_json) if grid is None
+                else _q_columns(*grid, as_json))
     if cfg.output is None:
         out = contextlib.nullcontext(sys.stdout)
     else:
@@ -572,10 +541,10 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
                 f"cannot write output file {cfg.output!r}: {exc.strerror}"
             ) from None
     with out as fh:
-        if cfg.format == "json":
-            _to_json(fh, cfg, echo, header, columns, grid, diagnostics or {})
+        if as_json:
+            _to_json(fh, cfg, echo, header, n, texts, diagnostics or {})
         else:
-            _to_csv(fh, cfg, echo, header, columns, grid, head_comments,
+            _to_csv(fh, cfg, echo, header, n, texts, head_comments,
                     foot_comments)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "TwoModeState",
     "bs_label_pair_map",
     "bs_fock_apply",
-    "phase_shift_fock_a",
     "interference_reduced_a",
 ]
 
@@ -184,16 +183,6 @@ def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeS
     leak = abs(float(np.vdot(out, out).real) - state.squared_norm)
     _require_leak(bs, amps, cutoff_b, leak)
     return TwoModeState(out)
-
-
-def phase_shift_fock_a(state: TwoModeState, chi: float) -> TwoModeState:
-    """Phase shifter acting on mode A of a two-mode state.  Past pi, ``chi``
-    turns by its angle reduced as ``exp(1j * chi)`` reduces it, since
-    ``chi * n`` rounds; up to pi its bits are kept."""
-    ns = np.arange(state.cutoff_a)
-    if abs(chi) > np.pi:
-        chi = float(np.angle(np.exp(1j * chi)))
-    return TwoModeState(state.amplitudes * np.exp(1j * chi * ns)[:, None])
 
 
 def interference_reduced_a(ket: TwoModeState, bra: TwoModeState) -> np.ndarray:

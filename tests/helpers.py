@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 import catvis
-from catvis import BranchTerm, bs_label_pair_map, coherent_overlap
+from catvis import BranchTerm, TwoModeState, bs_label_pair_map, coherent_overlap
 
 
 def child_env() -> dict:
@@ -173,6 +173,16 @@ def bs_fock_apply_series(bs, state) -> np.ndarray:
     nb = np.arange(out.shape[1])
     out = out * bs.t ** (na[:, None] - nb[None, :])
     return _exchange_series(out, coupling, raise_a=False)
+
+
+def phase_shift_fock_a(state, chi: float):
+    """Phase shifter acting on mode A of a two-mode state.  Past pi, ``chi``
+    turns by its angle reduced as ``exp(1j * chi)`` reduces it, since
+    ``chi * n`` rounds; up to pi its bits are kept."""
+    ns = np.arange(state.cutoff_a)
+    if abs(chi) > np.pi:
+        chi = float(np.angle(np.exp(1j * chi)))
+    return TwoModeState(state.amplitudes * np.exp(1j * chi * ns)[:, None])
 
 
 # ---------------------------------------------------------------------------

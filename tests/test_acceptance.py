@@ -30,14 +30,13 @@ from catvis import (
     fringe_scan,
     initial_cat_terms,
     integrate_q_term,
-    phase_shift_fock_a,
     post_selected_terms,
     q_full,
     visibility_closed_form,
 )
 from catvis.cli import RunConfig, _COMMANDS, main
 
-from helpers import coherent_product_term, random_mode
+from helpers import coherent_product_term, phase_shift_fock_a, random_mode
 
 R_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 ALPHA0_GRID = (0.5, 1.0, 2.0, 3.0)

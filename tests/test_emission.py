@@ -1,11 +1,11 @@
 """CLI emitters against the reference per-cell writers in ``helpers``.
 
-Every table but JSON Q is written from columns as byte matrices, a chunk of
-rows at a time: the floats by a NumPy digit kernel, once per distinct bit
-pattern, other cells once per distinct value.  JSON Q tables fill blocks of
-rows through a row template, one ``%`` per block.  These tests hold the text
-byte for byte to the original ``csv.writer`` + per-cell formatting and
-``json.dumps`` of rounded dicts, and the kernel to ``"%.12g" %``.
+Every table is written as byte matrices, a chunk of rows at a time: the
+floats by a NumPy digit kernel (a sweep's once per distinct bit pattern,
+other cells once per distinct value; a Q table's plane points once per
+grid).  These tests hold the text byte for byte to the original
+``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts,
+and the kernel to ``"%.12g" %``.
 """
 
 import io
@@ -426,26 +426,32 @@ def test_kernel_raises_no_floating_point_error():
         assert _kernel_texts(values) == ["%.12g" % x for x in values]
 
 
-def _q_pair(planes, values, header):
-    return _pair("csv", header, grid=(planes, values),
+def _q_pair(fmt, planes, values, header):
+    return _pair(fmt, header, grid=(planes, values),
                  ref_rows=helpers.q_grid_rows(planes, values))
 
 
-@pytest.mark.parametrize("mode", ["full", "marginal"])
-def test_q_table_of_one_point(mode):
+# one or two planes, as CSV (the id is the mode alone) and as JSON
+_Q_MODES = pytest.mark.parametrize("mode,fmt", [
+    pytest.param(mode, fmt, id=mode if fmt == "csv" else f"{mode}-json")
+    for fmt in ("csv", "json") for mode in ("full", "marginal")])
+
+
+@_Q_MODES
+def test_q_table_of_one_point(mode, fmt):
     plane = np.array([[-0.5 + 1.25j]])
     if mode == "full":
         planes, values = (plane, plane + 1.0), np.full((1, 1, 1, 1), 0.0625)
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
         planes, values, header = (plane,), np.full((1, 1), -1e-300), ("re", "im", "q")
-    got, want = _q_pair(planes, values, header)
+    got, want = _q_pair(fmt, planes, values, header)
     assert_same_text(got, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 40, 2048])
-@pytest.mark.parametrize("mode", ["full", "marginal"])
-def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode):
+@_Q_MODES
+def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode, fmt):
     # 4 x 4 points per plane: a 7 or 40-row chunk ends inside the 16 rows of
     # an outer point; the coordinates print in texts of unequal width
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
@@ -457,7 +463,54 @@ def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode):
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
         planes, values, header = (plane,), _q_values(rng, (4, 4)), ("re", "im", "q")
-    got, want = _q_pair(planes, values, header)
+    got, want = _q_pair(fmt, planes, values, header)
+    assert_same_text(got, want)
+
+
+# q values whose JSON text is parsed back (zeros, integral, subnormal, 1e11
+# to 1e16, non-finite) or is the 12-digit text itself
+_Q = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf, 1e11, 1e15, 1e16, 3.0]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e11, 1e16),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+# plane coordinates: integral, negative, signed zeros and fractions
+_COORDS = st.one_of(st.integers(-9, 9).map(float),
+                    st.sampled_from([-0.0, -2.5, 0.125]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def _q_grids(draw):
+    """``(planes, values)``: one or two planes of 1 to 5 points per axis,
+    their real and imaginary axes drawn from ``_COORDS``, and q values."""
+    n = draw(st.integers(1, 5))
+    planes = []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        z = np.zeros((n, n), dtype=complex)
+        z.real[:] = draw(st.lists(_COORDS, min_size=n, max_size=n))
+        z.imag[:] = np.array(draw(st.lists(_COORDS, min_size=n, max_size=n)))[:, None]
+        planes.append(z)
+    shape = (n,) * 2 * len(planes)
+    q = draw(st.lists(_Q, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return tuple(planes), np.array(q).reshape(shape)
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(grid=_q_grids(), chunk=st.sampled_from([1, 7, 40, cli._CHUNK_ROWS]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_generated_q_grids_match_reference(grid, chunk, fmt):
+    # chunks of 1, 7 and 40 rows end inside an outer point's block; 2048 rows
+    # take the digit kernel past its 128-value threshold
+    planes, values = grid
+    header = (("re_alpha", "im_alpha", "re_beta", "im_beta", "q") if len(planes) == 2
+              else ("re_beta", "im_beta", "q"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK_ROWS", chunk)
+        got, want = _q_pair(fmt, planes, values, header)
     assert_same_text(got, want)
 
 

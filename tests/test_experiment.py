@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -765,6 +766,51 @@ def test_five_routes_agree_at_default_settings(r, a, phi):
             "quadrature": (q_integral_visibility(params), 2e-4),
             "fringe": (fit_fringe(fringe_scan(params)).visibility, 2e-4),
         }
+    for name, (value, contract) in routes.items():
+        assert abs(value - nu) <= contract, name
+
+
+def _visibility_200_bits(r, a, phi) -> float:
+    """``exp(-2 R^2 sin^2(phi) |alpha0|^2)`` in 200-bit arithmetic, sin of
+    phi reduced at the precision its magnitude needs."""
+    with mpmath.workprec(200):
+        x = mpmath.mpf(r) * mpmath.sin(mpmath.mpf(phi)) * mpmath.mpf(a)
+        return float(mpmath.exp(-2 * x * x))
+
+
+# the whole accepted domain: R in [0, 1) and up to 2**-53 below 1, |alpha0|
+# up to its 1e8 bound, and finite phi of log-uniform magnitude.  Routes 1 to
+# 4 hold their contracts at every point, route 5 wherever it accepts one
+# (it refuses past |alpha0| 37.64 and past 2**24 amplitudes)
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    r=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k)),
+    a=st.one_of(st.floats(0.0, 40.0), st.floats(-3.0, 8.0).map(lambda e: 10.0**e)),
+    log_phi=st.floats(-300.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(r=1.0 - 2.0**-53, a=1e8, log_phi=300.0, sign=-1.0)
+@example(r=0.99, a=37.6, log_phi=0.0, sign=1.0)
+@example(r=0.0, a=0.0, log_phi=-300.0, sign=1.0)
+def test_routes_hold_their_contracts_over_the_domain(r, a, log_phi, sign):
+    phi = sign * 10.0**log_phi
+    params = ExperimentParams(alpha0=a, phi=phi, r=r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        (row,) = sweep([r], [a], [phi], include_fringe=True)
+        routes = {
+            "closed form": (visibility_closed_form(r, a, phi), 1e-6),
+            "oracle": (abs(environment_overlap_oracle(params)), 1e-6),
+            "quadrature": (q_integral_visibility(params), 2e-4),
+            "fringe": (row[_SWEEP_KEYS.index("nu_fringe")], 2e-4),
+        }
+        try:
+            routes["brute"] = (fock_brute_force_visibility(params), 1e-6)
+        except ValueError:
+            pass
+    assert row[-1] is None
+    nu = _visibility_200_bits(r, a, phi)
     for name, (value, contract) in routes.items():
         assert abs(value - nu) <= contract, name
 

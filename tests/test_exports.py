@@ -67,7 +67,6 @@ def test_package_names_are_pinned():
         "initial_cat_terms",
         "integrate_q_term",
         "interference_reduced_a",
-        "phase_shift_fock_a",
         "post_selected_terms",
         "q_full",
         "q_integral_visibility",
@@ -82,7 +81,7 @@ def test_source_stays_within_its_line_budget():
     # but any growth shows up here
     package = Path(catvis.__file__).parent
     lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
-    assert lines <= 2518
+    assert lines <= 2476
 
 
 def _defaulted(name, obj):

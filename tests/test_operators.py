@@ -16,11 +16,11 @@ from catvis import (
     coherent_fock,
     coherent_overlap,
     interference_reduced_a,
-    phase_shift_fock_a,
 )
 from helpers import (
     bs_fock_apply_series,
     dense_bs_unitary,
+    phase_shift_fock_a,
     random_mode,
     random_two_mode,
     two_mode_vec,
