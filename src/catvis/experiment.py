@@ -10,12 +10,10 @@ visibility:
 
 plus the fringe-scan route that recovers it the way a measurement would,
 by fitting detection rate against the readout phase theta.  ``sweep`` runs
-the closed forms as one array pass, the fringe route as array passes over
-blocks of a fixed number of points, and the Fock route as one array pass per
-block of points that share R and |alpha0|, and so its cutoffs; every cell
-equals its one-point function bit for bit.  The quadrature and fringe
-routes centre each plane's grid midway between its labels, where the
-edge-to-peak ratio is one constant of the default grid (see
+the routes and their checks as array passes; every cell equals its
+one-point function bit for bit.  The quadrature and fringe routes centre
+each plane's grid midway between its labels, where the edge-to-peak ratio
+is one constant of the default grid (see
 ``phase_space._post_selected_integrals``), so they take no coverage check.
 """
 
@@ -131,16 +129,20 @@ class ExperimentParams:
 _OVERLAP_WARN = 1e-3
 
 
-def _warn_if_components_overlap(params: ExperimentParams, stacklevel: int = 3) -> None:
-    ov = abs(coherent_overlap(params.component_plus, params.component_minus))
-    if ov >= _OVERLAP_WARN:
+def _components_overlap(alpha0, phi, margin=0.0):
+    """|<+|->| of the cat, and whether it reaches ``_OVERLAP_WARN (1 - margin)``."""
+    ov = abs(coherent_overlap(*_cat_components(alpha0, phi)))
+    return ov, ov >= _OVERLAP_WARN * (1.0 - margin)
+
+
+def _warn_if_components_overlap(alpha0, phi, stacklevel: int = 3) -> None:
+    ov, overlaps = _components_overlap(alpha0, phi)
+    if overlaps:
         warnings.warn(
             f"cat components overlap at |<+|->| = {ov:.3e}; the interfering "
             "branches are not mutually orthogonal, so visibility readings "
             "mix component distinguishability with environment overlap",
-            OverlapWarning,
-            stacklevel=stacklevel,
-        )
+            OverlapWarning, stacklevel=stacklevel)
 
 
 def environment_overlap_oracle(params: ExperimentParams) -> complex:
@@ -158,7 +160,7 @@ def environment_overlap_oracle(params: ExperimentParams) -> complex:
 def _point_integrals(params: ExperimentParams) -> np.ndarray:
     """The post-selected integrals ``(4, 1)`` of one parameter set, after its
     overlap warning (raised at the caller's caller)."""
-    _warn_if_components_overlap(params, stacklevel=4)
+    _warn_if_components_overlap(params.alpha0, params.phi, stacklevel=4)
     return _post_selected_integrals(
         np.array([params.alpha0]), np.array([params.phi]), np.array([params.r]))
 
@@ -192,9 +194,11 @@ class FringeScan:
         rates = np.array(self.rates, dtype=float)
         if thetas.ndim != 1 or thetas.shape != rates.shape or thetas.size == 0:
             raise ValueError("thetas and rates must be matching 1-D arrays")
-        if not np.all(np.isfinite(thetas)):
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(rates))):
             raise ValueError("scan values must be finite")
-        _require_rates(rates)
+        if _rates_refused(rates):
+            raise ValueError(f"detection rate reached {float(rates.min()):.3e}; "
+                             "the term set or grid is inconsistent")
         np.clip(rates, 0.0, None, out=rates)
         thetas = thetas.copy()
         thetas.setflags(write=False)
@@ -223,25 +227,24 @@ class FringeFit:
     period: float
 
 
-def _require_rates(rates: np.ndarray) -> None:
-    """Refuse one scan's rates when any is not finite or lies below
-    ``-1e-9`` of the scan's scale (at least 1)."""
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("scan values must be finite")
-    floor = -1e-9 * max(1.0, float(rates.max(initial=0.0)))
-    if float(rates.min()) < floor:
-        raise ValueError(
-            f"detection rate reached {float(rates.min()):.3e}; "
-            "the term set or grid is inconsistent"
-        )
+def _rates_refused(rates: np.ndarray):
+    """Whether each scan (last axis) holds a rate not finite or below ``-1e-9``
+    of the scan's scale (at least 1), which :class:`FringeScan` refuses."""
+    floor = -1e-9 * np.maximum(1.0, rates.max(axis=-1, initial=0.0))
+    return ~np.isfinite(rates).all(axis=-1) | (rates.min(axis=-1) < floor)
 
 
-def _require_real(total: np.ndarray) -> None:
-    """Refuse one point's summed fringe when its imaginary residue is out of
-    line with rounding."""
-    scale = float(np.max(np.abs(total)))
-    if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-9 * scale:
+def _complex_residue(total: np.ndarray):
+    """Whether each summed fringe (last axis) has an imaginary residue out of
+    line with rounding, which :func:`_scan_of` refuses."""
+    scale = np.max(np.abs(total), axis=-1)
+    return (scale > 0.0) & (np.max(np.abs(total.imag), axis=-1) > 1e-9 * scale)
+
+
+def _scan_of(thetas: np.ndarray, total: np.ndarray) -> FringeScan:
+    if _complex_residue(total):
         raise ValueError("fringe rates came out complex; term set is inconsistent")
+    return FringeScan(thetas=thetas, rates=0.25 * total.real)
 
 
 def _scan_thetas(n_theta: int) -> np.ndarray:
@@ -267,12 +270,9 @@ def _fit_coefficients(pinv: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.sum(rates[:, None, :] * pinv, axis=-1)
 
 
-def _offset_amplitude(coef: np.ndarray) -> tuple[float, float]:
-    """One fit's offset and cosine amplitude; refuses a non-positive offset."""
-    a, p, q = (float(c) for c in coef)
-    if a <= 0.0:
-        raise ValueError("fitted fringe offset is not positive; cannot form visibility")
-    return a, float(np.hypot(p, q))
+def _offset_refused(coef: np.ndarray):
+    """Whether each fit's offset ``coef[..., 0]``, which must be positive, is not."""
+    return coef[..., 0] <= 0.0
 
 
 def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
@@ -284,9 +284,7 @@ def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
     from the two projector halves applied to ket and bra.
     """
     thetas = _scan_thetas(n_theta)
-    (total,) = _fringe_totals(_point_integrals(params), thetas)
-    _require_real(total)
-    return FringeScan(thetas=thetas, rates=0.25 * total.real)
+    return _scan_of(thetas, _fringe_totals(_point_integrals(params), thetas)[0])
 
 
 def fit_fringe(scan: FringeScan) -> FringeFit:
@@ -306,10 +304,12 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         raise ValueError("scan must span at least 7/8 of the fringe period")
     design = _design(thetas)
     (coef,) = _fit_coefficients(np.linalg.pinv(design), rates[None])
-    a, amplitude = _offset_amplitude(coef)
+    if _offset_refused(coef):
+        raise ValueError("fitted fringe offset is not positive; cannot form visibility")
+    a, p, q = map(float, coef)
+    amplitude = float(np.hypot(p, q))
     resid = rates - design @ coef
     residual_rms = float(np.sqrt(np.mean(resid * resid)))
-    p, q = coef[1:]
     phase = float(np.arctan2(q, p)) if amplitude > residual_rms else float("nan")
     peak, trough = float(rates.max()), float(rates.min())
     raw = (peak - trough) / (peak + trough) if peak + trough > 0.0 else float("nan")
@@ -349,14 +349,15 @@ _TAIL_TOL = 1e-12
 _MAX_AMPLITUDES = 2**24
 
 
-def _require_fock_start(params: ExperimentParams) -> None:
+def _require_fock_start(params: ExperimentParams) -> tuple[int, int]:
     """Refuse, before anything is allocated, cutoffs past ``_MAX_AMPLITUDES``,
-    then ``|alpha0|`` past ``_MAX_FOCK_ALPHA0``."""
+    then ``|alpha0|`` past ``_MAX_FOCK_ALPHA0``; else the cutoffs."""
     na, nb, a = params.resolved_cutoff_a, params.resolved_cutoff_b, abs(params.alpha0)
     if na * nb > _MAX_AMPLITUDES:
         raise ValueError(f"cutoffs ({na}, {nb}) need {na * nb:.3g} amplitudes; the "
                          f"cap is {_MAX_AMPLITUDES} ({16e-6 * _MAX_AMPLITUDES:.0f} MB)")
     _require_fock_alpha(a)
+    return na, nb
 
 
 def _tail_bound(last_sq: float, x: float, cutoff: int) -> float:
@@ -457,13 +458,6 @@ def _brute_force_block(bs: BeamSplitter, alpha0: np.ndarray, phi: np.ndarray,
     return verdicts
 
 
-def _verdict(outcome):
-    """A point's visibility from ``_brute_force_block``, or its refusal raised."""
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
-
-
 def fock_brute_force_visibility(params: ExperimentParams) -> float:
     """Visibility by truncated Fock propagation, no coherent-label shortcuts.
 
@@ -476,12 +470,13 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     to it), and ``ValueError``, before allocating, past ``_MAX_AMPLITUDES`` or
     past ``|alpha0| = _MAX_FOCK_ALPHA0``.
     """
-    _require_fock_start(params)
-    _warn_if_components_overlap(params)
+    na, nb = _require_fock_start(params)
+    _warn_if_components_overlap(params.alpha0, params.phi)
     (outcome,) = _brute_force_block(params.beam_splitter, np.array([params.alpha0]),
-                                    np.array([params.phi]), params.resolved_cutoff_a,
-                                    params.resolved_cutoff_b)
-    return _verdict(outcome)
+                                    np.array([params.phi]), na, nb)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 # points per array pass of the fringe route in a sweep: at 8 the peak RSS of a
@@ -494,43 +489,52 @@ _FRINGE_BLOCK = 8
 _FOCK_BLOCK_AMPLITUDES = 2**14
 
 
-def _fringe_rows(alpha0, phi, r, thetas: np.ndarray):
-    """Route 4 at each point of the 1-D arrays in turn: its summed fringe, its
-    rates before their floor and clip, and the fit coefficients of the
-    clipped rates.  One array pass per block of ``_FRINGE_BLOCK`` points;
-    every fit shares one design pseudo-inverse."""
-    pinv = np.linalg.pinv(_design(thetas))
+def _fringe_rows(alpha0, phi, r, thetas: np.ndarray) -> list:
+    """Route 4 at each point of the 1-D arrays: its visibility, or the
+    ``ValueError`` its checks raise.  One array pass per ``_FRINGE_BLOCK``
+    points; only points its checks' predicates refuse run the checks."""
+    pinv, outcomes = np.linalg.pinv(_design(thetas)), []
     for start in range(0, r.size, _FRINGE_BLOCK):
         block = slice(start, start + _FRINGE_BLOCK)
         total = _fringe_totals(
             _post_selected_integrals(alpha0[block], phi[block], r[block]), thetas)
         rates = 0.25 * total.real
         coef = _fit_coefficients(pinv, np.clip(rates, 0.0, None))
-        yield from zip(total, rates, coef)
+        bad = _complex_residue(total) | _rates_refused(rates) | _offset_refused(coef)
+        a = np.where(bad, 1.0, coef[:, 0])  # no refused offset is divided by
+        outcomes += (np.hypot(coef[:, 1], coef[:, 2]) / a).tolist()
+        for k in np.flatnonzero(bad).tolist():
+            try:
+                outcomes[start + k] = fit_fringe(_scan_of(thetas, total[k])).visibility
+            except ValueError as exc:
+                outcomes[start + k] = exc
+    return outcomes
 
 
 def _brute_force_rows(r, alpha0, phi):
     """Route 5 at each sweep point of the 1-D arrays in turn (``alpha0`` real):
     the outcome of ``_brute_force_block``, or ``None`` where
     ``_require_fock_start`` refuses and nothing is built.  One kernel pass per
-    block of consecutive points with the same R and |alpha0|, which share the
-    default cutoffs; a block holds at most ``_FRINGE_BLOCK`` points and, past
-    one point, at most ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
+    block of consecutive points with the same R and |alpha0|, and so the
+    same cutoffs: at most ``_FRINGE_BLOCK`` points and, past one point, at
+    most ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
     # grouped by bit pattern, so a block's shared R and |alpha0| are exactly
     # each point's own, signed zeros included
     bits = np.stack([r, alpha0]).view(np.int64)
-    edges = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
-    for start, stop in zip([0, *edges.tolist()], [*edges.tolist(), r.size]):
-        r0, a0 = float(r[start]), float(alpha0[start])
-        na, nb = default_cutoff(a0), default_cutoff(r0 * a0)
-        if na * nb > _MAX_AMPLITUDES or abs(a0) > _MAX_FOCK_ALPHA0:
+    starts = np.flatnonzero(
+        np.r_[r.size > 0, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]).tolist()
+    for start, stop in zip(starts, [*starts[1:], r.size]):
+        params = ExperimentParams(alpha0=alpha0[start], phi=phi[start], r=r[start])
+        try:
+            na, nb = _require_fock_start(params)
+        except ValueError:
             yield from [None] * (stop - start)
             continue
         size = min(_FRINGE_BLOCK, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
         for first in range(start, stop, size):
             block = slice(first, min(first + size, stop))
             yield from _brute_force_block(
-                BeamSplitter(r0), alpha0[block], phi[block], na, nb)
+                params.beam_splitter, alpha0[block], phi[block], na, nb)
 
 
 _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
@@ -547,9 +551,9 @@ class _Floats(NamedTuple):
 def _sweep_columns(r_values, abs_alpha0_values, phi_values, include_brute,
                    include_fringe, n_theta) -> list:
     """:func:`sweep`'s table as its columns: a :class:`_Floats` per float
-    column, then ``error``, a list of str or None.  Only invalid points, or
-    every point when the Fock or fringe route is asked for, pass one-point
-    checks, in row order."""
+    column, then ``error``, a list of str or None.  Only invalid or refused
+    points replay the one-point checks, in row order, and points whose
+    overlap may warn run the routes' warnings alone."""
     axes = (np.asarray(v, dtype=float)
             for v in (r_values, abs_alpha0_values, phi_values))
     r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
@@ -557,38 +561,38 @@ def _sweep_columns(r_values, abs_alpha0_values, phi_values, include_brute,
     valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
     closed = np.zeros((4, r.size))
     closed[:, valid] = _closed_form_columns(r[valid], a0[valid], phi[valid])
-    routes = np.zeros((2, r.size))  # nu_brute, nu_fringe
-    routed = np.zeros((2, r.size), dtype=bool)
-    if include_brute:
-        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
-    if include_fringe:
-        fringe = _fringe_rows(a0[valid], phi[valid], r[valid], _scan_thetas(n_theta))
+    routes, routed = np.zeros((2, r.size)), np.zeros((2, r.size), dtype=bool)
+    at, replay = np.flatnonzero(valid), ~valid
+    brute = list(_brute_force_rows(r[at], a0[at], phi[at])) if include_brute else None
+    fringe = (_fringe_rows(a0[at], phi[at], r[at], _scan_thetas(n_theta))
+              if include_fringe else None)
+    for k, got in enumerate((brute, fringe)):  # nu_brute, nu_fringe
+        if got is not None:
+            ok = np.array([type(v) is float for v in got], dtype=bool)
+            routes[k, at[ok]] = [v for v in got if type(v) is float]
+            routed[k, at[ok]], replay[at[~ok]] = True, True
+    if include_brute or include_fringe:
+        # rounding moves |<+|->| by about |alpha0|^2 eps: the scalar check decides there
+        margin = 64.0 * np.finfo(float).eps * (1.0 + a0[at] ** 2)
+        replay[at] |= _components_overlap(a0[at], phi[at], margin)[1]
     error = [None] * r.size
-    checked = (np.arange(r.size) if include_brute or include_fringe
-               else np.flatnonzero(~valid))
-    for i, ri, ai, phii in zip(*(x.tolist() for x in (checked, r[checked], a0[checked],
-                                                      phi[checked]))):
-        try:
-            # an invalid point raises here, taking the message validation gives
-            params = ExperimentParams(alpha0=ai, phi=phii, r=ri)
-            if include_brute:
-                outcome = next(brute)
-            if include_fringe:
-                total, rates, coef = next(fringe)
-            if include_brute:
-                # fock_brute_force_visibility's checks, in its order
-                _require_fock_start(params)
-                _warn_if_components_overlap(params, stacklevel=2)
-                routes[0, i], routed[0, i] = _verdict(outcome), True
-            if include_fringe:
-                # fringe_scan's warnings and refusals, then fit_fringe's
-                _warn_if_components_overlap(params, stacklevel=2)
-                _require_real(total)
-                _require_rates(rates)
-                a, amplitude = _offset_amplitude(coef)
-                routes[1, i], routed[1, i] = amplitude / a, True
+    for i, j, ri, ai, phii in zip(*(x[replay].tolist() for x in (
+            np.arange(r.size), np.cumsum(valid) - 1, r, a0, phi))):
+        try:  # an invalid point raises here, as a point past the Fock start does
+            if not valid[i] or include_brute and brute[j] is None:
+                _require_fock_start(ExperimentParams(alpha0=ai, phi=phii, r=ri))
+            if include_brute:  # fock_brute_force_visibility's checks, in its order
+                _warn_if_components_overlap(ai, phii, stacklevel=2)
+                if isinstance(brute[j], ValueError):
+                    raise brute[j]
         except ValueError as exc:
             error[i] = str(exc)
+            if not valid[i]:
+                continue
+        if include_fringe:  # fringe_scan's warning; route 5's refusal comes first
+            _warn_if_components_overlap(ai, phii, stacklevel=2)
+            if isinstance(fringe[j], ValueError):
+                error[i] = error[i] or str(fringe[j])
     filled = np.zeros(r.size, dtype=bool)
     nu, oracle, t, var_out = (_Floats(c, ~valid) for c in closed)
     return [_Floats(r, filled), _Floats(a0, filled), _Floats(phi, filled), nu, oracle,
@@ -606,15 +610,11 @@ def sweep(
     """Visibility and moment table over a parameter grid, one tuple of cells
     per row in ``_SWEEP_KEYS`` order, each cell a float, a str or None.
 
-    Loop order: r outermost, then |alpha0|, then phi.  The closed-form
-    columns are one array evaluation over the valid points.  The fringe
-    route, when asked for, is an array pass over blocks of a fixed number of
-    valid points, each cell equal to ``fit_fringe(fringe_scan(params,
-    n_theta)).visibility`` bit for bit.  The Fock route is one kernel pass
-    per block of consecutive valid points with the same R and |alpha0|, each
-    cell and refusal equal to ``fock_brute_force_visibility``'s bit for bit.
-    A row that fails keeps its parameters and carries the message in
-    ``error`` instead of aborting the sweep; its warnings come in row order.
+    Loop order: r outermost, then |alpha0|, then phi.  Each route runs as
+    array passes (see :func:`_sweep_columns`), each cell, refusal and warning
+    as its one-point function gives it, bit for bit, in row order.  A row
+    that fails keeps its parameters and carries the first refusal in
+    ``error``; a refusal of the Fock route leaves the fringe route's cell.
     An ``n_theta`` below 8 raises ValueError when the fringe is asked for.
     """
     *floats, error = _sweep_columns(r_values, abs_alpha0_values, phi_values,

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -385,3 +386,79 @@ def q_full_grid(terms, planes):
     ):
         raise ValueError("Q came out complex; term set is inconsistent")
     return total.real
+
+
+# ---------------------------------------------------------------------------
+# reference sweep loop: experiment._sweep_columns before its array checks,
+# every point passing the one-point checks in row order, with a route-5
+# refusal leaving route 4's cell alone; kept as the oracle of the array
+# checks' cells, refusals and warnings
+
+
+def stock_showwarning(message, category, filename, lineno, file=None, line=None):
+    """What Python's own warning writer does: format, then write to stderr
+    (pytest's warning capture stands in for it while a test runs)."""
+    text = warnings.formatwarning(message, category, filename, lineno, line)
+    (sys.stderr if file is None else file).write(text)
+
+
+def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute,
+                          include_fringe, n_theta) -> list:
+    """``experiment._sweep_columns`` by the one-point checks at every point
+    when a route is asked for.  Each route's overlap warning has one call
+    site here, as there, so Python's default filter prints the same lines."""
+    from catvis.experiment import (
+        _MAX_ALPHA0, ExperimentParams, _brute_force_rows, _closed_form_columns,
+        _Floats, _fringe_totals, _post_selected_integrals, _require_fock_start,
+        _scan_of, _scan_thetas, _warn_if_components_overlap, fit_fringe,
+    )
+
+    axes = (np.asarray(v, dtype=float)
+            for v in (r_values, abs_alpha0_values, phi_values))
+    r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
+    closed = np.zeros((4, r.size))
+    closed[:, valid] = _closed_form_columns(r[valid], a0[valid], phi[valid])
+    routes = np.zeros((2, r.size))  # nu_brute, nu_fringe
+    routed = np.zeros((2, r.size), dtype=bool)
+    if include_brute:
+        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
+    if include_fringe:
+        thetas = _scan_thetas(n_theta)
+        fringe = iter(_fringe_totals(
+            _post_selected_integrals(a0[valid], phi[valid], r[valid]), thetas))
+    error = [None] * r.size
+    checked = (np.arange(r.size) if include_brute or include_fringe
+               else np.flatnonzero(~valid))
+    for i in checked.tolist():
+        try:
+            params = ExperimentParams(alpha0=a0[i], phi=phi[i], r=r[i])
+        except ValueError as exc:
+            error[i] = str(exc)
+            continue
+        messages = []
+        if include_brute:
+            outcome = next(brute)
+            try:
+                # fock_brute_force_visibility's checks, in its order
+                _require_fock_start(params)
+                _warn_if_components_overlap(params.alpha0, params.phi, stacklevel=2)
+                if isinstance(outcome, ValueError):
+                    raise outcome
+                routes[0, i], routed[0, i] = outcome, True
+            except ValueError as exc:
+                messages.append(str(exc))
+        if include_fringe:
+            total = next(fringe)
+            try:
+                # fringe_scan's warning and checks, then fit_fringe's
+                _warn_if_components_overlap(params.alpha0, params.phi, stacklevel=2)
+                fit = fit_fringe(_scan_of(thetas, total))
+                routes[1, i], routed[1, i] = fit.visibility, True
+            except ValueError as exc:
+                messages.append(str(exc))
+        error[i] = messages[0] if messages else None
+    filled = np.zeros(r.size, dtype=bool)
+    nu, oracle, t, var_out = (_Floats(c, ~valid) for c in closed)
+    return [_Floats(r, filled), _Floats(a0, filled), _Floats(phi, filled), nu, oracle,
+            *map(_Floats, routes, ~routed), t, t, var_out, error]

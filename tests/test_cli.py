@@ -15,7 +15,7 @@ import pytest
 
 from catvis import CoverageWarning, OverlapWarning, __version__, phase_space
 from catvis.cli import main
-from helpers import child_env
+from helpers import child_env, stock_showwarning
 
 PI_HALF = "1.5707963267948966"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -298,13 +298,6 @@ class TestSweep:
                 assert f"{float(cell):.12g}" == cell
 
 
-def _stock_showwarning(message, category, filename, lineno, file=None, line=None):
-    # what Python's own warning writer does: format, then write to stderr
-    # (pytest's warning capture stands in for it while a test runs)
-    text = warnings.formatwarning(message, category, filename, lineno, line)
-    (sys.stderr if file is None else file).write(text)
-
-
 class TestWarningRendering:
     ARGV = ["qfunction", "--alpha0", "2", "--extent", "1.8", "--spacing", "0.3"]
     LINES = [
@@ -319,7 +312,7 @@ class TestWarningRendering:
         formatwarning = warnings.formatwarning
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            warnings.showwarning = _stock_showwarning
+            warnings.showwarning = stock_showwarning
             code, out, err = run_cli(self.ARGV, capsys)
         assert code == 0
         assert err.splitlines() == self.LINES
@@ -343,7 +336,7 @@ class TestWarningRendering:
         argv = ["fringe", "--alpha0", "1", "--R", "0.3"]
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            warnings.showwarning = _stock_showwarning
+            warnings.showwarning = stock_showwarning
             errs = [run_cli(argv, capsys)[2] for _ in range(2)]
         assert errs[0].startswith(
             "catvis: warning: cat components overlap at |<+|->| = 1.353e-01; "
@@ -352,20 +345,20 @@ class TestWarningRendering:
 
     def test_sweep_prints_each_route_s_overlap_line_once(self, capsys):
         # a row whose brute force is accepted prints the overlap line of both
-        # routes, a row it refuses past its amplitude cap prints none, as the
-        # cap comes first, and a row repeating an earlier row's text prints
-        # nothing
+        # routes, a row it refuses past its amplitude cap prints only the
+        # fringe route's, as the cap comes before the brute force's warning,
+        # and a row repeating an earlier row's text prints nothing
         argv = ["sweep", "--brute-force", "--fringe", "--R-values", "0.3",
                 "--alpha0-values", "1,5,200", "--phi-values", "0.3,-0.3,0.001"]
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            warnings.showwarning = _stock_showwarning
+            warnings.showwarning = stock_showwarning
             code, _, err = run_cli(argv, capsys)
         assert code == 0
         assert [line.split(";")[0] for line in err.splitlines()] == [
             f"catvis: warning: cat components overlap at |<+|->| = {ov}"
             for ov in ("8.397e-01", "8.397e-01", "1.000e+00", "1.000e+00",
-                       "1.269e-02", "1.269e-02")
+                       "1.269e-02", "1.269e-02", "9.231e-01")
         ]
 
     def test_interpreter_writes_the_same_lines(self):
@@ -930,7 +923,7 @@ class TestSubprocess:
         got = []
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            warnings.showwarning = _stock_showwarning
+            warnings.showwarning = stock_showwarning
             for argv in self.INTERLEAVED * 2:
                 try:
                     code = main(argv)

@@ -1,10 +1,13 @@
 """End-to-end visibility routes and their mutual agreement."""
 
 import cmath
+import contextlib
+import io
 import math
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -33,10 +36,12 @@ from catvis import (
     sweep,
     visibility_closed_form,
 )
-from catvis import experiment
+from catvis import cli, experiment
+from catvis.cli import main
 from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import _coherent_rows, default_cutoff
 from catvis.operators import BeamSplitter, _split_rows
+from helpers import stock_showwarning, sweep_columns_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -526,7 +531,8 @@ class TestSweep:
 
     def test_brute_force_refusal_is_recorded_in_its_row(self):
         # the amplitude cap refuses this point at default cutoffs; the row
-        # keeps the closed-form cells and leaves both optional routes empty
+        # keeps the closed-form cells and route 4's, which holds its contract
+        # here, and leaves the brute-force cell empty
         rows = _records(
             sweep([0.3], [200.0], [1.0], include_brute=True, include_fringe=True))
         row = rows[0]
@@ -534,7 +540,9 @@ class TestSweep:
             "cutoffs (41610, 4090) need 1.7e+08 amplitudes; the cap is 16777216 "
             "(268 MB)"
         )
-        assert row["nu_brute"] is None and row["nu_fringe"] is None
+        assert row["nu_brute"] is None
+        params = ExperimentParams(alpha0=200.0, phi=1.0, r=0.3)
+        assert row["nu_fringe"] == fit_fringe(fringe_scan(params)).visibility
         assert row["nu_analytic"] == pytest.approx(
             visibility_closed_form(0.3, 200.0, 1.0), rel=1e-14
         )
@@ -640,14 +648,21 @@ class TestSweepValidation:
 
 def _per_point_routes(params, n_theta):
     """Brute-force then fringe route at one point, as a sweep row runs them:
-    the fringe cell, the row's error and the warnings raised on the way."""
+    the fringe cell, the row's error (the first refusal) and the warnings
+    raised on the way.  A brute-force refusal leaves the fringe route alone."""
+    errors = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             fock_brute_force_visibility(params)
-            return fit_fringe(fringe_scan(params, n_theta)).visibility, None, caught
         except ValueError as exc:
-            return None, str(exc), caught
+            errors.append(str(exc))
+        try:
+            fringe = fit_fringe(fringe_scan(params, n_theta)).visibility
+        except ValueError as exc:
+            fringe = None
+            errors.append(str(exc))
+    return fringe, (errors or [None])[0], caught
 
 
 def _warning_texts(caught):
@@ -689,22 +704,33 @@ def test_sweep_fringe_cells_equal_the_per_point_route_bit_for_bit(r, a, phi, n_t
     assert _warning_texts(caught) == _warning_texts(want_warnings)
 
 
-@pytest.mark.parametrize("corrupt,message", [
+# post-selected integrals that each fringe check refuses, and its message
+_FRINGE_CORRUPTIONS = [
     (lambda v: v * [[1], [2], [1], [1]], "fringe rates came out complex"),
     (lambda v: v * [[1], [1e3], [1e3], [1]], "detection rate reached"),
     (lambda v: v * 0, "fitted fringe offset is not positive"),
-])
-def test_sweep_refuses_fringe_rows_as_the_per_point_route_does(monkeypatch, corrupt,
-                                                              message):
-    # corrupted integrals at |alpha0| > 1.5 only, so a block mixes refused
-    # and accepted rows; each refused row carries its own text
+    (lambda v: v * np.nan, "scan values must be finite"),
+]
+
+
+def _corrupted_integrals(corrupt):
+    """The post-selected integrals, corrupted by ``corrupt`` at |alpha0| > 1.5
+    only, so a block mixes refused and accepted rows."""
     integrals = experiment._post_selected_integrals
 
     def corrupted(alpha0, phi, r):
         vals = integrals(alpha0, phi, r)
         return np.where(np.abs(alpha0) > 1.5, corrupt(vals), vals)
 
-    monkeypatch.setattr(experiment, "_post_selected_integrals", corrupted)
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt,message", _FRINGE_CORRUPTIONS)
+def test_sweep_refuses_fringe_rows_as_the_per_point_route_does(monkeypatch, corrupt,
+                                                              message):
+    # each refused row carries its own text
+    monkeypatch.setattr(experiment, "_post_selected_integrals",
+                        _corrupted_integrals(corrupt))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = _records(sweep([0.2, 0.6], [1.0, 2.0, 3.0], [0.5, 1.3],
@@ -720,6 +746,132 @@ def test_sweep_refuses_fringe_rows_as_the_per_point_route_does(monkeypatch, corr
     assert [row["error"] is not None for row in rows] == [
         row["abs_alpha0"] > 1.5 for row in rows]
     assert all(row["error"].startswith(message) for row in rows if row["error"])
+
+
+def _cli_sweep(argv):
+    """Exit code, stdout and stderr of ``catvis`` at ``argv`` under Python's
+    default warning filter, which prints a (text, line) pair once a call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        warnings.showwarning = stock_showwarning
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _recorded_columns(sweep_columns, *args):
+    """The cells of ``sweep_columns(*args)`` as reprs, its errors and the
+    warnings it raises, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        *floats, error = sweep_columns(*args)
+    cells = [repr([None if e else v for v, e in zip(f.values.tolist(), f.empty.tolist())])
+             for f in floats]
+    return cells, error, _warning_texts(caught)
+
+
+def _refusing_kernel(kernel):
+    """``_brute_force_block``, refusing its points at |alpha0| > 1.5 as a
+    guard of the built states would: no sweep at default cutoffs reaches
+    those guards."""
+    def refusing(bs, alpha0, phi, na, nb):
+        return [TruncationError(f"refused at |alpha0| = {abs(a):.6g}") if abs(a) > 1.5
+                else v for a, v in zip(alpha0.tolist(), kernel(bs, alpha0, phi, na, nb))]
+
+    return refusing
+
+
+# invalid points (R = 1, phi NaN), a negative |alpha0| (a valid point here,
+# which the CLI refuses), points route 5 refuses (|alpha0| 38 past its start,
+# 200 past its amplitude cap, and its kernel's guards where ``refuse`` says),
+# integrals that route 4 refuses, and |alpha0| sin(phi) on both sides of
+# 1.8585, where |<+|->| crosses the warning threshold 1e-3 (the first two
+# values of the list are the last float that warns at phi = pi/2 and the
+# next one)
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    r=st.lists(st.one_of(st.floats(0.0, 0.99), st.sampled_from([0.1, 0.4, 1.0])),
+               min_size=1, max_size=3),
+    a=st.lists(st.one_of(st.floats(0.0, 4.0), st.sampled_from(
+        [1.8584610944249191, 1.8584610944249194, 1.8585, -2.0, 38.0, 200.0])),
+        min_size=1, max_size=4),
+    phi=st.lists(st.one_of(st.floats(-math.pi, math.pi),
+                           st.sampled_from([math.pi / 2, 1.5708, 1.0, math.nan])),
+                 min_size=1, max_size=3),
+    corrupt=st.sampled_from([None, *(c for c, _ in _FRINGE_CORRUPTIONS)]),
+    refuse=st.booleans(),
+    n_theta=st.sampled_from([8, 16, 21]),
+)
+@example(r=[0.1, 0.4], a=[0.3, 1.8585, 40.0, 200.0], phi=[1.0, 1.5708], corrupt=None,
+         refuse=False, n_theta=16)
+@example(r=[0.3], a=[1.8584610944249191, 1.8584610944249194, 38.0], phi=[math.pi / 2],
+         corrupt=None, refuse=False, n_theta=16)
+@example(r=[0.2, 1.0], a=[1.0, 2.0, 3.0], phi=[0.5, 1.3], corrupt=_FRINGE_CORRUPTIONS[2][0],
+         refuse=True, n_theta=16)
+def test_sweep_columns_match_the_per_row_reference(r, a, phi, corrupt, refuse, n_theta):
+    _assert_sweep_matches_reference(r, a, phi, corrupt, refuse, n_theta)
+
+
+def _assert_sweep_matches_reference(r, a, phi, corrupt=None, refuse=False, n_theta=16,
+                                    brute=True):
+    """``_sweep_columns`` with the fringe route, and the Fock route if
+    ``brute``, and ``catvis sweep`` over it, give what
+    ``sweep_columns_per_row`` gives, with the integrals corrupted by
+    ``corrupt`` and the kernel refusing past |alpha0| 1.5 when ``refuse``."""
+    integrals = (experiment._post_selected_integrals if corrupt is None
+                 else _corrupted_integrals(corrupt))
+    kernel = experiment._brute_force_block
+    argv = ["sweep", *(["--brute-force"] if brute else []), "--fringe",
+            f"--n-theta={n_theta}",
+            *(f"--{flag}-values={','.join(map(repr, values))}"
+              for flag, values in (("R", r), ("alpha0", a), ("phi", phi)))]
+    with mock.patch.object(experiment, "_post_selected_integrals", integrals), \
+            mock.patch.object(experiment, "_brute_force_block",
+                              _refusing_kernel(kernel) if refuse else kernel):
+        args = (r, a, phi, brute, True, n_theta)
+        assert _recorded_columns(experiment._sweep_columns, *args) \
+            == _recorded_columns(sweep_columns_per_row, *args)
+        got = _cli_sweep(argv)
+        with mock.patch.object(cli, "_sweep_columns", sweep_columns_per_row):
+            assert got == _cli_sweep(argv)
+
+
+@pytest.mark.parametrize("brute", [False, True])
+@pytest.mark.parametrize("stray", [False, True])
+@pytest.mark.parametrize("a", [2.0, 1e4, 1e5, 1e6, 1e7, 1e8])
+def test_sweep_overlap_warnings_near_the_threshold_match_the_reference(a, stray, brute,
+                                                                      monkeypatch):
+    # the exponent of |<+|->| cancels about |alpha0|^2 down to about -7 at the
+    # threshold, so there an array pass's value may stray from the scalar
+    # check's by about |alpha0|^2 eps, relative: the phis straddle the last
+    # phi the scalar check warns at, found by bisection, with rows spread
+    # over that band around it.  With ``stray`` the array overlaps come out
+    # lower by a quarter of the sweep's margin, as an array path that rounds
+    # differently might give them; no row may lose its warning.  Past
+    # |alpha0| 37.64 the Fock route refuses every row, which then replays
+    # its checks whatever the margin, so the fringe route runs alone too
+    eps = sys.float_info.epsilon
+
+    def warns(p):
+        return experiment._components_overlap(a, p)[1]
+
+    lo, hi = 0.0, math.asin(min(1.0, 2.0 * math.sqrt(math.log(1e3) / 2.0) / a))
+    assert warns(lo) and not warns(hi)
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if warns(mid) else (lo, mid)
+    band = 64.0 * eps * a * a
+    phis = [lo, hi, *(lo * (1.0 + t * band) for t in (-1.0, -0.1, 0.1, 1.0))]
+    overlap = experiment.coherent_overlap
+
+    def straying(alpha, beta):
+        out = overlap(alpha, beta)
+        return out * (1.0 - 16.0 * eps * (1.0 + np.abs(alpha) ** 2)) if np.ndim(out) else out
+
+    if stray:
+        monkeypatch.setattr(experiment, "coherent_overlap", straying)
+    _assert_sweep_matches_reference([0.3], [a], phis, brute=brute)
+
 
 def test_a_sweep_longer_than_a_block_gives_the_cells_of_one_point_sweeps():
     # invalid points between valid ones shift the blocks against the rows
