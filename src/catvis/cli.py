@@ -278,11 +278,10 @@ def _echo(cfg: RunConfig, **resolved) -> dict:
 # Floats print to 12 significant digits: as CSV ``"%.12g" % x``, as JSON the
 # repr of the float that text parses to, which is what ``json.dumps`` writes
 # after rounding.  _float_texts makes either by one ``%`` over a sequence: a
-# Q plane's points or one value.  Every other float (the cells of sweep,
-# visibility and fringe tables, and q) goes through _g12.g12_chars, which
-# makes the same text in NumPy and which only the writers import.  Every
-# table's rows are laid out by _table_rows as byte matrices, a chunk at a
-# time.
+# Q plane's points.  Every other float of a table goes through
+# _g12.g12_chars, which makes the same text in NumPy and which only the
+# writers import; a table's other cells are text.  _table_rows lays out
+# every table's rows as byte matrices, a chunk at a time.
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -309,26 +308,21 @@ def _float_texts(values, as_json: bool) -> list:
     return texts
 
 
-def _cell_text(v, as_json: bool) -> str:
-    """Text of one cell; other int and float types print as the built-in
-    value.  A JSON cell is a scalar: ``json.dumps`` encodes str subclasses
-    and raises TypeError on what JSON cannot hold."""
-    if isinstance(v, (float, np.floating)):
-        return _float_texts([v], as_json)[0]
-    if type(v) is not bool and isinstance(v, (int, np.integer)):
-        v = int(v)
-    if as_json:
-        return json.dumps(v)
-    if v is None or type(v) is bool:
-        return {None: "", True: "true", False: "false"}[v]
+def _cell_text(v) -> str:
+    """Text of a ``params:`` or comment value: a float to 12 digits, a bool
+    as ``true`` or ``false``, a tuple's items joined by commas."""
+    if isinstance(v, float):
+        return "%.12g" % v
+    if type(v) is bool:
+        return "true" if v else "false"
     if type(v) is tuple:
-        return ",".join([_cell_text(x, False) for x in v])
+        return ",".join(map(_cell_text, v))
     return str(v)
 
 
 def _pairs(record) -> str:
     """``key=value`` for each entry of ``record``, sorted; None is ``auto``."""
-    return " ".join(f"{k}={'auto' if v is None else _cell_text(v, False)}"
+    return " ".join(f"{k}={'auto' if v is None else _cell_text(v)}"
                     for k, v in sorted(record.items()))
 
 
@@ -338,11 +332,7 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
-    return obj
+    return float(f"{obj:.12g}") if isinstance(obj, float) else obj
 
 
 def _float_chars(x, as_json: bool) -> np.ndarray:
@@ -358,40 +348,15 @@ def _float_chars(x, as_json: bool) -> np.ndarray:
     return chars
 
 
-def _split_column(col) -> tuple:
-    """A column as ``(values, empty, others)``: a float64 array holding its
-    float cells, a bool array set where a cell is not a float (None where
-    none is), and those cells in order (None where they are all None)."""
-    if isinstance(col, np.ndarray):
-        return col, None, None
-    if isinstance(col, _Floats):
-        return col.values, col.empty, None
-    if not any(issubclass(k, (float, np.floating)) for k in set(map(type, col))):
-        return np.zeros(len(col)), np.ones(len(col), dtype=bool), list(col)
-    empty = [not isinstance(v, (float, np.floating)) for v in col]
-    return (np.array([0.0 if e else v for v, e in zip(col, empty)], dtype=float),
-            np.array(empty, dtype=bool), [v for v, e in zip(col, empty) if e])
-
-
-def _other_index(cells: list, texts: dict):
-    """Indices among ``texts`` (``(type, value)`` to index, grown as met) of
-    ``cells``, or one index where they are all one cell."""
-    if cells.count(cells[0]) == len(cells) and len(set(map(type, cells))) == 1:
-        return texts.setdefault((type(cells[0]), cells[0]), len(texts))
-    return np.array([texts.setdefault((type(v), v), len(texts)) for v in cells],
-                    dtype=np.intp)
-
-
 def _cell_bytes(v, as_json: bool, width: int) -> bytes:
-    """UTF-8 text of a cell that is not a float; as CSV, quoted as
+    """UTF-8 text of a text cell, a str or None (empty); as CSV, quoted as
     ``csv.writer`` quotes it in a row of ``width`` cells (it quotes a row's
     one empty cell, so a one-cell row of it writes ``""``)."""
-    text = _cell_text(v, as_json)
-    if not as_json:
-        out, row = io.StringIO(), [text] + [""] * (width > 1)
-        csv.writer(out, lineterminator="\n").writerow(row)
-        text = out.getvalue()[:-len(row)]  # less the row end: "\n" or ",\n"
-    return text.encode()
+    if as_json:
+        return json.dumps(v).encode()
+    out, row = io.StringIO(), [v] + [""] * (width > 1)
+    csv.writer(out, lineterminator="\n").writerow(row)
+    return out.getvalue()[:-len(row)].encode()  # less the row end: "\n" or ",\n"
 
 
 # maps the stand-in of a NUL inside a text back to NUL: no UTF-8 text holds 0xFF
@@ -399,43 +364,46 @@ _UNMASK_NUL = bytes(range(255)) + b"\0"
 
 
 def _cell_texts(columns, as_json: bool) -> tuple:
-    """``(n, texts)`` of a table's ``columns`` (see :func:`_emit`), as
-    :func:`_split_column` splits them: the row count, and the chunk function
-    of :func:`_table_rows`, one ``take`` from the texts of the distinct cells.
-    The floats are encoded by one ``g12_chars`` call over their distinct bit
-    patterns, the other cells once per distinct value, where a NUL inside a
-    text stands in as 0xFF (see ``_UNMASK_NUL``)."""
+    """``(n, texts)`` of a table's ``columns`` (see :func:`_emit`): the row
+    count, and the chunk function of :func:`_table_rows`, one ``take`` from
+    the texts of the distinct cells: the floats' by one ``g12_chars`` call
+    over their distinct bit patterns, the text cells' once per value, a NUL
+    inside a text standing in as 0xFF (see ``_UNMASK_NUL``)."""
     from ._g12 import _SMALL  # in the writers only (see _float_chars)
-    values, empties, others = zip(*map(_split_column, columns))
-    values = np.array(values, dtype=float)
-    float_cell = np.ones(values.shape, dtype=bool)
-    for j in [j for j, e in enumerate(empties) if e is not None]:
-        float_cell[j] = ~empties[j]
-    x = values[float_cell]
-    index = np.empty(values.shape, dtype=np.intp)  # of each cell's text
+    n = len(columns[0].values if isinstance(columns[0], _Floats) else columns[0])
+    values = np.zeros((len(columns), n))
+    text = np.zeros(values.shape, dtype=bool)  # where a cell is not a float
+    index = np.zeros(values.shape, dtype=np.intp)  # of each cell's text
+    texts = {None: 0}  # the text cells' values, to the index of their text
+    for j, col in enumerate(columns):
+        if isinstance(col, _Floats):
+            values[j], text[j] = col.values, col.empty
+        elif isinstance(col, np.ndarray):
+            values[j] = col
+        elif col and col.count(col[0]) == n:  # one text: sweep's error, mostly
+            text[j], index[j] = True, texts.setdefault(col[0], len(texts))
+        else:
+            text[j], index[j] = True, [texts.setdefault(v, len(texts)) for v in col]
+    x = values[~text]
     if x.size < _SMALL:  # g12_chars takes "%" for each: sorting gains nothing
-        index[float_cell] = np.arange(x.size)
+        index[~text] = np.arange(x.size)
     else:  # the distinct bit patterns, and which each cell has
-        x, index[float_cell] = np.unique(x.view(np.int64), return_inverse=True)
+        x, index[~text] = np.unique(x.view(np.int64), return_inverse=True)
         x = x.view(float)
-    texts = {}  # the other cells' (type, value), to the index of their text
-    if not float_cell.all():
-        index[~float_cell] = x.size + texts.setdefault((type(None), None), 0)
-    for j in [j for j, cells in enumerate(others) if cells]:
-        index[j, ~float_cell[j]] = x.size + _other_index(others[j], texts)
+    index[text] += x.size
     # the float texts, NULs dropped (each ends in a NUL, made "\n" to split
-    # on), then the other cells' texts
+    # on), then the text cells' texts
     chars = _float_chars(x, as_json)
     chars[:, -1] = ord("\n")
     parts = chars.tobytes().translate(None, b"\0").split(b"\n")[:-1]
     parts += [_cell_bytes(v, as_json, len(columns)).replace(b"\0", b"\xff")
-              for _, v in texts]
+              for v in texts]
     table = np.array(parts, dtype="S")
 
     def chunk(r0, c):
         cells = table.take(index[:, r0:r0 + c]).view(np.uint8)
         return list(cells.reshape(len(columns), c, -1))
-    return index.shape[1], chunk
+    return n, chunk
 
 
 def _q_columns(planes, values, as_json: bool) -> tuple:
@@ -525,9 +493,9 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
     """Write a table as CSV or JSON to ``cfg.output``, or to stdout, as it
     renders; call it once the table is computed, since it creates the file.
     ``columns`` holds one column per ``header`` entry, each a float64 array,
-    a :class:`_Floats` (None where ``empty``) or a sequence of cells; a Q
-    table passes ``grid=(planes, values)`` instead (see :func:`_q_columns`),
-    whose columns are each plane's re, im, then q."""
+    a :class:`_Floats` (empty where ``empty``) or a list of str or None
+    (empty); a Q table passes ``grid=(planes, values)`` instead (see
+    :func:`_q_columns`), whose columns are each plane's re, im, then q."""
     as_json = cfg.format == "json"
     n, texts = (_cell_texts(columns, as_json) if grid is None
                 else _q_columns(*grid, as_json))
@@ -607,7 +575,7 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
         normalization = float(values.sum()) * grid.cell
         header = (f"re_{name}", f"im_{name}", "q")
 
-    head = [f"normalization: {_cell_text(normalization, False)}"]
+    head = [f"normalization: {_cell_text(normalization)}"]
     diag = {"normalization": normalization, "points_per_axis": n}
     _emit(cfg, _echo(cfg, extent=extent, spacing=spacing), header,
           grid=(planes, values), head_comments=head, diagnostics=diag)
@@ -619,9 +587,7 @@ def _cmd_fringe(cfg: RunConfig) -> None:
     fit = fit_fringe(scan)
     header = ("theta", "rate")
     fit_fields = dataclasses.asdict(fit)
-    foot = [
-        "fit: " + " ".join(f"{k}={_cell_text(v, False)}" for k, v in fit_fields.items())
-    ]
+    foot = ["fit: " + " ".join(f"{k}={_cell_text(v)}" for k, v in fit_fields.items())]
     _emit(cfg, _echo(cfg), header, [scan.thetas, scan.rates], foot_comments=foot,
           diagnostics={"fit": fit_fields})
 

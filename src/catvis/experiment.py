@@ -615,8 +615,10 @@ def sweep(
     as its one-point function gives it, bit for bit, in row order.  A row
     that fails keeps its parameters and carries the first refusal in
     ``error``; a refusal of the Fock route leaves the fringe route's cell.
-    An ``n_theta`` below 8 raises ValueError when the fringe is asked for.
+    A negative |alpha0|, or an ``n_theta`` below 8 with the fringe, raises ValueError.
     """
+    if any(a < 0.0 for a in abs_alpha0_values):
+        raise ValueError("abs_alpha0_values are magnitudes and cannot be negative")
     *floats, error = _sweep_columns(r_values, abs_alpha0_values, phi_values,
                                     include_brute, include_fringe, n_theta)
     cells = [[None if e else v for v, e in zip(c.values.tolist(), c.empty.tolist())]

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catvis import CoverageWarning, OverlapWarning, __version__, phase_space
+from catvis import CoverageWarning, OverlapWarning, __version__, cli, phase_space
 from catvis.cli import main
 from helpers import child_env, stock_showwarning
 
@@ -296,6 +296,50 @@ class TestSweep:
                 if cell == "":
                     continue
                 assert f"{float(cell):.12g}" == cell
+
+
+def _column_kind(col) -> str:
+    """The kind of a column the table writer takes, or ``"other"``."""
+    if isinstance(col, cli._Floats):
+        floats = col.values.dtype == np.float64 and col.empty.dtype == bool
+        return "floats" if floats and col.values.shape == col.empty.shape else "other"
+    if isinstance(col, np.ndarray):
+        return "array" if col.dtype == np.float64 and col.ndim == 1 else "other"
+    if type(col) is list and all(v is None or type(v) is str for v in col):
+        return "text"
+    return "other"
+
+
+@pytest.mark.parametrize("argv,kinds", [
+    (["visibility"], "aaaaataaa"),
+    (["visibility", "--brute-force"], "aaaaaaaaa"),
+    (["fringe"], "aa"),
+    # R = 1 is invalid, and route 5 refuses |alpha0| 40: those rows carry an
+    # error text
+    (["sweep", "--R-values", "0.3,1", "--alpha0-values", "1,2"], "fffffffffft"),
+    (["sweep", "--brute-force", "--fringe", "--R-values", "0.1,0.4",
+      "--alpha0-values", "0.3,40", "--phi-values", "1"], "fffffffffft"),
+], ids=["visibility", "visibility-brute", "fringe", "sweep", "sweep-routes"])
+def test_commands_pass_the_writer_float_and_text_columns(argv, kinds, capsys,
+                                                         monkeypatch):
+    # the table writer takes float64 arrays, _Floats of float64 and lists of
+    # str or None, and nothing else
+    seen = []
+    cell_texts = cli._cell_texts
+
+    def recording(columns, as_json):
+        seen.append(columns)
+        return cell_texts(columns, as_json)
+
+    monkeypatch.setattr(cli, "_cell_texts", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    (columns,) = seen
+    assert "".join(_column_kind(c)[0] for c in columns) == kinds
+    if argv[0] == "sweep":
+        assert any(v is not None for v in columns[-1])
 
 
 class TestWarningRendering:

@@ -2,10 +2,11 @@
 
 Every table is written as byte matrices, a chunk of rows at a time: the
 floats by a NumPy digit kernel (a sweep's once per distinct bit pattern,
-other cells once per distinct value; a Q table's plane points once per
-grid).  These tests hold the text byte for byte to the original
-``csv.writer`` + per-cell formatting and ``json.dumps`` of rounded dicts,
-and the kernel to ``"%.12g" %``.
+text cells once per distinct value; a Q table's plane points once per
+grid).  A column is a float64 array, a ``_Floats`` or a list of str or
+None, as the CLI passes them.  These tests hold the text byte for byte to
+the original ``csv.writer`` + per-cell formatting and ``json.dumps`` of
+rounded dicts, and the kernel to ``"%.12g" %``.
 """
 
 import io
@@ -29,13 +30,13 @@ import helpers
 HEADER = ("R", "nu", "count", "flag", "error", "abs_alpha0", "Zeta", "été",
           "50%", "{x}")
 
-CELLS = [
-    None, True, False, 0, -7, 12345678901234567890, np.int64(42), np.int32(-3),
-    0.1, 2.0 / 3.0, np.float64(1.0 / 7.0), np.float32(0.1), -0.0, 0.0, 1e-300,
-    1e20, 1234567890123.0, float("nan"), float("inf"), float("-inf"),
+FLOAT_CELLS = [
+    0.1, 2.0 / 3.0, np.float64(1.0 / 7.0), -0.0, 0.0, 1e-300, 5e-324, 1e20,
+    1234567890123.0, float("nan"), float("inf"), float("-inf"),
     np.float64("nan"), np.float64("-inf"),
-    "a,b", 'say "hi"', "café ✓", "", "line\nbreak", "back\\slash",
 ]
+TEXT_CELLS = [None, "a,b", 'say "hi"', "café ✓", "", "line\nbreak", "back\\slash"]
+CELLS = FLOAT_CELLS + TEXT_CELLS
 
 ECHO = {
     "R_values": (0.05, 0.1, 1.0 / 3.0),
@@ -47,21 +48,53 @@ ECHO = {
 }
 
 
+# per column of HEADER: a float array, floats with empty cells, or text
+KINDS = "aft" * 3 + "a"
+
+
 def _rows():
-    """Every cell value in every column, shifted by one per row."""
-    width = len(HEADER)
+    """Every cell of its column's kind in every column, shifted by one per
+    row."""
+    pools = {"a": FLOAT_CELLS, "f": FLOAT_CELLS + [None], "t": TEXT_CELLS}
     return [
-        tuple(CELLS[(i + j) % len(CELLS)] for j in range(width))
+        tuple(pools[k][(i + j) % len(pools[k])] for j, k in enumerate(KINDS))
         for i in range(len(CELLS))
     ]
 
 
-def _pair(fmt, header, rows=(), grid=None, ref_rows=None, columns=None, **kw):
+def _kinds(rows) -> str:
+    """Each column's kind: ``a`` where every cell is a float, ``f`` where
+    some are, else ``t``."""
+    kinds = ""
+    for cells in zip(*rows):
+        floats = [isinstance(v, float) for v in cells]
+        kinds += "a" if all(floats) else "f" if any(floats) else "t"
+    return kinds
+
+
+def _columns(rows, kinds):
+    """The columns of ``rows`` as the CLI passes them, one per letter of
+    ``kinds``: ``a`` a float64 array, ``f`` a :class:`_Floats` (empty where
+    None), ``t`` a list of str or None."""
+    columns = []
+    for cells, kind in zip([list(c) for c in zip(*rows)] or [[]] * len(kinds), kinds):
+        if kind == "t":
+            columns.append(cells)
+            continue
+        values = np.array([0.0 if v is None else v for v in cells], dtype=float)
+        empty = np.array([v is None for v in cells], dtype=bool)
+        columns.append(values if kind == "a" else _Floats(values, empty))
+    return columns
+
+
+def _pair(fmt, header, rows=(), grid=None, ref_rows=None, columns=None, kinds=None,
+          **kw):
     """(new emitter text, reference text) for one table; the emitter takes
-    ``columns``, by default the columns of ``rows``."""
+    ``columns``, by default ``rows`` as columns of ``kinds`` (by default
+    :func:`_kinds` of ``rows``)."""
     cfg = RunConfig(subcommand="sweep", format=fmt)
     if columns is None:
-        columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
+        columns = _columns(rows, _kinds(rows) if kinds is None else kinds)
     buf = io.StringIO()
     with redirect_stdout(buf):
         _emit(cfg, ECHO, header, columns, grid=grid, **kw)
@@ -102,19 +135,20 @@ def test_hand_built_rows_match_reference(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_single_row_of_each_cell(fmt):
     for cell in CELLS:
-        got, want = _pair(fmt, ("value",), [(cell,)])
-        assert got == want, repr(cell)
+        for kind in ["t", "f"] if cell is None else [None]:
+            got, want = _pair(fmt, ("value",), [(cell,)], kinds=kind)
+            assert got == want, (repr(cell), kind)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_empty_row_list(fmt):
-    got, want = _pair(fmt, HEADER, [])
+    got, want = _pair(fmt, HEADER, [], kinds=KINDS)
     assert got == want
 
 
 def test_json_nonfinite_spelling():
     got, _ = _pair("json", ("v",), [(float("nan"),), (float("inf"),),
-                                    (float("-inf"),)])
+                                    (float("-inf"),)], kinds="a")
     assert '"v": NaN' in got
     assert '"v": Infinity' in got
     assert '"v": -Infinity' in got
@@ -175,51 +209,49 @@ def test_float_texts_on_random_bit_patterns():
     assert _float_texts(values, True) == [_json_text(x) for x in values.tolist()]
 
 
-_CELLS = st.one_of(
-    _FLOATS,
-    _FLOATS.map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
-)
+# the cells of each column kind (see _columns)
+_KIND_CELLS = {
+    "a": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "f": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.none()),
+    "t": st.one_of(st.none(), st.text(max_size=6)),
+}
 
 
 @st.composite
 def _tables(draw):
-    """A header and rows whose columns repeat a few values each, drawn from
-    built-in floats only or from every cell type, column by column."""
+    """A header, the kinds of its columns and rows whose columns repeat a
+    few values each of their kind."""
     width = draw(st.integers(1, 5))
     n_rows = draw(st.integers(0, 25))
     header = tuple(draw(st.lists(st.text(min_size=1, max_size=5),
                                  min_size=width, max_size=width, unique=True)))
+    kinds = "".join(draw(st.lists(st.sampled_from("aft"), min_size=width,
+                                  max_size=width)))
     columns = []
-    for _ in range(width):
-        pool = draw(st.lists(draw(st.sampled_from([_FLOATS, _CELLS])),
-                             min_size=1, max_size=6))
+    for kind in kinds:
+        pool = draw(st.lists(_KIND_CELLS[kind], min_size=1, max_size=6))
         columns.append(draw(st.lists(st.sampled_from(pool),
                                      min_size=n_rows, max_size=n_rows)))
-    return header, list(zip(*columns))
+    return header, kinds, list(zip(*columns))
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
 def test_generated_tables_match_reference(table, fmt):
-    header, rows = table
-    got, want = _pair(fmt, header, rows, diagnostics={"n_rows": len(rows)})
+    header, kinds, rows = table
+    got, want = _pair(fmt, header, rows, kinds=kinds,
+                      diagnostics={"n_rows": len(rows)})
     assert got == want
 
 
-# columns whose cells compare equal, or nearly, but print differently: a
-# column counts as one repeated cell only when its cells share type and bits
+# columns whose cells compare equal, or nearly, but print differently:
+# float cells share a text only when they share bits
 _LOOKALIKES = [
-    (True, 1, 1.0),
-    (1, True, True),
-    (1.0, 1, True, 1.0),
     (0.0, -0.0),
     (-0.0, 0.0, -0.0),
-    (np.float32(0.1), 0.1),
     (0.1, np.float64(0.1)),
-    (np.int64(1), 1, True),
-    ("1", 1),
+    ("1", "1.0"),
+    (None, "", None),
     (None, None, None),
     (math.nan, -math.nan, math.nan),
 ]
@@ -228,7 +260,7 @@ _LOOKALIKES = [
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("column", _LOOKALIKES, ids=repr)
 def test_lookalike_cells_keep_their_own_text(column, fmt):
-    rows = [(v, v, len(column) - i) for i, v in enumerate(column)]
+    rows = [(v, v, float(len(column) - i)) for i, v in enumerate(column)]
     got, want = _pair(fmt, ("a", "b", "n"), rows)
     assert got == want
 
@@ -243,16 +275,18 @@ def test_one_row_of_lookalikes(fmt):
 
 def _long_rows(n):
     """``n`` rows: a float column with repeats, signed zeros and NaN, a
-    float column of distinct values, and a column of mixed cells."""
+    float column of distinct values, a float column with empty cells and a
+    text column."""
     repeat = [0.0, -0.0, 0.5, math.nan, 1e16, -math.inf]
-    mixed = [None, 1.0, "x,y", np.float64(-0.0), 3, True]
-    return [(repeat[i % 6], i / 7.0, mixed[i % 6]) for i in range(n)]
+    empties = [None, 1.0, np.float64(-0.0), None, 3.0, 5e-324]
+    text = [None, "x,y", 'say "hi"', "", None, "café"]
+    return [(repeat[i % 6], i / 7.0, empties[i % 6], text[i % 6]) for i in range(n)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", [0, 1023, 1024, 1025, 2049])
 def test_rows_across_block_boundaries(n, fmt):
-    got, want = _pair(fmt, ("a", "b", "c"), _long_rows(n))
+    got, want = _pair(fmt, ("a", "b", "c", "d"), _long_rows(n), kinds="aaft")
     assert_same_text(got, want)
 
 

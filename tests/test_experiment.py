@@ -627,6 +627,10 @@ class TestSweepValidation:
         with pytest.raises(ValueError) as exc:
             ExperimentParams(alpha0=a, phi=phi, r=r)
         assert str(exc.value) == message
+        if a < 0.0:  # a label of phase pi; a sweep takes magnitudes only
+            with pytest.raises(ValueError, match="cannot be negative"):
+                sweep([r], [a], [phi], include_brute=True, include_fringe=True)
+            return
         (row,) = _records(sweep([r], [a], [phi], include_brute=True,
                                 include_fringe=True))
         assert row["error"] == message
@@ -892,6 +896,22 @@ def test_sweep_refuses_a_fringe_too_coarse_to_resolve():
     with pytest.raises(ValueError, match="n_theta must be at least 8"):
         sweep([0.3], [2.0], [1.0], include_fringe=True, n_theta=7)
     assert sweep([0.3], [2.0], [1.0], n_theta=7)[0][-1] is None
+
+
+@pytest.mark.parametrize("a", [-2.0, -5e-324, -math.inf])
+def test_sweep_refuses_a_negative_magnitude(a, monkeypatch):
+    # as the CLI refuses --alpha0-values; the point would run as |alpha0|.
+    # The refusal comes before any row is computed.
+    monkeypatch.setattr(experiment, "_sweep_columns", None)
+    with pytest.raises(ValueError, match="magnitudes and cannot be negative"):
+        sweep([0.3], [1.0, a], [1.0], include_brute=True, include_fringe=True)
+
+
+def test_sweep_takes_nan_and_negative_zero_magnitudes():
+    nan_row, zero_row = sweep([0.3], [math.nan, -0.0], [1.0])
+    assert nan_row[1] != nan_row[1] and nan_row[-1] == "alpha0 must be finite"
+    assert repr(zero_row[1]) == "-0.0" and zero_row[-1] is None
+    assert zero_row[3] == 1.0
 
 
 # ROADMAP item 1's domain at default settings: every route inside its
