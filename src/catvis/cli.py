@@ -103,6 +103,8 @@ class RunConfig:
             raise ValueError("alpha0-values are magnitudes and cannot be negative")
         if self.n_theta < 8:
             raise ValueError("n-theta must be at least 8")
+        if self.n_theta > _MAX_ROWS:
+            raise ValueError(f"n-theta must be at most {_MAX_ROWS}")
 
     def to_params(self) -> ExperimentParams:
         label = self.alpha0 * complex(math.cos(self.alpha0_phase),
@@ -499,15 +501,8 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
     as_json = cfg.format == "json"
     n, texts = (_cell_texts(columns, as_json) if grid is None
                 else _q_columns(*grid, as_json))
-    if cfg.output is None:
-        out = contextlib.nullcontext(sys.stdout)
-    else:
-        try:
-            out = open(cfg.output, "w", newline="")
-        except OSError as exc:
-            raise ValueError(
-                f"cannot write output file {cfg.output!r}: {exc.strerror}"
-            ) from None
+    out = (contextlib.nullcontext(sys.stdout) if cfg.output is None
+           else open(cfg.output, "w", newline=""))
     with out as fh:
         if as_json:
             _to_json(fh, cfg, echo, header, n, texts, diagnostics or {})
@@ -518,6 +513,12 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _check_rows(n_rows: int, advice: str) -> None:
+    """Refuse a grid of more than ``_MAX_ROWS`` rows before it is built."""
+    if n_rows > _MAX_ROWS:
+        raise ValueError(f"grid would emit {n_rows} rows (cap {_MAX_ROWS}); {advice}")
 
 
 def _cmd_visibility(cfg: RunConfig) -> None:
@@ -540,12 +541,7 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
     spacing = cfg.spacing if cfg.spacing is not None else (0.5 if full else 0.1)
     grid = QGrid(extent=extent, spacing=spacing)
     n = grid.points_per_axis
-    n_rows = n**4 if full else n**2
-    if n_rows > _MAX_ROWS:
-        raise ValueError(
-            f"grid would emit {n_rows} rows (cap {_MAX_ROWS}); "
-            "widen --spacing or shrink --extent"
-        )
+    _check_rows(n**4 if full else n**2, "widen --spacing or shrink --extent")
     terms = initial_cat_terms(params.alpha0, params.phi)
     if cfg.stage == "after-bs":
         bs = params.beam_splitter
@@ -593,6 +589,8 @@ def _cmd_fringe(cfg: RunConfig) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig) -> None:
+    _check_rows(len(cfg.r_values) * len(cfg.alpha0_values) * len(cfg.phi_values),
+                "shorten --R-values, --alpha0-values or --phi-values")
     columns = _sweep_columns(cfg.r_values, cfg.alpha0_values, cfg.phi_values,
                              cfg.brute_force, cfg.include_fringe, cfg.n_theta)
     _emit(cfg, _echo(cfg), _SWEEP_KEYS, columns,
@@ -673,6 +671,16 @@ def main(argv=None) -> int:
         # a reader closed stdout early: per the SIGPIPE note in Python's
         # ``signal`` docs, stdout goes to devnull so the exit flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # the output could not be opened or written (a full disk, say)
+        if cfg.output is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            target = "to stdout"
+        else:
+            target = f"output file {cfg.output!r}"
+        print(f"catvis: error: cannot write {target}: {exc.strerror}",
+              file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = formatwarning

@@ -105,14 +105,6 @@ class ExperimentParams:
         return BeamSplitter(self.r)
 
     @property
-    def component_plus(self) -> complex:
-        return _cat_components(self.alpha0, self.phi)[0]
-
-    @property
-    def component_minus(self) -> complex:
-        return _cat_components(self.alpha0, self.phi)[1]
-
-    @property
     def resolved_cutoff_a(self) -> int:
         if self.cutoff_a is not None:
             return self.cutoff_a

@@ -18,15 +18,12 @@ integrates to ``Tr(rho)`` with the plain Lebesgue measure ``d^2alpha' d^2beta'``
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fock import _cat_components, cat_norm_constant, coherent_overlap
 from .operators import BeamSplitter, bs_label_pair_map
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
-    from .experiment import ExperimentParams
 
 __all__ = [
     "CoverageWarning",
@@ -34,17 +31,11 @@ __all__ = [
     "QGrid",
     "initial_cat_terms",
     "beam_split_term",
-    "post_selected_terms",
     "q_full",
     "q_marginal",
     "integrate_q_term",
     "visibility_closed_form",
 ]
-
-PhaseTag = tuple[str, str]
-
-_SIGNS = {"+": 1.0, "-": -1.0}
-
 
 class CoverageWarning(UserWarning):
     """The integration grid does not comfortably contain the integrand."""
@@ -54,9 +45,7 @@ class CoverageWarning(UserWarning):
 class BranchTerm:
     """One weighted coherent outer product ``weight |ket_a, ket_b><bra_a, bra_b|``.
 
-    ``phase_tag`` records which cat component each side descends from, which
-    is what the post-selection step dispatches on.  A term equal to its own
-    adjoint (labels mirrored, weight real) is diagonal.
+    A term equal to its own adjoint (labels mirrored, weight real) is diagonal.
     """
 
     weight: complex
@@ -64,15 +53,10 @@ class BranchTerm:
     ket_b: complex
     bra_a: complex
     bra_b: complex
-    phase_tag: PhaseTag = ("+", "+")
 
     def __post_init__(self) -> None:
         for name in ("weight", "ket_a", "ket_b", "bra_a", "bra_b"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        tag = tuple(self.phase_tag)
-        if len(tag) != 2 or any(s not in _SIGNS for s in tag):
-            raise ValueError("phase_tag entries must be '+' or '-'")
-        object.__setattr__(self, "phase_tag", tag)
 
     def adjoint(self) -> "BranchTerm":
         return BranchTerm(
@@ -81,7 +65,6 @@ class BranchTerm:
             ket_b=self.bra_b,
             bra_a=self.ket_a,
             bra_b=self.ket_b,
-            phase_tag=(self.phase_tag[1], self.phase_tag[0]),
         )
 
 
@@ -151,9 +134,9 @@ def initial_cat_terms(alpha0: complex, phi: float) -> list[BranchTerm]:
     Order is (+,+), (+,-), (-,+), (-,-) by (ket side, bra side) component.
     """
     cn2 = cat_norm_constant(alpha0, phi) ** 2
-    comp = dict(zip("+-", _cat_components(alpha0, phi)))
-    return [BranchTerm(weight=cn2, ket_a=comp[sk], ket_b=0j, bra_a=comp[sb],
-                       bra_b=0j, phase_tag=(sk, sb)) for sk in "+-" for sb in "+-"]
+    comps = _cat_components(alpha0, phi)
+    return [BranchTerm(weight=cn2, ket_a=ket, ket_b=0j, bra_a=bra, bra_b=0j)
+            for ket in comps for bra in comps]
 
 
 def beam_split_term(term: BranchTerm, bs: BeamSplitter) -> BranchTerm:
@@ -161,41 +144,6 @@ def beam_split_term(term: BranchTerm, bs: BeamSplitter) -> BranchTerm:
     ket_a, ket_b = bs_label_pair_map(bs, term.ket_a, term.ket_b)
     bra_a, bra_b = bs_label_pair_map(bs, term.bra_a, term.bra_b)
     return replace(term, ket_a=ket_a, ket_b=ket_b, bra_a=bra_a, bra_b=bra_b)
-
-
-def _postselect_term(term: BranchTerm, theta: float, phi: float) -> BranchTerm:
-    """Keep the interferometer branch whose Kerr phase cancels each side's tag.
-
-    The ket side descending from the ``s`` component picks the ``e^{-i s phi n}``
-    branch (A-mode label rotates by ``-s phi``); the branch with the ``+phi``
-    Kerr writing carries the extra ``e^{i theta}``.  Applied to both sides of
-    the outer product, so the bra side contributes the conjugate factor.
-    """
-    sk, sb = term.phase_tag
-    weight = term.weight
-    if sk == "-":
-        weight = weight * np.exp(1j * theta)
-    if sb == "-":
-        weight = weight * np.exp(-1j * theta)
-    rot_k = np.exp(-1j * _SIGNS[sk] * phi)
-    rot_b = np.exp(-1j * _SIGNS[sb] * phi)
-    return replace(
-        term,
-        weight=weight,
-        ket_a=rot_k * term.ket_a,
-        bra_a=rot_b * term.bra_a,
-    )
-
-
-def post_selected_terms(params: "ExperimentParams") -> list[BranchTerm]:
-    """Initial cat terms, through the splitter, post-selected at readout
-    phase theta = 0 (any other theta only rephases the off-diagonal terms,
-    see :func:`_postselect_term`)."""
-    bs = params.beam_splitter
-    return [
-        _postselect_term(beam_split_term(t, bs), 0.0, params.phi)
-        for t in initial_cat_terms(params.alpha0, params.phi)
-    ]
 
 
 def _plane_profile(z: np.ndarray, ket: complex, bra: complex) -> np.ndarray:
@@ -378,11 +326,15 @@ def _integrate_terms(weight, kets, bras, centers, offsets: np.ndarray, cell: flo
 
 def _post_selected_planes(alpha0, phi, r):
     """``(kets, bras, centers)``, each ``(2, 4, P)`` (plane, term, point), of
-    the post-selected terms (+,+), (+,-), (-,+), (-,-) at the points of the
-    1-D arrays.  A side descending from ``u_s = e^{i s phi} alpha0`` has A
-    label ``t u_s e^{-i s phi}`` (splitter, then readout rotation) and B label
-    ``i r u_s``, as in :func:`post_selected_terms`; each plane is centred
-    midway between its labels, where :meth:`QGrid.for_term` places it."""
+    the cat terms (+,+), (+,-), (-,+), (-,-) through the splitter and
+    post-selected at readout phase theta = 0, at the points of the 1-D
+    arrays.  Post-selection keeps, on a side descending from
+    ``u_s = e^{i s phi} alpha0``, the branch whose readout rotation
+    ``e^{-i s phi}`` cancels the component phase: its A label is
+    ``t u_s e^{-i s phi}`` and its B label ``i r u_s``.  Any other theta
+    only multiplies the (+,-) term by ``e^{-i theta}`` and the (-,+) term by
+    ``e^{i theta}``.  Each plane is centred midway between its labels, where
+    :meth:`QGrid.for_term` places it."""
     comps = np.stack(_cat_components(alpha0, phi))
     rot = np.exp(-1j * np.array([[1.0], [-1.0]]) * phi)
     by_sign = np.stack([rot * (np.sqrt(1.0 - r * r) * comps), 1j * r * comps])

@@ -6,6 +6,7 @@ exponentials), so agreement is evidence rather than restatement.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,10 @@ import numpy as np
 import scipy.linalg
 
 import catvis
-from catvis import BranchTerm, TwoModeState, bs_label_pair_map, coherent_overlap
+from catvis import (
+    BranchTerm, TwoModeState, beam_split_term, bs_label_pair_map, coherent_overlap,
+    initial_cat_terms,
+)
 
 
 def child_env() -> dict:
@@ -36,12 +40,9 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
-def coherent_product_term(alpha, beta=0j, weight=1.0, phase_tag=("+", "+")):
+def coherent_product_term(alpha, beta=0j, weight=1.0):
     """Diagonal term for the pure product ``|alpha, beta><alpha, beta|``."""
-    return BranchTerm(
-        weight=weight, ket_a=alpha, ket_b=beta, bra_a=alpha, bra_b=beta,
-        phase_tag=phase_tag,
-    )
+    return BranchTerm(weight=weight, ket_a=alpha, ket_b=beta, bra_a=alpha, bra_b=beta)
 
 
 def coherent_amplitudes_direct(alpha, cutoff: int) -> np.ndarray:
@@ -312,6 +313,53 @@ def integrate_q_term_2d(term, grid=None):
 
 
 # ---------------------------------------------------------------------------
+# reference post-selection: the object track, one BranchTerm at a time, which
+# the library's array labels (phase_space._post_selected_planes) are held to
+
+# (ket side, bra side) cat component of each of initial_cat_terms' terms
+CAT_TAGS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
+# position of the interference term (+,-) in that order
+CROSS = CAT_TAGS.index(("+", "-"))
+_SIGNS = {"+": 1.0, "-": -1.0}
+
+
+def postselect_term(term: BranchTerm, tag, theta: float, phi: float) -> BranchTerm:
+    """Keep the interferometer branch whose Kerr phase cancels each side's
+    component, ``tag`` = (ket side, bra side).
+
+    The ket side descending from the ``s`` component picks the ``e^{-i s phi n}``
+    branch (A-mode label rotates by ``-s phi``); the branch with the ``+phi``
+    Kerr writing carries the extra ``e^{i theta}``.  Applied to both sides of
+    the outer product, so the bra side contributes the conjugate factor.
+    """
+    sk, sb = tag
+    weight = term.weight
+    if sk == "-":
+        weight = weight * np.exp(1j * theta)
+    if sb == "-":
+        weight = weight * np.exp(-1j * theta)
+    rot_k = np.exp(-1j * _SIGNS[sk] * phi)
+    rot_b = np.exp(-1j * _SIGNS[sb] * phi)
+    return dataclasses.replace(
+        term,
+        weight=weight,
+        ket_a=rot_k * term.ket_a,
+        bra_a=rot_b * term.bra_a,
+    )
+
+
+def post_selected_terms(params: "ExperimentParams") -> list:
+    """Initial cat terms, through the splitter, post-selected at readout
+    phase theta = 0 (any other theta only rephases the off-diagonal terms,
+    see :func:`postselect_term`), in :data:`CAT_TAGS` order."""
+    bs = params.beam_splitter
+    return [
+        postselect_term(beam_split_term(t, bs), tag, 0.0, params.phi)
+        for t, tag in zip(initial_cat_terms(params.alpha0, params.phi), CAT_TAGS)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # derivation route for one term's pointwise Q: the branch amplitudes f+ and
 # f- of the analytic derivation, whose products give each post-selected
 # term's Q
@@ -350,18 +398,18 @@ def f_minus(alpha_p, beta_p, params: "ExperimentParams"):
 # The 2-D Gaussian integrals of the three factors give
 # w exp(-r^2 |alpha0|^2 (1 - e^{2 i phi})), whose magnitude over c^2 is the
 # closed-form visibility (catvis.visibility_closed_form).
-def q_term(term: BranchTerm, alpha_p, beta_p, params: "ExperimentParams"):
+def q_term(term: BranchTerm, tag, alpha_p, beta_p, params: "ExperimentParams"):
     """Q of one post-selected pipeline term via the branch amplitudes.
 
-    Dispatches on ``phase_tag``: the (s_ket, s_bra) term evaluates to
-    ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
+    Dispatches on ``tag`` (see :data:`CAT_TAGS`): the (s_ket, s_bra) term
+    evaluates to ``(w/pi^2) f_{s_ket} conj(f_{s_bra})``, so diagonal tags give
     ``(w/pi^2) |f|^2`` with no theta factor and (+,-) gives
     ``(c^2 e^{-i theta}/pi^2) f_plus conj(f_minus)`` (the weight carries
     ``c^2 e^{-i theta}``).  Agrees pointwise with the term's share of
     :func:`catvis.q_full`, its weight over ``pi^2`` times its two plane
     profiles; this route exists because it mirrors the analytic derivation.
     """
-    sk, sb = term.phase_tag
+    sk, sb = tag
     fk = f_plus(alpha_p, beta_p, params) if sk == "+" else f_minus(alpha_p, beta_p, params)
     fb = f_plus(alpha_p, beta_p, params) if sb == "+" else f_minus(alpha_p, beta_p, params)
     return (term.weight / np.pi**2) * fk * np.conjugate(fb)

@@ -30,13 +30,18 @@ from catvis import (
     fringe_scan,
     initial_cat_terms,
     integrate_q_term,
-    post_selected_terms,
     q_full,
     visibility_closed_form,
 )
 from catvis.cli import RunConfig, _COMMANDS, main
 
-from helpers import coherent_product_term, phase_shift_fock_a, random_mode
+from helpers import (
+    CROSS,
+    coherent_product_term,
+    phase_shift_fock_a,
+    post_selected_terms,
+    random_mode,
+)
 
 R_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
 ALPHA0_GRID = (0.5, 1.0, 2.0, 3.0)
@@ -85,10 +90,7 @@ def test_acceptance_2_interference_integral_route():
                 for a0 in (0.5, 1.0, 2.0):
                     for phi in PHI_GRID:
                         params = ExperimentParams(alpha0=a0, phi=phi, r=r)
-                        cross = next(
-                            t for t in post_selected_terms(params)
-                            if t.phase_tag == ("+", "-")
-                        )
+                        cross = post_selected_terms(params)[CROSS]
                         got = abs(integrate_q_term(cross))
                         got /= cat_norm_constant(params.alpha0, params.phi) ** 2
                         want = visibility_closed_form(r, a0, phi)

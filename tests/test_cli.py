@@ -240,8 +240,42 @@ class TestFringe:
         fit = doc["diagnostics"]["fit"]
         assert fit["visibility"] == pytest.approx(math.exp(-2 * 0.04 * 9.0), abs=2e-4)
 
+    @pytest.mark.parametrize("argv", [["fringe"], ["sweep", "--fringe"]])
+    def test_theta_count_past_the_row_cap_is_one_error_line(self, argv, capsys):
+        code, out, err = run_cli([*argv, "--n-theta", "1000000000000"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "catvis: error: n-theta must be at most 500000\n"
+
+    def test_theta_count_at_the_row_cap_is_accepted(self):
+        assert cli.RunConfig("fringe", n_theta=cli._MAX_ROWS).n_theta == 500_000
+        with pytest.raises(ValueError, match="^n-theta must be at most 500000$"):
+            cli.RunConfig("fringe", n_theta=cli._MAX_ROWS + 1)
+
 
 class TestSweep:
+    def test_row_cap_refuses_before_building_the_grid(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the sweep was built")
+
+        monkeypatch.setattr(cli, "_sweep_columns", unreachable)
+        many = ",".join(f"{0.0001 * i:.4f}" for i in range(10_000))
+        code, out, err = run_cli(["sweep", "--R-values", many, "--alpha0-values",
+                                  many, "--phi-values", many], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "catvis: error: grid would emit 1000000000000 rows (cap 500000); "
+            "shorten --R-values, --alpha0-values or --phi-values\n")
+
+    def test_row_cap_admits_a_grid_at_the_cap(self, capsys, monkeypatch):
+        def reached(*args):
+            raise ValueError("reached the sweep")
+
+        monkeypatch.setattr(cli, "_sweep_columns", reached)
+        lists = [",".join(["0.1"] * n) for n in (100, 50, 100)]
+        code, _, err = run_cli(["sweep", "--R-values", lists[0], "--alpha0-values",
+                                lists[1], "--phi-values", lists[2]], capsys)
+        assert (code, err) == (1, "catvis: error: reached the sweep\n")
+
     def test_default_grid_size(self, capsys):
         code, out, _ = run_cli(["sweep"], capsys)
         assert code == 0
@@ -977,6 +1011,22 @@ class TestSubprocess:
         assert [c[0] for c in alone] == [0, 2, 0, 0, 0]
         assert "catvis: warning: cat components overlap" in alone[3][2]
         assert got == alone * 2
+
+    @pytest.mark.skipif(not pathlib.Path("/dev/full").exists(),
+                        reason="no /dev/full device to fill")
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_full_device_is_one_error_line(self, to_file):
+        argv = [sys.executable, "-m", "catvis", "visibility"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                argv + (["--output", "/dev/full"] if to_file else []),
+                stdout=subprocess.DEVNULL if to_file else full,
+                stderr=subprocess.PIPE, text=True, env=child_env(),
+            )
+        target = "output file '/dev/full'" if to_file else "to stdout"
+        assert proc.stderr == (f"catvis: error: cannot write {target}: "
+                               "No space left on device\n")
+        assert proc.returncode == 1
 
     def test_module_entry_point_version(self):
         proc = subprocess.run(

@@ -31,7 +31,6 @@ from catvis import (
     fock_brute_force_visibility,
     fringe_scan,
     integrate_q_term,
-    post_selected_terms,
     q_integral_visibility,
     sweep,
     visibility_closed_form,
@@ -41,7 +40,7 @@ from catvis.cli import main
 from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import _coherent_rows, default_cutoff
 from catvis.operators import BeamSplitter, _split_rows
-from helpers import stock_showwarning, sweep_columns_per_row
+from helpers import post_selected_terms, stock_showwarning, sweep_columns_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,8 +49,6 @@ class TestExperimentParams:
     def test_derived_quantities(self):
         params = ExperimentParams(alpha0=2.0, phi=0.7, r=0.6)
         assert params.beam_splitter.t == pytest.approx(0.8)
-        assert params.component_plus == pytest.approx(2.0 * np.exp(0.7j))
-        assert params.component_minus == pytest.approx(2.0 * np.exp(-0.7j))
 
     def test_default_cutoffs_track_the_split_amplitudes(self):
         params = ExperimentParams(alpha0=3.0, phi=0.5, r=0.5)
@@ -336,7 +333,8 @@ class TestBruteForce:
         # at cutoff_b 12 each branch leaks 8.3e-10, above the one leakage
         # threshold 1e-10; the splitter's refusal reaches the caller as is
         params = ExperimentParams(alpha0=2.0, phi=np.pi / 4, r=0.5, cutoff_b=12)
-        mode = coherent_fock(params.component_plus, cutoff=params.resolved_cutoff_a)
+        mode = coherent_fock(np.exp(1j * params.phi) * params.alpha0,
+                             cutoff=params.resolved_cutoff_a)
         message = (r"^splitter propagation leaked 8\.316e-10 probability at "
                    r"cutoffs \(30, 12\); retry with cutoff_b >= 13$")
         with pytest.raises(TruncationError, match=message):

@@ -21,7 +21,6 @@ from catvis import (
     contrast_report,
     initial_cat_terms,
     integrate_q_term,
-    post_selected_terms,
     q_full,
     q_marginal,
     visibility_closed_form,
@@ -32,10 +31,18 @@ from catvis.phase_space import (
     _plane_edge_ratio,
     _plane_profile,
     _post_selected_planes,
-    _postselect_term,
 )
 
-from helpers import coherent_product_term, integrate_q_term_2d, q_full_grid, q_term
+from helpers import (
+    CAT_TAGS,
+    CROSS,
+    coherent_product_term,
+    integrate_q_term_2d,
+    post_selected_terms,
+    postselect_term,
+    q_full_grid,
+    q_term,
+)
 
 INV_PI_SQ = 0.10132118364233778  # 1/pi^2
 
@@ -54,17 +61,12 @@ FROZEN_VISIBILITY = [
 
 class TestBranchTerm:
     def test_adjoint_involution(self):
-        term = BranchTerm(1 + 2j, 0.5, 1j, -0.3, 0.7j, ("+", "-"))
+        term = BranchTerm(1 + 2j, 0.5, 1j, -0.3, 0.7j)
         adj = term.adjoint()
         assert adj.weight == (1 - 2j)
         assert (adj.ket_a, adj.ket_b) == (term.bra_a, term.bra_b)
-        assert adj.phase_tag == ("-", "+")
         back = adj.adjoint()
         assert back == term
-
-    def test_tag_validation(self):
-        with pytest.raises(ValueError):
-            BranchTerm(1.0, 0, 0, 0, 0, ("+", "x"))
 
 
 class TestQGrid:
@@ -106,15 +108,13 @@ class TestQGrid:
 def test_initial_cat_terms_structure():
     alpha0, phi = 1.5, np.pi / 3
     terms = initial_cat_terms(alpha0, phi)
-    assert [t.phase_tag for t in terms] == [
-        ("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")
-    ]
+    assert len(terms) == len(CAT_TAGS)
     cn2 = cat_norm_constant(alpha0, phi) ** 2
     comp = {"+": alpha0 * np.exp(1j * phi), "-": alpha0 * np.exp(-1j * phi)}
-    for t in terms:
+    for t, (sk, sb) in zip(terms, CAT_TAGS):
         assert t.weight == pytest.approx(cn2)
-        assert t.ket_a == pytest.approx(comp[t.phase_tag[0]])
-        assert t.bra_a == pytest.approx(comp[t.phase_tag[1]])
+        assert t.ket_a == pytest.approx(comp[sk])
+        assert t.bra_a == pytest.approx(comp[sb])
         assert t.ket_b == 0j and t.bra_b == 0j
 
 
@@ -131,7 +131,8 @@ def test_postselect_term_readout_rule():
     alpha0, phi, theta = 1.2, 0.7, 0.9
     bs = BeamSplitter(0.4)
     terms = [beam_split_term(t, bs) for t in initial_cat_terms(alpha0, phi)]
-    by_tag = {t.phase_tag: _postselect_term(t, theta, phi) for t in terms}
+    by_tag = {tag: postselect_term(t, tag, theta, phi)
+              for t, tag in zip(terms, CAT_TAGS)}
     cn2 = cat_norm_constant(alpha0, phi) ** 2
 
     cross = by_tag[("+", "-")]
@@ -149,8 +150,9 @@ def test_postselect_term_readout_rule():
 def _selected_at(params, theta):
     """Post-selected terms at readout phase ``theta``."""
     return [
-        _postselect_term(beam_split_term(t, params.beam_splitter), theta, params.phi)
-        for t in initial_cat_terms(params.alpha0, params.phi)
+        postselect_term(beam_split_term(t, params.beam_splitter), tag, theta,
+                        params.phi)
+        for t, tag in zip(initial_cat_terms(params.alpha0, params.phi), CAT_TAGS)
     ]
 
 
@@ -164,8 +166,8 @@ def test_q_term_equals_generic_branch_q():
     rng = np.random.default_rng(21)
     pts_a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     pts_b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    for term in _selected_at(params, 0.6):
-        got = q_term(term, pts_a, pts_b, params)
+    for tag, term in zip(CAT_TAGS, _selected_at(params, 0.6)):
+        got = q_term(term, tag, pts_a, pts_b, params)
         want = ((term.weight / np.pi**2) * _plane_profile(pts_a, term.ket_a, term.bra_a)
                 * _plane_profile(pts_b, term.ket_b, term.bra_b))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -178,9 +180,7 @@ def test_interference_q_matches_reconstructed_closed_form():
     rng = np.random.default_rng(22)
     params = ExperimentParams(alpha0=1.1 * np.exp(0.5j), phi=0.8, r=0.35)
     theta = 1.3
-    term = next(
-        t for t in _selected_at(params, theta) if t.phase_tag == ("+", "-")
-    )
+    term = _selected_at(params, theta)[CROSS]
     a0 = params.alpha0
     t, r, phi = params.beam_splitter.t, params.r, params.phi
     cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
@@ -196,7 +196,7 @@ def test_interference_q_matches_reconstructed_closed_form():
                 * (np.conjugate(bp) * a0 - np.conjugate(a0) * bp)
             )
         )
-        got = q_term(term, ap, bp, params)
+        got = q_term(term, ("+", "-"), ap, bp, params)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -495,9 +495,7 @@ def test_interference_integral_magnitude_example():
     # |integral of the (+,-) term| / c^2 equals the closed form; the phase
     # of alpha0 must not matter
     params = ExperimentParams(alpha0=2.0j, phi=np.pi / 4, r=0.3)
-    term = next(
-        t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
-    )
+    term = post_selected_terms(params)[CROSS]
     cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
     got = abs(integrate_q_term(term)) / cn2
     assert got == pytest.approx(0.6976763260710304, abs=2e-4)
@@ -506,9 +504,7 @@ def test_interference_integral_magnitude_example():
 def test_zero_reflectivity_keeps_full_interference():
     # nothing reaches the second output port, so no which-path record exists
     params = ExperimentParams(alpha0=1.2, phi=0.6, r=0.0)
-    term = next(
-        t for t in post_selected_terms(params) if t.phase_tag == ("+", "-")
-    )
+    term = post_selected_terms(params)[CROSS]
     got = integrate_q_term(term)
     cn2 = cat_norm_constant(params.alpha0, params.phi) ** 2
     assert got == pytest.approx(cn2, rel=1e-9)
