@@ -162,8 +162,8 @@ def q_integral_visibility(params: ExperimentParams) -> float:
 
     The fringe in theta has max/min rates ``(sum of diagonal integrals)/4
     times (1 +/- nu)``, so nu is twice the off-diagonal integral's magnitude
-    over the diagonal total.  Numerical content: four factorized midpoint
-    quadratures, each a product of 1-D sums over the same grid.
+    over the diagonal total.  Numerical content: three factorized midpoint
+    quadratures (both diagonal terms share one), products of 1-D sums.
     """
     vals = _point_integrals(params)[:, 0]
     diag = vals[0].real + vals[3].real
@@ -245,21 +245,28 @@ def _scan_thetas(n_theta: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
 
 
-def _fringe_totals(vals: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _fringe_phases(thetas: np.ndarray) -> list:
+    """``e^{i w_k theta}`` of each post-selected term ``k``, with ``w_k`` +1
+    for a ket side from the ``-`` component and -1 for a bra side from it."""
+    unit, ket, bra = (np.exp(1j * w * thetas) for w in (0, 1, -1))
+    return [unit, bra, ket, unit]
+
+
+def _fringe_totals(vals: np.ndarray, phases: list) -> np.ndarray:
     """The fringe ``sum_k I_k e^{i w_k theta}`` of the post-selected integrals
-    ``vals`` ``(4, P)``, points on rows and ``thetas`` on columns; ``w_k`` is
-    +1 for a ket side from the ``-`` component and -1 for a bra side from it."""
-    total = np.zeros((vals.shape[1], thetas.size), dtype=complex)
-    for val, winding in zip(vals, (0, -1, 1, 0)):
-        total += val[:, None] * np.exp(1j * winding * thetas)
+    ``vals`` ``(4, P)``, points on rows and :func:`_fringe_phases` on columns."""
+    total = np.zeros((vals.shape[1], phases[0].size), dtype=complex)
+    term = np.empty_like(total)
+    for val, phase in zip(vals, phases):
+        total += np.multiply(val[:, None], phase, out=term)
     return total
 
 
 def _fit_coefficients(pinv: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Least-squares ``(offset, cos, sin)`` of each row of ``rates``: a product
-    and a row sum, where a matrix product would round a row differently with
-    the number of rows."""
-    return np.sum(rates[:, None, :] * pinv, axis=-1)
+    """Least-squares ``(offset, cos, sin)`` of each row of ``rates``: for each
+    coefficient a product and a row sum, where a matrix product would round a
+    row differently with the number of rows."""
+    return np.stack([np.sum(rates * row, axis=-1) for row in pinv], axis=-1)
 
 
 def _offset_refused(coef: np.ndarray):
@@ -276,7 +283,8 @@ def fringe_scan(params: ExperimentParams, n_theta: int = 16) -> FringeScan:
     from the two projector halves applied to ket and bra.
     """
     thetas = _scan_thetas(n_theta)
-    return _scan_of(thetas, _fringe_totals(_point_integrals(params), thetas)[0])
+    return _scan_of(thetas, _fringe_totals(_point_integrals(params),
+                                           _fringe_phases(thetas))[0])
 
 
 def fit_fringe(scan: FringeScan) -> FringeFit:
@@ -471,25 +479,29 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     return outcome
 
 
-# points per array pass of the fringe route in a sweep: at 8 the peak RSS of a
-# 168-row sweep stays at the row-by-row route's, and 16 raised it by 0.7 MB
-_FRINGE_BLOCK = 8
+# points per array pass of the fringe route in a sweep, fewer past
+# _FRINGE_SAMPLES fringe samples: 16 keep the bench routes sweep at 38.2 MB
+# peak RSS, and a default 60-row sweep at n_theta 500000 (one point a pass)
+# peaks at 108 MB, where 8 points a pass with no such cap took 302 MB
+_FRINGE_BLOCK, _FRINGE_SAMPLES = 16, 4096
 
-# stacked amplitudes per array pass of the Fock route in a sweep, past one
-# point: at 2**14 (256 kB) the bench routes sweep's peak RSS was 0.25 MB
-# above the point-by-point route's, at 2**15 about 0.5 MB
-_FOCK_BLOCK_AMPLITUDES = 2**14
+# points per array pass of the Fock route in a sweep, and stacked amplitudes
+# past one point: at 2**14 (256 kB) the bench routes sweep's peak RSS was
+# 0.25 MB above the point-by-point route's, at 2**15 about 0.5 MB
+_FOCK_BLOCK_POINTS, _FOCK_BLOCK_AMPLITUDES = 8, 2**14
 
 
 def _fringe_rows(alpha0, phi, r, thetas: np.ndarray) -> list:
     """Route 4 at each point of the 1-D arrays: its visibility, or the
     ``ValueError`` its checks raise.  One array pass per ``_FRINGE_BLOCK``
-    points; only points its checks' predicates refuse run the checks."""
-    pinv, outcomes = np.linalg.pinv(_design(thetas)), []
-    for start in range(0, r.size, _FRINGE_BLOCK):
-        block = slice(start, start + _FRINGE_BLOCK)
+    points, or per ``_FRINGE_SAMPLES // n_theta`` (at least one) if fewer;
+    only points its checks' predicates refuse run the checks."""
+    pinv, phases, outcomes = np.linalg.pinv(_design(thetas)), _fringe_phases(thetas), []
+    size = min(_FRINGE_BLOCK, max(1, _FRINGE_SAMPLES // thetas.size))
+    for start in range(0, r.size, size):
+        block = slice(start, start + size)
         total = _fringe_totals(
-            _post_selected_integrals(alpha0[block], phi[block], r[block]), thetas)
+            _post_selected_integrals(alpha0[block], phi[block], r[block]), phases)
         rates = 0.25 * total.real
         coef = _fit_coefficients(pinv, np.clip(rates, 0.0, None))
         bad = _complex_residue(total) | _rates_refused(rates) | _offset_refused(coef)
@@ -508,7 +520,7 @@ def _brute_force_rows(r, alpha0, phi):
     the outcome of ``_brute_force_block``, or ``None`` where
     ``_require_fock_start`` refuses and nothing is built.  One kernel pass per
     block of consecutive points with the same R and |alpha0|, and so the
-    same cutoffs: at most ``_FRINGE_BLOCK`` points and, past one point, at
+    same cutoffs: at most ``_FOCK_BLOCK_POINTS`` points and, past one point, at
     most ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
     # grouped by bit pattern, so a block's shared R and |alpha0| are exactly
     # each point's own, signed zeros included
@@ -522,7 +534,7 @@ def _brute_force_rows(r, alpha0, phi):
         except ValueError:
             yield from [None] * (stop - start)
             continue
-        size = min(_FRINGE_BLOCK, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
+        size = min(_FOCK_BLOCK_POINTS, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
         for first in range(start, stop, size):
             block = slice(first, min(first + size, stop))
             yield from _brute_force_block(

@@ -350,12 +350,16 @@ def _post_selected_integrals(alpha0, phi, r):
     plane's profile has magnitude ``exp(-x^2 - y^2)`` times a constant at
     offset ``x + iy``, so every plane at every point has the same edge ratio,
     set by ``QGrid()``'s extent and spacing alone; the tests pin it below
-    ``_BOUNDARY_RATIO``.
+    ``_BOUNDARY_RATIO``.  Only the cross terms (+,-) and (-,+) are taken
+    point by point: the diagonal terms' shifts and phase are exact zeros, so
+    their planes are all the origin Gaussian, and one integral on zero labels
+    gives both, bit for bit.
     """
-    grid = QGrid()
-    return _integrate_terms(cat_norm_constant(alpha0, phi) ** 2,
-                            *_post_selected_planes(alpha0, phi, r),
-                            grid._offsets(), grid.cell)
+    grid, weight = QGrid(), cat_norm_constant(alpha0, phi) ** 2
+    cross_labels = [v[:, 1:3] for v in _post_selected_planes(alpha0, phi, r)]
+    cross, diag = (_integrate_terms(weight, *labels, grid._offsets(), grid.cell)
+                   for labels in (cross_labels, [np.zeros((2, 1, 1))] * 3))
+    return np.concatenate([diag, cross, diag])
 
 
 def integrate_q_term(term: BranchTerm, grid: QGrid | None = None) -> complex:

@@ -359,6 +359,18 @@ def post_selected_terms(params: "ExperimentParams") -> list:
     ]
 
 
+def post_selected_integrals_four_terms(alpha0, phi, r):
+    """``phase_space._post_selected_integrals`` as every term at its own
+    labels: all four post-selected terms through ``_integrate_terms``, the
+    diagonal ones too, which the library takes once on zero labels."""
+    from catvis.phase_space import QGrid, _integrate_terms, _post_selected_planes
+
+    grid = QGrid()
+    return _integrate_terms(catvis.cat_norm_constant(alpha0, phi) ** 2,
+                            *_post_selected_planes(alpha0, phi, r),
+                            grid._offsets(), grid.cell)
+
+
 # ---------------------------------------------------------------------------
 # derivation route for one term's pointwise Q: the branch amplitudes f+ and
 # f- of the analytic derivation, whose products give each post-selected
@@ -457,8 +469,9 @@ def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute
     site here, as there, so Python's default filter prints the same lines."""
     from catvis.experiment import (
         _MAX_ALPHA0, ExperimentParams, _brute_force_rows, _closed_form_columns,
-        _Floats, _fringe_totals, _post_selected_integrals, _require_fock_start,
-        _scan_of, _scan_thetas, _warn_if_components_overlap, fit_fringe,
+        _Floats, _fringe_phases, _fringe_totals, _post_selected_integrals,
+        _require_fock_start, _scan_of, _scan_thetas, _warn_if_components_overlap,
+        fit_fringe,
     )
 
     axes = (np.asarray(v, dtype=float)
@@ -474,7 +487,8 @@ def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute
     if include_fringe:
         thetas = _scan_thetas(n_theta)
         fringe = iter(_fringe_totals(
-            _post_selected_integrals(a0[valid], phi[valid], r[valid]), thetas))
+            _post_selected_integrals(a0[valid], phi[valid], r[valid]),
+            _fringe_phases(thetas)))
     error = [None] * r.size
     checked = (np.arange(r.size) if include_brute or include_fringe
                else np.flatnonzero(~valid))

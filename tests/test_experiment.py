@@ -37,7 +37,7 @@ from catvis import (
 )
 from catvis import cli, experiment
 from catvis.cli import main
-from catvis.experiment import _FRINGE_BLOCK, _SWEEP_KEYS
+from catvis.experiment import _FOCK_BLOCK_POINTS, _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import _coherent_rows, default_cutoff
 from catvis.operators import BeamSplitter, _split_rows
 from helpers import post_selected_terms, stock_showwarning, sweep_columns_per_row
@@ -890,6 +890,50 @@ def test_a_sweep_longer_than_a_block_gives_the_cells_of_one_point_sweeps():
     assert [repr(row) for row in rows] == [repr(row) for row in singles]
 
 
+@pytest.mark.parametrize("n_theta,sizes", [
+    (16, [16, 16, 8]),  # _FRINGE_BLOCK points a pass
+    (1024, [4] * 10),  # _FRINGE_SAMPLES // n_theta
+    (4096, [1] * 40),  # at least one
+])
+def test_fringe_rows_run_blocks_sized_by_n_theta(n_theta, sizes, monkeypatch):
+    # each pass holds at most _FRINGE_SAMPLES fringe samples where that is
+    # fewer than _FRINGE_BLOCK points, and the cells are the one-point route's
+    integrals, passes = experiment._post_selected_integrals, []
+
+    def record(alpha0, phi, r):
+        passes.append(alpha0.size)
+        return integrals(alpha0, phi, r)
+
+    monkeypatch.setattr(experiment, "_post_selected_integrals", record)
+    rng = np.random.default_rng(41)
+    a0, phi, r = (rng.uniform(lo, hi, 40)
+                  for lo, hi in ((0.0, 4.0), (0.1, 1.5), (0.0, 0.9)))
+    got = experiment._fringe_rows(a0, phi, r, experiment._scan_thetas(n_theta))
+    assert passes == sizes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = [fit_fringe(fringe_scan(ExperimentParams(alpha0=x, phi=y, r=z), n_theta))
+                .visibility for x, y, z in zip(a0, phi, r)]
+    assert repr(got) == repr(want)
+
+
+def test_fringe_totals_and_fit_coefficients_round_as_one_product_each():
+    # one temporary reused per term, and one coefficient row at a time, give
+    # the bits of a fresh phase and product per term and of one (P, 3, n)
+    # product summed over its last axis
+    rng = np.random.default_rng(43)
+    vals = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    thetas = experiment._scan_thetas(1000)
+    want = np.zeros((5, thetas.size), dtype=complex)
+    for val, winding in zip(vals, (0, -1, 1, 0)):
+        want += val[:, None] * np.exp(1j * winding * thetas)
+    got = experiment._fringe_totals(vals, experiment._fringe_phases(thetas))
+    assert got.tobytes() == want.tobytes()
+    pinv, rates = np.linalg.pinv(experiment._design(thetas)), got.real
+    want = np.sum(rates[:, None, :] * pinv, axis=-1)
+    assert experiment._fit_coefficients(pinv, rates).tobytes() == want.tobytes()
+
+
 def test_sweep_refuses_a_fringe_too_coarse_to_resolve():
     with pytest.raises(ValueError, match="n_theta must be at least 8"):
         sweep([0.3], [2.0], [1.0], include_fringe=True, n_theta=7)
@@ -1031,8 +1075,8 @@ def _per_point_brute(params):
             return None, str(exc), caught
 
 
-# groups of equal (R, |alpha0|) longer than one block of _FRINGE_BLOCK points
-# or of _FOCK_BLOCK_AMPLITUDES (|alpha0| near 20 holds one point a block),
+# groups of equal (R, |alpha0|) longer than one block of _FOCK_BLOCK_POINTS
+# points or of _FOCK_BLOCK_AMPLITUDES (|alpha0| near 20 holds one point a block),
 # points past the amplitude cap (200 above R ~ 0.03) or whose amplitudes
 # underflow (200 at smaller R), and invalid points
 @settings(deadline=None, derandomize=True, max_examples=30)
@@ -1043,10 +1087,11 @@ def _per_point_brute(params):
                          st.sampled_from([19.5, 200.0, math.inf])),
                min_size=1, max_size=2),
     phi=st.lists(st.one_of(st.floats(-math.pi, math.pi), st.just(math.nan)),
-                 min_size=1, max_size=2 * _FRINGE_BLOCK + 3),
+                 min_size=1, max_size=2 * _FOCK_BLOCK_POINTS + 3),
 )
 @example(r=[0.3, 0.0], a=[4.0, 200.0],
-         phi=[*np.linspace(-1.5, 1.5, 2 * _FRINGE_BLOCK + 1).tolist(), math.nan, 1e-3])
+         phi=[*np.linspace(-1.5, 1.5, 2 * _FOCK_BLOCK_POINTS + 1).tolist(), math.nan,
+              1e-3])
 @example(r=[0.95], a=[19.5, math.inf], phi=[0.2, 1e-3, math.nan, 1.1])
 # one block of angles past pi and up to it, reduced and kept
 @example(r=[0.3], a=[3.0], phi=[0.5, 4.0, -1109599999999999.9, 1e19, np.pi, -7.0])
@@ -1074,8 +1119,8 @@ def test_sweep_brute_cells_equal_the_per_point_route_bit_for_bit(r, a, phi):
 
 def test_sweep_runs_the_brute_force_in_blocks_of_one_group(monkeypatch):
     # each (R, |alpha0|) group of valid points splits into blocks of
-    # _FRINGE_BLOCK points, or fewer where 2 na nb amplitudes a point would
-    # pass _FOCK_BLOCK_AMPLITUDES; a group past the amplitude cap is never
+    # _FOCK_BLOCK_POINTS points, or fewer where 2 na nb amplitudes a point
+    # would pass _FOCK_BLOCK_AMPLITUDES; a group past the amplitude cap is never
     # built, and an invalid point leaves its group whole
     kernel = experiment._brute_force_block
     blocks = []
@@ -1085,7 +1130,7 @@ def test_sweep_runs_the_brute_force_in_blocks_of_one_group(monkeypatch):
         return kernel(bs, alpha0, phi, na, nb)
 
     monkeypatch.setattr(experiment, "_brute_force_block", record)
-    phi = [*np.linspace(0.1, 1.5, 2 * _FRINGE_BLOCK + 1), math.nan, 0.2, 0.3]
+    phi = [*np.linspace(0.1, 1.5, 2 * _FOCK_BLOCK_POINTS + 1), math.nan, 0.2, 0.3]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = sweep([0.5], [2.0, 6.0, 200.0], phi, include_brute=True)

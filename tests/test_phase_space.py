@@ -30,6 +30,7 @@ from catvis.phase_space import (
     _edge_ratio,
     _plane_edge_ratio,
     _plane_profile,
+    _post_selected_integrals,
     _post_selected_planes,
 )
 
@@ -38,6 +39,7 @@ from helpers import (
     CROSS,
     coherent_product_term,
     integrate_q_term_2d,
+    post_selected_integrals_four_terms,
     post_selected_terms,
     postselect_term,
     q_full_grid,
@@ -421,6 +423,33 @@ def test_post_selected_planes_sit_where_for_term_places_them():
         np.testing.assert_allclose(bras[:, i], [term.bra_a, term.bra_b], rtol=1e-15)
         np.testing.assert_allclose(centers[:, i], [grid.center_a, grid.center_b],
                                    rtol=1e-15)
+
+
+def test_post_selected_integrals_take_the_diagonal_terms_once_bit_for_bit():
+    # the diagonal terms' shifts and phase are exact zeros, so one integral
+    # on zero labels is each point's own integral, bit for bit: over complex
+    # alpha0, alpha0 = 0, R = 0, |alpha0| up to 1e8 and |phi| up to 20, in
+    # passes of 1 to 500 points
+    rng = np.random.default_rng(20)
+    n = 20_000
+    mag = np.concatenate([rng.uniform(0.0, 6.0, n // 2),
+                          10.0 ** rng.uniform(-3.0, 8.0, n // 2)])
+    mag[::50] = 0.0
+    alpha0 = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    alpha0[1::7] = alpha0[1::7].real
+    phi = rng.uniform(-20.0, 20.0, n)
+    phi[::13] = 0.0
+    r = rng.uniform(0.0, 0.99, n)
+    r[::11] = 0.0
+    start = 0
+    for size in [1, 2, 3, 8, 16, 17, *[500] * 40]:
+        block = slice(start, start + size)
+        start += size
+        got = _post_selected_integrals(alpha0[block], phi[block], r[block])
+        want = post_selected_integrals_four_terms(alpha0[block], phi[block], r[block])
+        assert got.shape == want.shape == (4, min(size, n - block.start))
+        assert got.tobytes() == want.tobytes()
+    assert start >= n
 
 
 def test_integrate_q_full_unit_trace():
