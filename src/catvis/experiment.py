@@ -38,6 +38,7 @@ from .operators import (
     BeamSplitter,
     TruncationError,
     _require_leak,
+    _sector_magnitudes,
     _split_rows,
 )
 from .phase_space import _post_selected_integrals
@@ -406,19 +407,24 @@ def _require_tail(vector: np.ndarray, alpha: complex) -> None:
         )
 
 
-def _brute_force_block(bs: BeamSplitter, alpha0: np.ndarray, phi: np.ndarray,
-                       na: int, nb: int) -> list:
-    """Route 5 at the points ``(alpha0, phi)`` (1-D arrays) that share the
-    splitter and the cutoffs ``(na, nb)``: each point's visibility, or the
-    ``ValueError`` its checks raise, checked in the one-point order.
+class _FockInputs(NamedTuple):
+    """Route 5's R-free half at ``P`` points, two rows a point (``+``, ``-``)."""
 
-    Both branches of every point are built in one pass: their coherent
-    vectors by one cumulative product, their two-mode arrays by one product
-    with one sector map, their readout rotations in place.  Each branch's
-    norm, leakage and overlap come from its own contiguous slice, and the
-    state contract is checked once on each stacked array; where it fails,
-    each point is judged alone.
-    """
+    vectors: np.ndarray  # (2P, na) truncated coherent vectors
+    in_sq: list  # the vectors' squared norms
+    turns: np.ndarray  # (2P, na) readout rotations
+    tails: list  # each row's tail refusal, or None
+
+    def points(self, start: int, stop: int) -> "_FockInputs":
+        rows = slice(2 * start, 2 * stop)
+        return _FockInputs(*(field[rows] for field in self))
+
+
+def _brute_force_inputs(alpha0: np.ndarray, phi: np.ndarray, na: int) -> _FockInputs:
+    """Route 5's input half at the points ``(alpha0, phi)`` (1-D arrays) on
+    ``na`` levels, which every splitter shares: both branches of every point
+    by one cumulative product.  Each step acts on each row alone, so a slice
+    of points is, bit for bit, what the slice alone would build."""
     plus, minus = _cat_components(alpha0, phi)
     labels = np.stack([plus, minus], axis=1).ravel()
     # the labels reduce phi exactly, but the rotation's phi * n rounds: past
@@ -429,25 +435,47 @@ def _brute_force_block(bs: BeamSplitter, alpha0: np.ndarray, phi: np.ndarray,
     readouts = np.stack([-turn, turn], axis=1).ravel()
     vectors = _coherent_rows(labels, na)
     in_sq = [float(np.vdot(v, v).real) for v in vectors]
-    branches = _split_rows(bs, vectors, nb)
+    tails = []
+    for vector, label in zip(vectors, labels.tolist()):
+        try:
+            tails.append(_require_tail(vector, label))
+        except TruncationError as exc:
+            tails.append(exc)
+    turns = np.exp(1j * readouts[:, None] * np.arange(na))
+    return _FockInputs(vectors, in_sq, turns, tails)
+
+
+def _brute_force_block(bs: BeamSplitter, magnitudes: np.ndarray,
+                       inputs: _FockInputs) -> list:
+    """Route 5's splitter half: each point of ``inputs`` through ``bs``, whose
+    sector map on the cutoffs is ``magnitudes`` (:func:`_sector_magnitudes`),
+    to its visibility or the ``ValueError`` its checks raise, checked in the
+    one-point order.  All rows cross in one product with the map and turn in
+    place; each branch's norm, leakage and overlap come from its own slice,
+    and the state contract is checked once on the stack; where it fails,
+    each point is judged alone."""
+    vectors, in_sq = inputs.vectors, inputs.in_sq
+    branches = _split_rows(vectors, magnitudes)
     out_sq = [float(np.vdot(b, b).real) for b in branches]
-    branches *= np.exp(1j * readouts[:, None] * np.arange(na))[:, :, None]
+    branches *= inputs.turns[:, :, None]
     norm_sq = [float(np.vdot(b, b).real) for b in branches]
     try:
         _require_states(vectors, in_sq)
         _require_states(branches, norm_sq)
     except ValueError as exc:
-        if alpha0.size == 1:
+        if len(in_sq) == 2:
             return [exc]
         # a point's verdict must not depend on its neighbours: judge each alone
-        return [verdict for i in range(alpha0.size) for verdict in
-                _brute_force_block(bs, alpha0[i:i + 1], phi[i:i + 1], na, nb)]
+        return [verdict for i in range(len(in_sq) // 2) for verdict in
+                _brute_force_block(bs, magnitudes, inputs.points(i, i + 1))]
     verdicts = []
-    for p in range(0, labels.size, 2):
+    for p in range(0, len(in_sq), 2):
         try:
             for b in (p, p + 1):
-                _require_tail(vectors[b], labels[b])
-                _require_leak(bs, vectors[b], nb, abs(out_sq[b] - in_sq[b]))
+                if inputs.tails[b] is not None:
+                    raise inputs.tails[b]
+                _require_leak(bs, vectors[b], magnitudes.shape[1],
+                              abs(out_sq[b] - in_sq[b]))
             denom = math.sqrt(norm_sq[p]) * math.sqrt(norm_sq[p + 1])
             if denom <= 0.0:
                 raise ValueError("branch states have zero norm")
@@ -472,8 +500,9 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
     """
     na, nb = _require_fock_start(params)
     _warn_if_components_overlap(params.alpha0, params.phi)
-    (outcome,) = _brute_force_block(params.beam_splitter, np.array([params.alpha0]),
-                                    np.array([params.phi]), na, nb)
+    bs = params.beam_splitter
+    inputs = _brute_force_inputs(np.array([params.alpha0]), np.array([params.phi]), na)
+    (outcome,) = _brute_force_block(bs, _sector_magnitudes(bs, na, nb), inputs)
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -485,9 +514,10 @@ def fock_brute_force_visibility(params: ExperimentParams) -> float:
 # peaks at 108 MB, where 8 points a pass with no such cap took 302 MB
 _FRINGE_BLOCK, _FRINGE_SAMPLES = 16, 4096
 
-# points per array pass of the Fock route in a sweep, and stacked amplitudes
-# past one point: at 2**14 (256 kB) the bench routes sweep's peak RSS was
-# 0.25 MB above the point-by-point route's, at 2**15 about 0.5 MB
+# points per input build and per splitter pass of the Fock route in a sweep,
+# and stacked amplitudes a pass past one point: at 2**14 (256 kB) the bench
+# routes sweep's peak RSS was 0.25 MB above the point-by-point route's, at
+# 2**15 about 0.5 MB
 _FOCK_BLOCK_POINTS, _FOCK_BLOCK_AMPLITUDES = 8, 2**14
 
 
@@ -515,30 +545,44 @@ def _fringe_rows(alpha0, phi, r, thetas: np.ndarray) -> list:
     return outcomes
 
 
-def _brute_force_rows(r, alpha0, phi):
-    """Route 5 at each sweep point of the 1-D arrays in turn (``alpha0`` real):
-    the outcome of ``_brute_force_block``, or ``None`` where
-    ``_require_fock_start`` refuses and nothing is built.  One kernel pass per
-    block of consecutive points with the same R and |alpha0|, and so the
-    same cutoffs: at most ``_FOCK_BLOCK_POINTS`` points and, past one point, at
-    most ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes."""
-    # grouped by bit pattern, so a block's shared R and |alpha0| are exactly
+def _brute_force_rows(r, alpha0, phi) -> list:
+    """Route 5 at each sweep point of the 1-D arrays (``alpha0`` real), in row
+    order: the outcome of ``_brute_force_block``, or ``None`` where
+    ``_require_fock_start`` refuses and nothing is built.  Runs of consecutive
+    points with one R and |alpha0|, and so one pair of cutoffs, go
+    |alpha0|-major: the runs with the same |alpha0| and phis share one
+    :func:`_brute_force_inputs` per chunk of ``_FOCK_BLOCK_POINTS`` points,
+    and on each chunk every run builds one sector map and passes row slices
+    of the inputs through it, of at most ``_FOCK_BLOCK_AMPLITUDES`` stacked
+    amplitudes past one point."""
+    # grouped by bit pattern, so a run's shared R and |alpha0| are exactly
     # each point's own, signed zeros included
     bits = np.stack([r, alpha0]).view(np.int64)
     starts = np.flatnonzero(
         np.r_[r.size > 0, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]).tolist()
+    groups, outcomes = {}, [None] * r.size
     for start, stop in zip(starts, [*starts[1:], r.size]):
         params = ExperimentParams(alpha0=alpha0[start], phi=phi[start], r=r[start])
         try:
             na, nb = _require_fock_start(params)
         except ValueError:
-            yield from [None] * (stop - start)
             continue
-        size = min(_FOCK_BLOCK_POINTS, max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
-        for first in range(start, stop, size):
-            block = slice(first, min(first + size, stop))
-            yield from _brute_force_block(
-                params.beam_splitter, alpha0[block], phi[block], na, nb)
+        groups.setdefault((bits[1, start], phi[start:stop].tobytes()), []).append(
+            (start, stop, na, params.beam_splitter, nb))
+    for runs in groups.values():
+        base, stop, na = runs[0][:3]  # na depends on |alpha0| alone
+        for first in range(base, stop, _FOCK_BLOCK_POINTS):
+            chunk = slice(first, min(first + _FOCK_BLOCK_POINTS, stop))
+            inputs = _brute_force_inputs(alpha0[chunk], phi[chunk], na)
+            for start, _, _, bs, nb in runs:
+                magnitudes = _sector_magnitudes(bs, na, nb)
+                size = min(_FOCK_BLOCK_POINTS,
+                           max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
+                for sub in range(first, chunk.stop, size):
+                    last = min(sub + size, chunk.stop)
+                    outcomes[start - base + sub:start - base + last] = _brute_force_block(
+                        bs, magnitudes, inputs.points(sub - first, last - first))
+    return outcomes
 
 
 _SWEEP_KEYS = ("R", "abs_alpha0", "phi", "nu_analytic", "nu_oracle", "nu_brute",
@@ -567,7 +611,7 @@ def _sweep_columns(r_values, abs_alpha0_values, phi_values, include_brute,
     closed[:, valid] = _closed_form_columns(r[valid], a0[valid], phi[valid])
     routes, routed = np.zeros((2, r.size)), np.zeros((2, r.size), dtype=bool)
     at, replay = np.flatnonzero(valid), ~valid
-    brute = list(_brute_force_rows(r[at], a0[at], phi[at])) if include_brute else None
+    brute = _brute_force_rows(r[at], a0[at], phi[at]) if include_brute else None
     fringe = (_fringe_rows(a0[at], phi[at], r[at], _scan_thetas(n_theta))
               if include_fringe else None)
     for k, got in enumerate((brute, fringe)):  # nu_brute, nu_fringe

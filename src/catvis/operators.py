@@ -130,15 +130,16 @@ def _sector_magnitudes(bs: BeamSplitter, na: int, nb: int) -> np.ndarray:
     return np.cumprod(steps, axis=0, out=steps)
 
 
-def _split_rows(bs: BeamSplitter, rows: np.ndarray, nb: int) -> np.ndarray:
+def _split_rows(rows: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     """Each row of ``rows`` ``(P, na)``, mode A with vacuum in B, after the
-    splitter: ``(P, na, nb)``, a contiguous two-mode array per row, by one
-    sector map ``<m, k| U |m+k, 0> = sqrt(C(m+k, k)) t^m (i r)^k`` times the
-    rows' windows."""
+    splitter: ``(P, na, nb)``, a contiguous two-mode array per row, by the
+    sector map ``<m, k| U |m+k, 0> = sqrt(C(m+k, k)) t^m (i r)^k``, given by
+    its :func:`_sector_magnitudes` ``(na, nb)``, times the rows' windows."""
+    nb = magnitudes.shape[1]
     i_to_k = np.array([1, 1j, -1, -1j])[np.arange(nb) % 4]
     # i^k only swaps and negates parts, so the magnitudes can come last
     out = _sector_window(rows, nb) * i_to_k
-    out *= _sector_magnitudes(bs, rows.shape[-1], nb)
+    out *= magnitudes
     return out
 
 
@@ -179,7 +180,7 @@ def bs_fock_apply(bs: BeamSplitter, state: ModeState, cutoff_b: int) -> TwoModeS
     if cutoff_b < 1:
         raise ValueError("cutoff_b must be positive")
     amps = state.amplitudes
-    (out,) = _split_rows(bs, amps[None], cutoff_b)
+    (out,) = _split_rows(amps[None], _sector_magnitudes(bs, amps.size, cutoff_b))
     leak = abs(float(np.vdot(out, out).real) - state.squared_norm)
     _require_leak(bs, amps, cutoff_b, leak)
     return TwoModeState(out)

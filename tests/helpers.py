@@ -483,7 +483,7 @@ def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute
     routes = np.zeros((2, r.size))  # nu_brute, nu_fringe
     routed = np.zeros((2, r.size), dtype=bool)
     if include_brute:
-        brute = _brute_force_rows(r[valid], a0[valid], phi[valid])
+        brute = iter(_brute_force_rows(r[valid], a0[valid], phi[valid]))
     if include_fringe:
         thetas = _scan_thetas(n_theta)
         fringe = iter(_fringe_totals(

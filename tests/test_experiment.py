@@ -39,7 +39,7 @@ from catvis import cli, experiment
 from catvis.cli import main
 from catvis.experiment import _FOCK_BLOCK_POINTS, _FRINGE_BLOCK, _SWEEP_KEYS
 from catvis.fock import _coherent_rows, default_cutoff
-from catvis.operators import BeamSplitter, _split_rows
+from catvis.operators import BeamSplitter, _sector_magnitudes, _split_rows
 from helpers import post_selected_terms, stock_showwarning, sweep_columns_per_row
 
 TWO_PI = 2.0 * math.pi
@@ -773,20 +773,22 @@ def _recorded_columns(sweep_columns, *args):
     return cells, error, _warning_texts(caught)
 
 
-def _refusing_kernel(kernel):
-    """``_brute_force_block``, refusing its points at |alpha0| > 1.5 as a
-    guard of the built states would: no sweep at default cutoffs reaches
-    those guards."""
-    def refusing(bs, alpha0, phi, na, nb):
-        return [TruncationError(f"refused at |alpha0| = {abs(a):.6g}") if abs(a) > 1.5
-                else v for a, v in zip(alpha0.tolist(), kernel(bs, alpha0, phi, na, nb))]
+def _refusing_inputs(build):
+    """``_brute_force_inputs``, whose tail guard refuses its points at
+    |alpha0| > 1.5 as a guard of the built states would: no sweep at default
+    cutoffs reaches those guards."""
+    def refusing(alpha0, phi, na):
+        inputs = build(alpha0, phi, na)
+        return inputs._replace(tails=[
+            TruncationError(f"refused at |alpha0| = {abs(a):.6g}") if abs(a) > 1.5 else tail
+            for a, tail in zip(np.repeat(alpha0, 2).tolist(), inputs.tails)])
 
     return refusing
 
 
 # invalid points (R = 1, phi NaN), a negative |alpha0| (a valid point here,
 # which the CLI refuses), points route 5 refuses (|alpha0| 38 past its start,
-# 200 past its amplitude cap, and its kernel's guards where ``refuse`` says),
+# 200 past its amplitude cap, and its tail guard where ``refuse`` says),
 # integrals that route 4 refuses, and |alpha0| sin(phi) on both sides of
 # 1.8585, where |<+|->| crosses the warning threshold 1e-3 (the first two
 # values of the list are the last float that warns at phi = pi/2 and the
@@ -820,17 +822,17 @@ def _assert_sweep_matches_reference(r, a, phi, corrupt=None, refuse=False, n_the
     """``_sweep_columns`` with the fringe route, and the Fock route if
     ``brute``, and ``catvis sweep`` over it, give what
     ``sweep_columns_per_row`` gives, with the integrals corrupted by
-    ``corrupt`` and the kernel refusing past |alpha0| 1.5 when ``refuse``."""
+    ``corrupt`` and the tail guard refusing past |alpha0| 1.5 when ``refuse``."""
     integrals = (experiment._post_selected_integrals if corrupt is None
                  else _corrupted_integrals(corrupt))
-    kernel = experiment._brute_force_block
+    build = experiment._brute_force_inputs
     argv = ["sweep", *(["--brute-force"] if brute else []), "--fringe",
             f"--n-theta={n_theta}",
             *(f"--{flag}-values={','.join(map(repr, values))}"
               for flag, values in (("R", r), ("alpha0", a), ("phi", phi)))]
     with mock.patch.object(experiment, "_post_selected_integrals", integrals), \
-            mock.patch.object(experiment, "_brute_force_block",
-                              _refusing_kernel(kernel) if refuse else kernel):
+            mock.patch.object(experiment, "_brute_force_inputs",
+                              _refusing_inputs(build) if refuse else build):
         args = (r, a, phi, brute, True, n_theta)
         assert _recorded_columns(experiment._sweep_columns, *args) \
             == _recorded_columns(sweep_columns_per_row, *args)
@@ -1082,7 +1084,7 @@ def _per_point_brute(params):
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(
     r=st.lists(st.one_of(st.floats(0.0, 0.99), st.sampled_from([0.0, 0.95, 1.0])),
-               min_size=1, max_size=2),
+               min_size=1, max_size=3),
     a=st.lists(st.one_of(st.floats(0.0, 20.0),
                          st.sampled_from([19.5, 200.0, math.inf])),
                min_size=1, max_size=2),
@@ -1093,6 +1095,10 @@ def _per_point_brute(params):
          phi=[*np.linspace(-1.5, 1.5, 2 * _FOCK_BLOCK_POINTS + 1).tolist(), math.nan,
               1e-3])
 @example(r=[0.95], a=[19.5, math.inf], phi=[0.2, 1e-3, math.nan, 1.1])
+# R lists whose runs at one |alpha0| pass their shared inputs in slices of
+# 6, 2 and 1 points (|alpha0| 6) and of one point (19.5)
+@example(r=[0.05, 0.5, 0.95], a=[6.0, 19.5],
+         phi=[0.3, 4.0, 0.9, math.nan, 1.2, -2.0, 1.5, 0.1, 3.5, 0.7, 1e-3])
 # one block of angles past pi and up to it, reduced and kept
 @example(r=[0.3], a=[3.0], phi=[0.5, 4.0, -1109599999999999.9, 1e19, np.pi, -7.0])
 # a subnormal vacuum amplitude: some points break the state contract and
@@ -1125,20 +1131,71 @@ def test_sweep_runs_the_brute_force_in_blocks_of_one_group(monkeypatch):
     kernel = experiment._brute_force_block
     blocks = []
 
-    def record(bs, alpha0, phi, na, nb):
-        blocks.append((bs.r, float(alpha0[0]), alpha0.size))
-        return kernel(bs, alpha0, phi, na, nb)
+    def record(bs, magnitudes, inputs):
+        blocks.append((bs.r, inputs.vectors.shape[1], len(inputs.in_sq) // 2))
+        return kernel(bs, magnitudes, inputs)
 
     monkeypatch.setattr(experiment, "_brute_force_block", record)
     phi = [*np.linspace(0.1, 1.5, 2 * _FOCK_BLOCK_POINTS + 1), math.nan, 0.2, 0.3]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = sweep([0.5], [2.0, 6.0, 200.0], phi, include_brute=True)
-    assert blocks == [(0.5, 2.0, n) for n in (8, 8, 3)] + [
-        (0.5, 6.0, n) for n in [2] * 9 + [1]]
+    # a point's cutoff_a names its |alpha0|
+    assert blocks == [(0.5, default_cutoff(2.0), n) for n in (8, 8, 3)] + [
+        (0.5, default_cutoff(6.0), n) for n in [2] * 9 + [1]]
     amps = default_cutoff(6.0) * default_cutoff(3.0)
     assert 2 * amps <= experiment._FOCK_BLOCK_AMPLITUDES < 6 * amps
     assert sum(row[5] is not None for row in rows) == 2 * 19
+
+
+def test_sweep_builds_each_alpha0_s_inputs_once_for_every_r(monkeypatch):
+    # the runs of one |alpha0| share its coherent vectors, one build a chunk of
+    # _FOCK_BLOCK_POINTS points (two rows a point), whatever the R
+    build, sizes = experiment._coherent_rows, []
+
+    def record(labels, cutoff):
+        sizes.append(labels.size)
+        return build(labels, cutoff)
+
+    monkeypatch.setattr(experiment, "_coherent_rows", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweep([0.1, 0.3, 0.5], [2.0, 6.0], np.linspace(0.1, 1.5, 19),
+                     include_brute=True)
+    assert sizes == [16, 16, 6] * 2
+    assert all(row[5] is not None for row in rows)
+
+
+# the inputs of a slice of a chunk are those built for the slice alone, at
+# any |alpha0| the Fock route starts at, at phi past pi, where the readout
+# turns reduce it, and on a cutoff_a short enough that the tail guard refuses
+# some rows
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    a=st.lists(st.one_of(st.floats(0.0, 37.0), st.sampled_from([5.3, 37.0])),
+               min_size=_FOCK_BLOCK_POINTS, max_size=_FOCK_BLOCK_POINTS),
+    phi=st.lists(st.one_of(st.floats(-10.0, 10.0),
+                           st.sampled_from([math.pi, -math.pi, 4.0, 1e19])),
+                 min_size=_FOCK_BLOCK_POINTS, max_size=_FOCK_BLOCK_POINTS),
+    start=st.integers(0, _FOCK_BLOCK_POINTS - 1),
+    size=st.integers(1, _FOCK_BLOCK_POINTS),
+    shrink=st.sampled_from([1.0, 0.6]),
+)
+@example(a=[37.0] * 8, phi=[0.2, 4.0, -7.0, 1e19, np.pi, 1.0, 2.0, 3.0], start=3, size=4,
+         shrink=0.6)
+def test_brute_force_inputs_of_a_slice_are_those_built_for_it_alone(a, phi, start, size,
+                                                                   shrink):
+    alpha0, phi = np.array(a), np.array(phi)
+    na = max(1, int(shrink * default_cutoff(max(a))))
+    stop = min(start + size, _FOCK_BLOCK_POINTS)
+    got = experiment._brute_force_inputs(alpha0, phi, na).points(start, stop)
+    want = experiment._brute_force_inputs(alpha0[start:stop], phi[start:stop], na)
+    for field in ("vectors", "turns"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert np.array(got.in_sq).tobytes() == np.array(want.in_sq).tobytes()
+    assert [(type(e), str(e)) for e in got.tails] == [(type(e), str(e)) for e in want.tails]
+    if shrink < 1.0 and max(a[start:stop]) == 37.0:
+        assert any(isinstance(e, TruncationError) for e in got.tails)
 
 
 def test_state_builder_and_splitter_are_the_kernel_s_one_row_case():
@@ -1148,7 +1205,7 @@ def test_state_builder_and_splitter_are_the_kernel_s_one_row_case():
     na, nb = 40, 25
     bs = BeamSplitter(0.37)
     rows = _coherent_rows(labels, na)
-    stack = _split_rows(bs, rows, nb)
+    stack = _split_rows(rows, _sector_magnitudes(bs, na, nb))
     for label, row, out in zip(labels, rows, stack):
         mode = coherent_fock(label, cutoff=na)
         assert mode.amplitudes.tobytes() == row.tobytes()
