@@ -553,9 +553,11 @@ def _cmd_qfunction(cfg: RunConfig) -> None:
     profiles = _term_profiles(terms, pts_a, pts_b)
     marg_a, marg_b = _marginal_values(profiles, grid)
     for label, marg in (("A", marg_a), ("B", marg_b)):
-        if _edge_ratio(marg) > _EMIT_EDGE_RATIO:
-            warnings.warn(f"plane {label} grid edge holds more than "
-                          f"{_EMIT_EDGE_RATIO:.0e} of the peak; widen --extent",
+        ratio = _edge_ratio(marg)
+        if ratio > _EMIT_EDGE_RATIO:
+            what = ("samples all underflow" if ratio == math.inf else
+                    f"edge holds more than {_EMIT_EDGE_RATIO:.0e} of the peak")
+            warnings.warn(f"plane {label} grid {what}; widen --extent",
                           CoverageWarning, stacklevel=2)
 
     if full:

@@ -453,7 +453,7 @@ def _brute_force_block(bs: BeamSplitter, magnitudes: np.ndarray,
     one-point order.  All rows cross in one product with the map and turn in
     place; each branch's norm, leakage and overlap come from its own slice,
     and the state contract is checked once on the stack; where it fails,
-    each point is judged alone."""
+    each point checks its own slices, as it would alone."""
     vectors, in_sq = inputs.vectors, inputs.in_sq
     branches = _split_rows(vectors, magnitudes)
     out_sq = [float(np.vdot(b, b).real) for b in branches]
@@ -462,15 +462,15 @@ def _brute_force_block(bs: BeamSplitter, magnitudes: np.ndarray,
     try:
         _require_states(vectors, in_sq)
         _require_states(branches, norm_sq)
-    except ValueError as exc:
-        if len(in_sq) == 2:
-            return [exc]
-        # a point's verdict must not depend on its neighbours: judge each alone
-        return [verdict for i in range(len(in_sq) // 2) for verdict in
-                _brute_force_block(bs, magnitudes, inputs.points(i, i + 1))]
+        alone = ()
+    except ValueError:
+        # a point's verdict must not depend on its neighbours
+        alone = ((vectors, in_sq), (branches, norm_sq))
     verdicts = []
     for p in range(0, len(in_sq), 2):
         try:
+            for amps, squared_norms in alone:
+                _require_states(amps[p:p + 2], squared_norms[p:p + 2])
             for b in (p, p + 1):
                 if inputs.tails[b] is not None:
                     raise inputs.tails[b]
@@ -546,42 +546,33 @@ def _fringe_rows(alpha0, phi, r, thetas: np.ndarray) -> list:
 
 
 def _brute_force_rows(r, alpha0, phi) -> list:
-    """Route 5 at each sweep point of the 1-D arrays (``alpha0`` real), in row
-    order: the outcome of ``_brute_force_block``, or ``None`` where
-    ``_require_fock_start`` refuses and nothing is built.  Runs of consecutive
-    points with one R and |alpha0|, and so one pair of cutoffs, go
-    |alpha0|-major: the runs with the same |alpha0| and phis share one
-    :func:`_brute_force_inputs` per chunk of ``_FOCK_BLOCK_POINTS`` points,
-    and on each chunk every run builds one sector map and passes row slices
-    of the inputs through it, of at most ``_FOCK_BLOCK_AMPLITUDES`` stacked
-    amplitudes past one point."""
-    # grouped by bit pattern, so a run's shared R and |alpha0| are exactly
-    # each point's own, signed zeros included
-    bits = np.stack([r, alpha0]).view(np.int64)
-    starts = np.flatnonzero(
-        np.r_[r.size > 0, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]).tolist()
-    groups, outcomes = {}, [None] * r.size
-    for start, stop in zip(starts, [*starts[1:], r.size]):
-        params = ExperimentParams(alpha0=alpha0[start], phi=phi[start], r=r[start])
-        try:
-            na, nb = _require_fock_start(params)
-        except ValueError:
-            continue
-        groups.setdefault((bits[1, start], phi[start:stop].tobytes()), []).append(
-            (start, stop, na, params.beam_splitter, nb))
-    for runs in groups.values():
-        base, stop, na = runs[0][:3]  # na depends on |alpha0| alone
-        for first in range(base, stop, _FOCK_BLOCK_POINTS):
-            chunk = slice(first, min(first + _FOCK_BLOCK_POINTS, stop))
-            inputs = _brute_force_inputs(alpha0[chunk], phi[chunk], na)
-            for start, _, _, bs, nb in runs:
+    """Route 5 at each point of the product of the 1-D axes (``alpha0`` real),
+    in row order: the outcome of ``_brute_force_block``, or ``None`` where
+    ``_require_fock_start`` refuses and nothing is built.  For each |alpha0|,
+    one :func:`_brute_force_inputs` per chunk of ``_FOCK_BLOCK_POINTS`` phis
+    serves every R the start check passes: each builds one sector map a chunk
+    and passes row slices of the inputs through it, of at most
+    ``_FOCK_BLOCK_AMPLITUDES`` stacked amplitudes past one point."""
+    outcomes = [None] * (r.size * alpha0.size * phi.size)
+    for j, a in enumerate(alpha0.tolist()):
+        runs = []  # (first row, splitter, cutoff_b, points a pass) of each R
+        for i, ri in enumerate(r.tolist()):
+            try:  # phi does not enter the start check
+                na, nb = _require_fock_start(ExperimentParams(alpha0=a, phi=0.0, r=ri))
+            except ValueError:
+                continue
+            runs.append(((i * alpha0.size + j) * phi.size, BeamSplitter(ri), nb,
+                         min(_FOCK_BLOCK_POINTS,
+                             max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))))
+        for first in range(0, phi.size if runs else 0, _FOCK_BLOCK_POINTS):
+            chunk = phi[first:first + _FOCK_BLOCK_POINTS]
+            inputs = _brute_force_inputs(np.full(chunk.size, a), chunk, na)
+            for row, bs, nb, size in runs:
                 magnitudes = _sector_magnitudes(bs, na, nb)
-                size = min(_FOCK_BLOCK_POINTS,
-                           max(1, _FOCK_BLOCK_AMPLITUDES // (2 * na * nb)))
-                for sub in range(first, chunk.stop, size):
-                    last = min(sub + size, chunk.stop)
-                    outcomes[start - base + sub:start - base + last] = _brute_force_block(
-                        bs, magnitudes, inputs.points(sub - first, last - first))
+                for sub in range(0, chunk.size, size):
+                    stop = min(sub + size, chunk.size)
+                    outcomes[row + first + sub:row + first + stop] = _brute_force_block(
+                        bs, magnitudes, inputs.points(sub, stop))
     return outcomes
 
 
@@ -602,16 +593,19 @@ def _sweep_columns(r_values, abs_alpha0_values, phi_values, include_brute,
     column, then ``error``, a list of str or None.  Only invalid or refused
     points replay the one-point checks, in row order, and points whose
     overlap may warn run the routes' warnings alone."""
-    axes = (np.asarray(v, dtype=float)
-            for v in (r_values, abs_alpha0_values, phi_values))
+    axes = [np.asarray(v, dtype=float).ravel()
+            for v in (r_values, abs_alpha0_values, phi_values)]
     r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    # exactly the points ExperimentParams accepts
-    valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
+    # exactly the points ExperimentParams accepts, whose checks each test one axis
+    oks = [(axes[0] >= 0.0) & (axes[0] < 1.0), np.abs(axes[1]) <= _MAX_ALPHA0,
+           np.isfinite(axes[2])]
+    valid = (oks[0][:, None, None] & oks[1][:, None] & oks[2]).ravel()
     closed = np.zeros((4, r.size))
     closed[:, valid] = _closed_form_columns(r[valid], a0[valid], phi[valid])
     routes, routed = np.zeros((2, r.size)), np.zeros((2, r.size), dtype=bool)
     at, replay = np.flatnonzero(valid), ~valid
-    brute = _brute_force_rows(r[at], a0[at], phi[at]) if include_brute else None
+    brute = (_brute_force_rows(*(ax[ok] for ax, ok in zip(axes, oks)))
+             if include_brute else None)
     fringe = (_fringe_rows(a0[at], phi[at], r[at], _scan_thetas(n_theta))
               if include_fringe else None)
     for k, got in enumerate((brute, fringe)):  # nu_brute, nu_fringe

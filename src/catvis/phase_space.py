@@ -92,11 +92,12 @@ class QGrid:
             raise ValueError("spacing must be positive")
         if not math.isfinite(self.extent):
             raise ValueError("extent must be finite")
-        if self.extent < 6.0 * self.spacing:
-            raise ValueError("extent must be at least 6 spacings")
-        if not math.isfinite(2.0 * self.extent / self.spacing):
+        if 2.0 * self.extent / self.spacing == math.inf:
             raise ValueError(f"extent {self.extent:g} over spacing {self.spacing:g} "
                              "holds too many points to count")
+        # count the points: 6 * spacing may round above an extent of 6 spacings
+        if self.extent < 0.0 or self.points_per_axis < 12:
+            raise ValueError("extent must be at least 6 spacings")
 
     @property
     def points_per_axis(self) -> int:
@@ -242,11 +243,11 @@ def q_full(terms: Sequence[BranchTerm], alpha_p, beta_p):
 
 def _edge_ratio(vals: np.ndarray) -> float:
     """Largest magnitude on the border of a 2-D sample array over its peak
-    (0 when the array is all zero)."""
+    (``inf`` when all zero, an uncovered plane to :func:`_plane_edge_ratio`)."""
     mags = np.abs(vals)
     peak = float(mags.max())
     if peak <= 0.0:
-        return 0.0
+        return math.inf
     edges = (mags[0], mags[-1], mags[:, 0], mags[:, -1])
     return max(float(m.max()) for m in edges) / peak
 

@@ -287,9 +287,12 @@ def check_boundary_2d(vals, which, tol):
 
     ratio = _edge_ratio(vals)
     if ratio > tol:
+        if math.isinf(ratio):
+            what = "samples all underflow, so the grid misses the integrand"
+        else:
+            what = f"boundary holds {ratio:.2e} of the peak integrand"
         warnings.warn(
-            f"plane {which} boundary holds {ratio:.2e} of the peak "
-            "integrand; widen the grid extent",
+            f"plane {which} {what}; widen the grid extent",
             CoverageWarning,
             stacklevel=3,
         )
@@ -474,8 +477,7 @@ def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute
         fit_fringe,
     )
 
-    axes = (np.asarray(v, dtype=float)
-            for v in (r_values, abs_alpha0_values, phi_values))
+    axes = [np.asarray(v, dtype=float) for v in (r_values, abs_alpha0_values, phi_values)]
     r, a0, phi = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     valid = np.isfinite(phi) & (np.abs(a0) <= _MAX_ALPHA0) & (r >= 0.0) & (r < 1.0)
     closed = np.zeros((4, r.size))
@@ -483,7 +485,10 @@ def sweep_columns_per_row(r_values, abs_alpha0_values, phi_values, include_brute
     routes = np.zeros((2, r.size))  # nu_brute, nu_fringe
     routed = np.zeros((2, r.size), dtype=bool)
     if include_brute:
-        brute = iter(_brute_force_rows(r[valid], a0[valid], phi[valid]))
+        # route 5 walks the valid points as the product of the valid axes
+        brute = iter(_brute_force_rows(
+            axes[0][(axes[0] >= 0.0) & (axes[0] < 1.0)],
+            axes[1][np.abs(axes[1]) <= _MAX_ALPHA0], axes[2][np.isfinite(axes[2])]))
     if include_fringe:
         thetas = _scan_thetas(n_theta)
         fringe = iter(_fringe_totals(

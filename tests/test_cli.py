@@ -397,6 +397,38 @@ class TestWarningRendering:
         assert out == recorded_out
         assert warnings.formatwarning is formatwarning  # restored on return
 
+    @pytest.mark.parametrize("argv", [
+        ["qfunction", "--alpha0", "40", "--extent", "6"],
+        ["qfunction", "--alpha0", "40", "--extent", "6", "--qmode", "full",
+         "--spacing", "0.5"],
+    ], ids=["marginal", "full"])
+    def test_a_grid_that_misses_the_state_warns(self, argv, capsys):
+        # every sample underflows to 0, so there is no peak to compare the
+        # edge with: each plane counts as uncovered, not as clean
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = stock_showwarning
+            code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            f"catvis: warning: plane {p} grid samples all underflow; widen --extent"
+            for p in ("A", "B")
+        ]
+        comments, _, rows = parse_csv(out)
+        assert "# normalization: 0" in comments
+        assert {row[-1] for row in rows} == {"0"}
+
+    def test_a_grid_exactly_6_spacings_wide_runs(self, capsys):
+        # 6 * 0.1 rounds above 0.6, but the grid lays out 12 points an axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run_cli(["qfunction", "--extent", "0.6", "--spacing",
+                                      "0.1", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["diagnostics"]["points_per_axis"] == 12
+        assert len(doc["rows"]) == 144
+
     def test_recording_callers_see_every_warning(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

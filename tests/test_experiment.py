@@ -813,6 +813,10 @@ def _refusing_inputs(build):
          corrupt=None, refuse=False, n_theta=16)
 @example(r=[0.2, 1.0], a=[1.0, 2.0, 3.0], phi=[0.5, 1.3], corrupt=_FRINGE_CORRUPTIONS[2][0],
          refuse=True, n_theta=16)
+# route 5 walks the valid axes: a duplicated |alpha0|, R -0.0 beside 0.0, a
+# NaN phi between valid ones and |alpha0| 40, past the Fock start
+@example(r=[-0.0, 0.0, 0.3], a=[1.5, 40.0, 1.5], phi=[0.4, math.nan, 1.2],
+         corrupt=None, refuse=False, n_theta=16)
 def test_sweep_columns_match_the_per_row_reference(r, a, phi, corrupt, refuse, n_theta):
     _assert_sweep_matches_reference(r, a, phi, corrupt, refuse, n_theta)
 
@@ -1101,8 +1105,7 @@ def _per_point_brute(params):
          phi=[0.3, 4.0, 0.9, math.nan, 1.2, -2.0, 1.5, 0.1, 3.5, 0.7, 1e-3])
 # one block of angles past pi and up to it, reduced and kept
 @example(r=[0.3], a=[3.0], phi=[0.5, 4.0, -1109599999999999.9, 1e19, np.pi, -7.0])
-# a subnormal vacuum amplitude: some points break the state contract and
-# their block neighbours, judged alone, have zero norm
+# |alpha0| past the Fock start: refused before anything is built
 @example(r=[0.1], a=[38.6], phi=np.linspace(0.05, 1.5, 24).tolist())
 def test_sweep_brute_cells_equal_the_per_point_route_bit_for_bit(r, a, phi):
     with warnings.catch_warnings(record=True) as caught:
@@ -1196,6 +1199,30 @@ def test_brute_force_inputs_of_a_slice_are_those_built_for_it_alone(a, phi, star
     assert [(type(e), str(e)) for e in got.tails] == [(type(e), str(e)) for e in want.tails]
     if shrink < 1.0 and max(a[start:stop]) == 37.0:
         assert any(isinstance(e, TruncationError) for e in got.tails)
+
+
+def test_a_block_judges_each_point_that_breaks_the_state_contract_alone():
+    # points 1 and 3 of a block have their + vectors scaled past unit norm, by
+    # different factors: the stacked check fails, so each point checks its
+    # own slices and reports its own squared norm, as it would alone, while
+    # the other points keep the clean block's verdicts bit for bit
+    bs = BeamSplitter(0.3)
+    na = default_cutoff(2.0)
+    magnitudes = _sector_magnitudes(bs, na, default_cutoff(0.6))
+    clean = experiment._brute_force_inputs(np.full(5, 2.0), np.linspace(0.2, 1.4, 5), na)
+    vectors = clean.vectors.copy()
+    vectors[[2, 6]] *= np.array([[1.5], [2.0]])
+    broken = clean._replace(vectors=vectors,
+                            in_sq=[float(np.vdot(v, v).real) for v in vectors])
+    want = experiment._brute_force_block(bs, magnitudes, clean)
+    got = experiment._brute_force_block(bs, magnitudes, broken)
+    assert [repr(got[p]) for p in (0, 2, 4)] == [repr(want[p]) for p in (0, 2, 4)]
+    for p in (1, 3):
+        (alone,) = experiment._brute_force_block(bs, magnitudes, broken.points(p, p + 1))
+        assert type(got[p]) is type(alone) is ValueError
+        assert str(got[p]) == str(alone) == (f"squared norm {broken.in_sq[2 * p]:.6g} "
+                                             "exceeds 1; states are at most unit norm")
+    assert str(got[1]) != str(got[3])
 
 
 def test_state_builder_and_splitter_are_the_kernel_s_one_row_case():

@@ -80,7 +80,7 @@ def test_source_stays_within_its_line_budget():
     # but any growth shows up here
     package = Path(catvis.__file__).parent
     lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
-    assert lines <= 2457
+    assert lines <= 2454
 
 
 def _defaulted(name, obj):

@@ -85,6 +85,18 @@ class TestQGrid:
         with pytest.raises(ValueError):
             QGrid(extent=1.0, spacing=0.25)
 
+    @pytest.mark.parametrize("extent,spacing,points", [
+        (0.6, 0.1, 12), (0.3, 0.05, 12), (1.2, 0.2, 12), (0.5, 0.1, 10)])
+    def test_judges_the_width_by_the_points_it_lays_out(self, extent, spacing, points):
+        # 6 * spacing rounds above each extent, though the first three lay
+        # out exactly 12 points an axis
+        assert 6.0 * spacing > extent
+        if points < 12:
+            with pytest.raises(ValueError, match="^extent must be at least 6 spacings$"):
+                QGrid(extent=extent, spacing=spacing)
+        else:
+            assert QGrid(extent=extent, spacing=spacing).points_per_axis == points
+
     @pytest.mark.parametrize("extent", [math.inf, -math.inf, math.nan])
     def test_refuses_a_non_finite_extent(self, extent):
         with pytest.raises(ValueError, match="^extent must be finite$"):
@@ -338,6 +350,8 @@ PLANE_GRIDS = {
         extent=2.1, spacing=0.2, center_a=term.ket_a, center_b=term.bra_b
     ),
     "tight-even": lambda term, rng: QGrid(extent=1.5, spacing=0.25),
+    # every plane-A sample underflows: no peak, so the plane is uncovered
+    "underflow-even": lambda term, rng: QGrid(center_a=50.0),
 }
 
 
@@ -363,7 +377,7 @@ def test_factored_plane_sums_match_the_2d_sums(kind, diagonal):
         assert abs(got - want) <= 1e-13 * abs(term.weight)
         assert got_warnings == want_warnings
         warned += bool(want_warnings)
-    if kind.startswith("tight"):
+    if kind.startswith(("tight", "underflow")):
         assert warned  # the comparison covered the warning text too
 
 
@@ -381,6 +395,7 @@ def test_factored_edge_ratio_matches_the_2d_profile(kind):
             ratio = _plane_edge_ratio(center, grid._offsets(), ket, bra)
             want = _edge_ratio(_plane_profile(grid.plane(which), ket, bra))
             assert ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert math.isinf(want) == (kind.startswith("underflow") and which == "a")
 
 
 # the edge-to-peak ratio of a plane centred midway between its labels on
