@@ -184,14 +184,14 @@ _NEGATIVITY_TOL = 1e-12
 
 
 def _state_values(total, what: str):
-    """Real part of a summed Q (or marginal) ``total``; raises if the
-    imaginary residue is out of line with rounding, or if a value dips below
-    ``-1e-12``."""
+    """Real part of a summed Q (or marginal) ``total``, as a contiguous copy
+    that does not keep ``total`` alive; raises if the imaginary residue is
+    out of line with rounding, or if a value dips below ``-1e-12``."""
     total = np.asarray(total)
     scale = float(np.max(np.abs(total))) if total.size else 0.0
     if scale > 0.0 and float(np.max(np.abs(total.imag))) > 1e-10 * max(scale, 1e-30):
         raise ValueError(f"{what} came out complex; term set is inconsistent")
-    values = total.real
+    values = total.real.copy()
     if values.size and float(np.min(values)) < -_NEGATIVITY_TOL:
         raise ValueError(
             f"{what} reached {float(np.min(values)):.3e} < -{_NEGATIVITY_TOL:.1e}; "

@@ -265,6 +265,9 @@ def test_q_full_on_broadcast_planes_matches_the_grid_oracle(stage, grid):
     want = q_full_grid(terms, (za, zb))
     assert got.shape == (grid.points_per_axis,) * 4
     assert np.array_equal(got, want)
+    # its own array: a view of the complex total would keep twice the memory
+    # alive while the CLI writes the table
+    assert got.base is None and got.flags.c_contiguous
 
 
 def test_integrate_q_term_reproduces_trace_identity():
