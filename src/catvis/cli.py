@@ -52,9 +52,9 @@ __all__ = ["RunConfig", "main"]
 ENV_PREFIX = "CATVIS_"
 
 _MAX_ROWS = 500_000
-# rows made into bytes at a time, in every table; at 4096 the glibc heap of a
-# process repeating bench qfull fragmented, its peak RSS 3 MB up in half the
-# runs
+# rows made into bytes at a time; a full Q table rounds it up to whole A-plane
+# points: 2304 rows on bench qfull's grid, where 20 runs of 20 s on 2 cores
+# all peaked at 47.6-47.8 MB RSS, with no heap jump
 _CHUNK_ROWS = 2048
 
 # edge-to-peak ratio above which an emitted grid is flagged as too small;
@@ -366,11 +366,12 @@ _UNMASK_NUL = bytes(range(255)) + b"\0"
 
 
 def _cell_texts(columns, as_json: bool) -> tuple:
-    """``(n, texts)`` of a table's ``columns`` (see :func:`_emit`): the row
-    count, and the chunk function of :func:`_table_rows`, one ``take`` from
-    the texts of the distinct cells: the floats' by one ``g12_chars`` call
-    over their distinct bit patterns, the text cells' once per value, a NUL
-    inside a text standing in as 0xFF (see ``_UNMASK_NUL``)."""
+    """``(n, rows, texts)`` of a table's ``columns`` (see :func:`_emit`):
+    the row count, ``_CHUNK_ROWS``, and the chunk function of
+    :func:`_table_rows`, one ``take`` from the texts of the distinct cells:
+    the floats' by one ``g12_chars`` call over their distinct bit patterns,
+    the text cells' once per value, a NUL inside a text standing in as 0xFF
+    (see ``_UNMASK_NUL``)."""
     from ._g12 import _SMALL  # in the writers only (see _float_chars)
     n = len(columns[0].values if isinstance(columns[0], _Floats) else columns[0])
     values = np.zeros((len(columns), n))
@@ -405,16 +406,17 @@ def _cell_texts(columns, as_json: bool) -> tuple:
     def chunk(r0, c):
         cells = table.take(index[:, r0:r0 + c]).view(np.uint8)
         return list(cells.reshape(len(columns), c, -1))
-    return n, chunk
+    return n, _CHUNK_ROWS, chunk
 
 
 def _q_columns(planes, values, as_json: bool) -> tuple:
-    """``(n, texts)`` of the Q table on the Cartesian product of ``planes``
-    (one or two 2-D arrays of complex sample points, row-major, the first
-    plane outermost) whose q values are ``values``, as :func:`_cell_texts`
-    gives them.  Each plane's ``re`` and ``im`` texts are encoded once per
-    grid; a chunk takes its rows' outer and inner points by ``divmod``, and
-    encodes their q.  As CSV a point is one slot, ``re,im``."""
+    """``(n, rows, texts)`` of the Q table on the Cartesian product of
+    ``planes`` (one or two 2-D arrays of complex sample points, row-major,
+    the first plane outermost) whose q values are ``values``, as
+    :func:`_cell_texts` gives them.  Each plane's ``re`` and ``im`` texts are
+    encoded once per grid.  A full table's chunks hold whole outer points,
+    so the first lays the inner plane's slots for all; a chunk encodes its
+    rows' q.  As CSV a point is one slot, ``re,im``."""
     points = []  # per plane, each slot's texts by point
     for z in planes:
         re, im = (_float_texts(p.ravel(), as_json) for p in (z.real, z.imag))
@@ -422,30 +424,34 @@ def _q_columns(planes, values, as_json: bool) -> tuple:
         points.append([np.array(t, "S").view(np.uint8).reshape(z.size, -1)
                        for t in slots])
     q = values.ravel()
+    per = planes[1].size if len(planes) == 2 else 1  # rows of an outer point
 
     def chunk(r0, c):
-        # the outer and inner point of each row, or the one plane's point
-        at = np.divmod(np.arange(r0, r0 + c), planes[-1].size)[2 - len(planes):]
-        return [t.take(k, 0) for slots, k in zip(points, at) for t in slots] + [
-            _float_chars(q[r0:r0 + c], as_json)]
-    return q.size, chunk
+        outer = slice(r0 // per, (r0 + c) // per)
+        return ([t[outer].repeat(per, 0) for t in points[0]]
+                + [None if r0 else np.tile(t, (c // per, 1))
+                   for inner in points[1:] for t in inner]
+                + [_float_chars(q[r0:r0 + c], as_json)])
+    return q.size, -(-_CHUNK_ROWS // per) * per, chunk
 
 
-def _table_rows(buf, n, segments, end, texts) -> None:
-    """Write ``n`` rows, ``_CHUNK_ROWS`` at a time: in each, before each
-    slot its fixed segment from ``segments`` (CSV ``,``; JSON the line of
-    its key), then the row end ``end``, less a trailing comma in the last
-    row (JSON separates its row objects).  ``texts(r0, c)`` returns per slot
-    a uint8 matrix of the NUL-padded texts of rows ``r0`` to ``r0 + c``.
+def _table_rows(buf, table, segments, end) -> None:
+    """Write the rows of ``table``, ``(n, rows, texts)``, ``rows`` at a
+    time: in each, before each slot its fixed segment from ``segments`` (CSV
+    ``,``; JSON the line of its key), then the row end ``end``, less a
+    trailing comma in the last row (JSON separates its row objects).
+    ``texts(r0, c)`` returns per slot a uint8 matrix of the NUL-padded texts
+    of rows ``r0`` to ``r0 + c``, or None to keep the previous chunk's.
 
     Each chunk is laid out in one byte matrix, allocated once with the
     segments and the row end in place, and written with its NULs dropped
     (and 0xFF made NUL, see ``_UNMASK_NUL``).  Segments past the last slot
     go unused: a CSV Q point is one ``re,im`` slot for two columns.
     """
+    n, rows, texts = table
     if not n:
         return
-    slots = texts(0, min(n, _CHUNK_ROWS))
+    slots = texts(0, min(n, rows))
     row, at = b"", []  # one row with its slots blank, and where they start
     for s, t in zip(segments, slots):
         row += s.encode()
@@ -453,26 +459,27 @@ def _table_rows(buf, n, segments, end, texts) -> None:
         row += bytes(t.shape[1])
     m = np.tile(np.frombuffer(row + end.encode(), np.uint8), (len(slots[0]), 1))
     views = [m[:, a:a + t.shape[1]] for a, t in zip(at, slots)]
-    for r0 in range(0, n, _CHUNK_ROWS):
-        c = min(n - r0, _CHUNK_ROWS)
+    for r0 in range(0, n, rows):
+        c = min(n - r0, rows)
         for view, t in zip(views, slots if r0 == 0 else texts(r0, c)):
-            view[:c] = t
+            if t is not None:
+                view[:c] = t
         if r0 + c == n and end.endswith(","):
             m[c - 1, -1] = 0
         buf.write(m[:c].tobytes().translate(_UNMASK_NUL, b"\0").decode())
 
 
-def _to_csv(buf, cfg, echo, header, n, texts, head_comments, foot_comments):
+def _to_csv(buf, cfg, echo, header, table, head_comments, foot_comments):
     for line in (f"catvis {__version__}", f"command: {cfg.subcommand}",
                  f"params: {_pairs(echo)}", *head_comments):
         buf.write(f"# {line}\n")
     csv.writer(buf, lineterminator="\n").writerow(header)
-    _table_rows(buf, n, ["", *[","] * (len(header) - 1)], "\n", texts)
+    _table_rows(buf, table, ["", *[","] * (len(header) - 1)], "\n")
     for line in foot_comments:
         buf.write(f"# {line}\n")
 
 
-def _to_json(buf, cfg, echo, header, n, texts, diagnostics):
+def _to_json(buf, cfg, echo, header, table, diagnostics):
     # json.dumps lays out the small dicts; "rows" sorts after both keys
     meta = {
         "diagnostics": dict(diagnostics, version=__version__),
@@ -485,8 +492,9 @@ def _to_json(buf, cfg, echo, header, n, texts, diagnostics):
     keys = [json.dumps(header[j]) for j in order]
     segments = ["\n    {\n      " + keys[0] + ": ",
                 *[",\n      " + key + ": " for key in keys[1:]]]
-    _table_rows(buf, n, segments, "\n    },",
-                lambda r0, c: [*map(texts(r0, c).__getitem__, order)])
+    n, rows, texts = table
+    _table_rows(buf, (n, rows, lambda r0, c: [*map(texts(r0, c).__getitem__, order)]),
+                segments, "\n    },")
     buf.write("\n  ]\n}\n" if n else "]\n}\n")
 
 
@@ -499,16 +507,15 @@ def _emit(cfg, echo, header, columns=(), grid=None, head_comments=(),
     (empty); a Q table passes ``grid=(planes, values)`` instead (see
     :func:`_q_columns`), whose columns are each plane's re, im, then q."""
     as_json = cfg.format == "json"
-    n, texts = (_cell_texts(columns, as_json) if grid is None
-                else _q_columns(*grid, as_json))
+    table = (_cell_texts(columns, as_json) if grid is None
+             else _q_columns(*grid, as_json))
     out = (contextlib.nullcontext(sys.stdout) if cfg.output is None
            else open(cfg.output, "w", newline=""))
     with out as fh:
         if as_json:
-            _to_json(fh, cfg, echo, header, n, texts, diagnostics or {})
+            _to_json(fh, cfg, echo, header, table, diagnostics or {})
         else:
-            _to_csv(fh, cfg, echo, header, n, texts, head_comments,
-                    foot_comments)
+            _to_csv(fh, cfg, echo, header, table, head_comments, foot_comments)
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,16 @@ def _q_values(profiles):
     broadcast against its B-plane profile."""
     # einsum rounds the complex product as an outer product of the plane
     # profiles does; a plain ga * gb differs in the last bit in about half
-    # the points, which would change printed full-Q grids
-    terms = (w * np.einsum("...,...->...", ga, gb) for w, ga, gb in profiles)
-    return _state_values(sum(terms), "Q")
+    # the points, which would change printed full-Q grids.  Summed in place
+    # with the bits of sum(), whose 0 + term makes -0.0 +0.0.  NumPy reuses
+    # a temporary of 256 KiB or more, so w * einsum(...) rounds as einsum * w
+    # there: einsum *= w would change the last bit of smaller complex sums
+    total = 0
+    for w, ga, gb in profiles:
+        term = w * np.einsum("...,...->...", ga, gb)
+        term += total
+        total = term
+    return _state_values(total, "Q")
 
 
 def _marginal_values(profiles, grid: QGrid):

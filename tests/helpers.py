@@ -451,6 +451,15 @@ def q_full_grid(terms, planes):
     return total.real
 
 
+# reference summed Q: phase_space._q_values's total before it summed in
+# place, sum() of each term's weighted einsum of its plane profiles (sum's
+# start 0 + the first term turns a -0.0 part +0.0)
+
+
+def q_values_sum(profiles):
+    return sum(w * np.einsum("...,...->...", ga, gb) for w, ga, gb in profiles)
+
+
 # ---------------------------------------------------------------------------
 # reference sweep loop: experiment._sweep_columns before its array checks,
 # every point passing the one-point checks in row order, with a route-5

@@ -3,8 +3,10 @@
 Every table is written as byte matrices, a chunk of rows at a time: the
 floats by a NumPy digit kernel (a sweep's once per distinct bit pattern,
 text cells once per distinct value; a Q table's plane points once per
-grid).  A column is a float64 array, a ``_Floats`` or a list of str or
-None, as the CLI passes them.  These tests hold the text byte for byte to
+grid).  A full Q table's chunks hold whole outer points, so its inner
+plane's texts are laid once, by the first chunk; a marginal's and every
+other table's chunks are ``_CHUNK_ROWS`` rows.  A column is a float64
+array, a ``_Floats`` or a list of str or None, as the CLI passes them.  These tests hold the text byte for byte to
 the original ``csv.writer`` + per-cell formatting and ``json.dumps`` of
 rounded dicts, and the kernel to ``"%.12g" %``.
 """
@@ -16,7 +18,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catvis import cli
@@ -297,7 +299,7 @@ def _q_values(rng, shape):
     flat = total.reshape(-1)
     special = [0.0, -0.0, 1e-300, 1e20, math.nan, math.inf, -math.inf, 5e-324,
                999999999999.5, 9.999999999995e-05]
-    flat[:len(special)] = special
+    flat[:len(special)] = special[:flat.size]
     return total.real
 
 
@@ -483,22 +485,65 @@ def test_q_table_of_one_point(mode, fmt):
     assert_same_text(got, want)
 
 
+def _spy_q_chunks(mp):
+    """Record ``(r0, c, given)`` of each chunk the Q table's chunk function
+    returns, ``given`` telling which of its slots are not None."""
+    seen = []
+    q_columns = cli._q_columns
+
+    def spy(planes, values, as_json):
+        n, rows, texts = q_columns(planes, values, as_json)
+
+        def chunk(r0, c):
+            slots = texts(r0, c)
+            seen.append((r0, c, [t is not None for t in slots]))
+            return slots
+        return n, rows, chunk
+    mp.setattr(cli, "_q_columns", spy)
+    return seen
+
+
+def _check_q_chunks(seen, planes, fmt, chunk):
+    """The chunks run over every row in turn.  A full table's hold whole
+    outer points, ``chunk`` rows rounded up to a whole point, and only the
+    first returns the inner plane's slots; a marginal's hold ``chunk`` rows,
+    wherever that ends in the plane."""
+    n = math.prod(p.size for p in planes)
+    ends = [r0 + c for r0, c, _ in seen]
+    assert [r0 for r0, _, _ in seen] == [0, *ends[:-1]] and ends[-1] == n
+    point = 2 if fmt == "json" else 1  # slots of a plane point
+    inner = planes[-1].size if len(planes) == 2 else 1
+    rows = -(-chunk // inner) * inner
+    for i, (r0, c, given) in enumerate(seen):
+        assert r0 % inner == 0 and c == min(rows, n - r0)
+        assert given == [True] * point + [i == 0] * point * (len(planes) - 1) + [True]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 40, 2048])
+@pytest.mark.parametrize("side", [3, 4])
 @_Q_MODES
-def test_q_chunks_split_an_outer_block(monkeypatch, chunk, mode, fmt):
-    # 4 x 4 points per plane: a 7 or 40-row chunk ends inside the 16 rows of
-    # an outer point; the coordinates print in texts of unequal width
+def test_q_chunks_split_an_outer_block(monkeypatch, side, chunk, mode, fmt):
+    # side x side points per plane, the coordinates printing in texts of
+    # unequal width.  A full table's 7 or 40-row chunk rounds up to whole
+    # outer points of 9 or 16 rows, neither of which divides it: 45 and 48
+    # rows leave a partial last chunk.  A marginal's 7-row chunk ends inside
+    # a row of points
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    seen = _spy_q_chunks(monkeypatch)
     rng = np.random.default_rng(chunk)
-    plane = (np.array([-1.0, 0.0, 2.5, 10.75])[None, :]
-             + 1j * np.array([-0.125, 0.0, 1.0, -30.0])[:, None])
+    plane = (np.array([-1.0, 0.0, 2.5, 10.75][:side])[None, :]
+             + 1j * np.array([-0.125, 0.0, 1.0, -30.0][:side])[:, None])
     if mode == "full":
-        planes, values = (plane, plane - 3.0), _q_values(rng, (4, 4, 4, 4))
+        planes, values = (plane, plane - 3.0), _q_values(rng, (side,) * 4)
         header = ("re_alpha", "im_alpha", "re_beta", "im_beta", "q")
     else:
-        planes, values, header = (plane,), _q_values(rng, (4, 4)), ("re", "im", "q")
+        planes, values = (plane,), _q_values(rng, (side, side))
+        header = ("re", "im", "q")
     got, want = _q_pair(fmt, planes, values, header)
     assert_same_text(got, want)
+    _check_q_chunks(seen, planes, fmt, chunk)
+    if mode == "full" and chunk == 40:
+        assert seen[-1][1] < seen[0][1]
 
 
 # q values whose JSON text is parsed back (zeros, integral, subnormal, 1e11
@@ -533,19 +578,30 @@ def _q_grids(draw):
     return tuple(planes), np.array(q).reshape(shape)
 
 
+# 3 x 3 points a plane: a full table's 9-row outer points divide neither a
+# 7 nor a 40-row chunk, and its 81 rows leave a partial last chunk of 45
+_NINE = np.array([-1.0, 0.0, 2.5])[None, :] + 1j * np.array([-0.125, 0.0, 1.0])[:, None]
+_NINE_GRID = ((_NINE, _NINE - 3.0), np.linspace(-1.0, 1.0, 81).reshape((3,) * 4))
+
+
 @settings(deadline=None, derandomize=True, max_examples=120)
 @given(grid=_q_grids(), chunk=st.sampled_from([1, 7, 40, cli._CHUNK_ROWS]),
        fmt=st.sampled_from(["csv", "json"]))
+@example(grid=_NINE_GRID, chunk=7, fmt="csv")
+@example(grid=_NINE_GRID, chunk=40, fmt="json")
 def test_generated_q_grids_match_reference(grid, chunk, fmt):
-    # chunks of 1, 7 and 40 rows end inside an outer point's block; 2048 rows
-    # take the digit kernel past its 128-value threshold
+    # chunks of 1, 7 and 40 rows: a full table's round up to whole outer
+    # points, a marginal's end inside a row of points; 2048 rows take the
+    # digit kernel past its 128-value threshold
     planes, values = grid
     header = (("re_alpha", "im_alpha", "re_beta", "im_beta", "q") if len(planes) == 2
               else ("re_beta", "im_beta", "q"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CHUNK_ROWS", chunk)
+        seen = _spy_q_chunks(mp)
         got, want = _q_pair(fmt, planes, values, header)
     assert_same_text(got, want)
+    _check_q_chunks(seen, planes, fmt, chunk)
 
 
 # tables passed as columns, as the CLI passes them: float arrays, float

@@ -25,6 +25,7 @@ from catvis import (
     q_marginal,
     visibility_closed_form,
 )
+from catvis import phase_space
 from catvis.phase_space import (
     _BOUNDARY_RATIO,
     _edge_ratio,
@@ -32,6 +33,8 @@ from catvis.phase_space import (
     _plane_profile,
     _post_selected_integrals,
     _post_selected_planes,
+    _q_values,
+    _term_profiles,
 )
 
 from helpers import (
@@ -44,6 +47,7 @@ from helpers import (
     postselect_term,
     q_full_grid,
     q_term,
+    q_values_sum,
 )
 
 INV_PI_SQ = 0.10132118364233778  # 1/pi^2
@@ -217,6 +221,76 @@ def test_interference_q_matches_reconstructed_closed_form():
 def test_q_full_vacuum_peak():
     terms = [coherent_product_term(0.0, 0.0)]
     assert q_full(terms, 0.0, 0.0) == pytest.approx(INV_PI_SQ, rel=1e-12)
+
+
+def _summed_q(monkeypatch, profiles):
+    """The complex total :func:`_q_values` hands its final check."""
+    seen = []
+    monkeypatch.setattr(phase_space, "_state_values",
+                        lambda total, what: seen.append(total))
+    _q_values(profiles)
+    return np.asarray(seen[0])
+
+
+def _same_bits(got, want):
+    # as int64 pairs: -0.0 and 0.0 differ, and 0-d arrays take a view at 1-d
+    return np.array_equal(np.atleast_1d(got).view(np.int64),
+                          np.atleast_1d(want).view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [5, 12])
+def test_q_values_sum_in_place_to_the_bits_of_sum(monkeypatch, seed, n):
+    # a random Hermitian set in random order, diagonal terms and off-diagonal
+    # pairs of complex weight, on an A plane broadcast against a B plane: at
+    # n 12 each term's 331,776 bytes are past the 256 KiB from which NumPy
+    # computes w * einsum(...) in the einsum's own array
+    rng = np.random.default_rng(seed)
+
+    def label():
+        return complex(*rng.normal(0.0, 1.5, 2))
+
+    terms = [coherent_product_term(label(), label(), weight=rng.uniform(0.1, 2.0))
+             for _ in range(rng.integers(1, 4))]
+    for _ in range(rng.integers(1, 4)):
+        off = BranchTerm(complex(*rng.normal(size=2)), label(), label(), label(), label())
+        terms += [off, off.adjoint()]
+    terms = [terms[i] for i in rng.permutation(len(terms))]
+    za, zb = (complex(*rng.normal(size=2)) + rng.normal(0.0, 2.0, (n, n))
+              + 1j * rng.normal(0.0, 2.0, (n, n)) for _ in range(2))
+    profiles = _term_profiles(terms, za[:, :, None, None], zb)
+    got = _summed_q(monkeypatch, profiles)
+    assert got.shape == (n,) * 4
+    assert _same_bits(got, q_values_sum(profiles))
+
+
+def test_q_values_turn_an_underflowing_negative_zero_positive(monkeypatch):
+    # an off-diagonal pair 20 from a small grid: its profiles' products
+    # underflow to signed zeros, and a -0.0 real part of both terms would
+    # survive their sum but for sum()'s 0 + the first term
+    off = BranchTerm(-0.8 + 0.6j, 20j, -20.0 + 1j, 19.0 - 5j, 3.0 + 19j)
+    plane = QGrid(extent=1.5, spacing=0.25).plane("a")
+    profiles = _term_profiles([off, off.adjoint()], plane[:, :, None, None], plane)
+    want = q_values_sum(profiles)
+    (w0, ga0, gb0), (w1, ga1, gb1) = profiles
+    no_start = (w0 * np.einsum("...,...->...", ga0, gb0)
+                + w1 * np.einsum("...,...->...", ga1, gb1))
+    negative_zero = (no_start.real == 0.0) & np.signbit(no_start.real)
+    assert np.any(negative_zero) and not np.any(np.signbit(want.real[negative_zero]))
+    assert _same_bits(_summed_q(monkeypatch, profiles), want)
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.0), (0.3 - 0.2j, -1.1 + 0.4j)])
+def test_q_values_at_one_point(monkeypatch, point):
+    # at one point einsum returns a scalar, not an array
+    terms = [beam_split_term(t, BeamSplitter(0.3))
+             for t in initial_cat_terms(1.2 * np.exp(0.5j), 0.7)]
+    profiles = _term_profiles(terms, *point)
+    got = _summed_q(monkeypatch, profiles)
+    assert got.shape == ()
+    assert _same_bits(got, q_values_sum(profiles))
+    monkeypatch.undo()
+    assert type(q_full(terms, *point)) is float
 
 
 @pytest.mark.parametrize("evaluate", [
